@@ -27,7 +27,7 @@ from .errors import ConfigError
 from .grid import Grid, make_grid, sample_expression
 from .model import EffectiveParams, ModelParams, build_effective_params
 from .operators import check_peclet
-from .stepping import default_eps_extinct, max_stable_dt
+from .stepping import default_dt, default_eps_extinct, max_stable_dt
 
 __all__ = ["Tolerances", "RunConfig", "parse_config", "MODES"]
 
@@ -326,11 +326,8 @@ def parse_config(
     if t_end <= 0.0:
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
 
-    dt_cap = (
-        max_stable_dt(eff)
-        if reaction_form == "folded"
-        else 0.9 / (float(np.max(eff.r.values)) * (1.0 - min(mu1, mu2)))
-    )
+    cap_args = (eff,) if reaction_form == "folded" else (params, eff.r.values)
+    dt_cap = max_stable_dt(*cap_args)
     if "dt" in merged:
         dt = _as_float("dt", merged["dt"])
         if not 0.0 < dt <= dt_cap:
@@ -339,7 +336,7 @@ def parse_config(
                 f"positivity-safe, got {dt!r}"
             )
     else:
-        dt = min(dt_cap, 0.1)
+        dt = default_dt(*cap_args)
         defaulted.add("dt")
 
     default_density = 0.5 * float(np.min(eff.K1.values))

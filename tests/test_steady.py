@@ -82,6 +82,16 @@ def test_newton_and_long_time_paths_agree():
     assert np.max(np.abs(newton.u - marched.u)) < 1e-8
 
 
+def test_singular_newton_system_raises_solver_error():
+    # At u = K1/2 the growth term's derivative vanishes, so the Jacobian is
+    # the pure-diffusion operator, whose columns sum to zero: exactly
+    # singular.  The error must be a SolverError, the one the hybrid
+    # method's fallback to marching catches.
+    cfg, grid, eff, op1, _ = weak_setup(n=32, mu=0.2, alpha1=0.0, alpha2=0.0, K="1 + x")
+    with pytest.raises(SolverError, match="Newton system is singular"):
+        solve_single_steady(op1, eff, method="newton", u0=0.5 * eff.K1.values)
+
+
 def test_capacity_gap_linear_and_quadratic_routes_agree():
     cfg, grid, eff, op1, _ = weak_setup(n=256)
     state = solve_single_steady(op1, eff)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -11,6 +14,7 @@ from rivercomp.grid import make_grid
 from rivercomp.model import ModelParams, build_effective_params
 from rivercomp.operators import transport_for
 from rivercomp.stepping import (
+    CLAMP_TOLERANCE,
     Outcome,
     Stepper,
     Trajectory,
@@ -171,6 +175,72 @@ def test_wall_clock_budget_marks_truncated():
     assert traj.truncated
     out = classify_outcome(traj, eps_extinct=1e-3)
     assert out.verdict is Verdict.UNDECIDED
+
+
+def _reference_solver(grid, d, alpha, dt):
+    """One species' implicit solve the way the two-solve stepper did it.
+
+    1-D uses the banded solver (splu differs from any tridiagonal
+    elimination at rounding level), 2-D a sparse LU of its own.
+    """
+    m = sparse.identity(grid.size, format="csr") - dt * transport_for(grid, d, alpha).matrix
+    if grid.dim == 1:
+        ab = np.array([np.insert(m.diagonal(1), 0, 0.0), m.diagonal(), np.append(m.diagonal(-1), 0.0)])
+        return lambda b: scipy.linalg.solve_banded((1, 1), ab, b)
+    return spla.splu(m.tocsc()).solve
+
+
+def _two_scan_clamp(w, events):
+    bad = w < -CLAMP_TOLERANCE
+    events[0] += int(bad.sum())
+    if (w < 0.0).any():
+        w = np.maximum(w, 0.0)
+    return w
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n=64, mu=0.3),
+        dict(n=64, mu=0.1, mu2=0.25, form="raw"),
+        dict(n=12, mu=0.1, dim=2, form="raw"),
+    ],
+    ids=["1d-folded", "1d-raw-unequal-harvest", "2d-raw"],
+)
+def test_stacked_step_matches_two_solve_reference(kw):
+    # Each species solved on its own with its own factorization and the
+    # two-scan clamp: the stacked solve must give bitwise-equal states and
+    # the same clamp count.  The initial hump sits far outside the
+    # positivity envelope, so the first steps clamp.
+    stepper, _, eff = make_stepper(**kw)
+    cap = max_stable_dt(eff) if stepper.form == "folded" else max_stable_dt(stepper.params, eff.r.values)
+    stepper, grid, eff = make_stepper(dt=cap, **kw)
+    dt, p = stepper.dt, stepper.params
+    solve_u = _reference_solver(grid, p.d1, p.alpha1, dt)
+    solve_v = _reference_solver(grid, p.d2, p.alpha2, dt)
+    hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
+    u = ru = hump
+    v = rv = np.full(grid.size, 0.5)
+    events = [0]
+    for _ in range(300):
+        u, v = stepper.step(u, v)
+        ru, rv = (
+            _two_scan_clamp(solve_u(ru + dt * stepper.reaction_u(ru, rv)), events),
+            _two_scan_clamp(solve_v(rv + dt * stepper.reaction_v(ru, rv)), events),
+        )
+        np.testing.assert_array_equal(u, ru)
+        np.testing.assert_array_equal(v, rv)
+    assert stepper.clamp_events == events[0] > 0
+
+
+def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance():
+    stepper, _, _ = make_stepper(n=16)
+    w = np.array([0.5, -0.5 * CLAMP_TOLERANCE, -2.0 * CLAMP_TOLERANCE, 0.0, -1.0])
+    out = stepper._clamp(w)
+    np.testing.assert_array_equal(out, [0.5, 0.0, 0.0, 0.0, 0.0])
+    assert stepper.clamp_events == 2
+    stepper._clamp(np.array([0.0, -0.5 * CLAMP_TOLERANCE]))
+    assert stepper.clamp_events == 2
 
 
 def test_dt_cap_formula():
