@@ -5,9 +5,19 @@ tridiagonal: LAPACK's ``gttrf`` factors them once with partial pivoting
 and every solve is one ``gttrs`` sweep.  For the column-dominant
 M-matrices the stepper builds no row is interchanged, and the solve
 performs the same operations as ``gtsv`` (``scipy.linalg.solve_banded``),
-so results are bitwise equal to it.  Everything else (2-D Kronecker sums,
-coupled Newton systems, tridiagonal systems of fewer than three rows)
-goes through a sparse LU factorization that is reused across solves.
+so results are bitwise equal to it.
+
+The stepper's 2-D system I - dt·blockdiag(L_1, L_2) is solved in modal
+form by ``SeparableSolve`` (fast diagonalization, Lynch, Rice & Thomas
+1964): the DCT along y turns each species' I - dt·L into one tridiagonal
+block I - dt·Lx - dt·λ_j·I per y-mode, all of which stack into one
+tridiagonal system with zero coupling entries, factored once like the
+1-D ones.  A solve is one DCT, one ``gttrs`` and one inverse DCT; it
+agrees with sparse LU to rounding, not bitwise.
+
+Everything else (coupled Newton systems, other 2-D systems, tridiagonal
+systems of fewer than three rows) goes through a sparse LU factorization
+that is reused across solves.
 
 A singular matrix raises ``SolverError`` when it is factored.
 """
@@ -20,8 +30,9 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .errors import SolverError
+from .operators import TransportOperator, dct_basis, separable_parts
 
-__all__ = ["Factorization", "factorize"]
+__all__ = ["Factorization", "SeparableSolve", "factorize"]
 
 # scipy's gttrf wrapper rejects systems of fewer rows; factorize sends
 # them to the sparse path.
@@ -63,3 +74,37 @@ def factorize(matrix: sparse.spmatrix) -> Factorization:
         and np.all(np.abs(m.row - m.col) <= 1)
     )
     return Factorization(matrix, banded=bool(banded))
+
+
+class SeparableSolve:
+    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for 2-D operators.
+
+    Each L_s = I⊗Lx_s + Ly_s⊗I (see ``operators``); the right-hand side
+    stacks the species' flat x-fastest fields.  After the DCT along y the
+    rows of species s, mode j form the block I - dt·Lx_s - dt·λ_sj·I, a
+    column-dominant M-matrix like the 1-D ones, so the stacked system goes
+    to the banded ``Factorization``.
+    """
+
+    def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
+        n = ops[0].grid.n
+        self._shape = (len(ops), n, n)
+        self._basis = dct_basis(n)
+        # Row-aligned bands: lower[s, j, i] couples row i to row i - 1 of
+        # block (s, j), upper[s, j, i] to row i + 1; the entries that would
+        # couple neighbouring blocks stay zero.
+        lower, diag, upper = np.zeros(self._shape), np.empty(self._shape), np.zeros(self._shape)
+        for s, op in enumerate(ops):
+            lx, lam = separable_parts(op)
+            lower[s, :, 1:] = -dt * lx.diagonal(-1)
+            diag[s] = 1.0 - dt * (lx.diagonal()[None, :] + lam[:, None])
+            upper[s, :, :-1] = -dt * lx.diagonal(1)
+        stacked = sparse.diags(
+            [lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1]], offsets=[-1, 0, 1], format="dia"
+        )
+        self._modal = Factorization(stacked, banded=True)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        modal = np.matmul(self._basis, rhs.reshape(self._shape))
+        x = self._modal.solve(modal.ravel())
+        return np.matmul(self._basis.T, x.reshape(self._shape)).ravel()

@@ -17,7 +17,15 @@ structure.
 
 The 2-D operator is the Kronecker sum of a 1-D drift-diffusion operator
 along x and a pure-diffusion operator along y (drift acts downstream
-only).
+only):  L = I⊗Lx + Ly⊗I.  Ly is the cell-centred Neumann Laplacian, which
+the orthonormal DCT-II diagonalizes exactly:
+
+    Ly = Cᵀ diag(λ) C,   C[j, k] = s_j cos(π j (k + 1/2) / n),
+    λ_j = -(4d/h²) sin²(π j / 2n),
+
+with s_0 = √(1/n) and s_j = √(2/n) otherwise.  ``separable_parts`` and
+``dct_basis`` expose Lx, λ and C, so I - dt·L can be solved as n
+independent tridiagonal systems along x, one per y-mode.
 """
 
 from __future__ import annotations
@@ -38,6 +46,8 @@ __all__ = [
     "assemble_transport_2d",
     "transport_for",
     "face_fluxes",
+    "separable_parts",
+    "dct_basis",
 ]
 
 
@@ -103,6 +113,24 @@ def transport_for(grid: Grid, d: float, alpha: float) -> TransportOperator:
     if grid.dim == 1:
         return assemble_transport(grid, d, alpha)
     return assemble_transport_2d(grid, d, alpha)
+
+
+def separable_parts(op: TransportOperator) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """Lx and the eigenvalues λ of Ly for a 2-D operator L = I⊗Lx + Ly⊗I."""
+    if op.grid.dim != 2:
+        raise ConfigError("separable_parts expects a 2-D operator")
+    n, h = op.grid.n, op.grid.h
+    lam = -(4.0 * op.d / (h * h)) * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+    return _tridiagonal(n, h, op.d, op.alpha), lam
+
+
+def dct_basis(n: int) -> np.ndarray:
+    """The orthonormal DCT-II matrix C; row j is the j-th Neumann y-mode."""
+    j = np.arange(n)[:, None]
+    k = np.arange(n)[None, :]
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * j * (k + 0.5) / n)
+    c[0] = np.sqrt(1.0 / n)
+    return c
 
 
 def face_fluxes(op: TransportOperator, values: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rivercomp.errors import SolverError
-from rivercomp.linsolve import factorize
+from rivercomp.grid import make_grid
+from rivercomp.linsolve import SeparableSolve, factorize
+from rivercomp.operators import transport_for
 
 
 def test_tridiagonal_solve_matches_dense():
@@ -134,3 +136,46 @@ def test_tridiagonal_path_on_stepper_m_matrices(n, seed, dt):
         ab = np.zeros((3, n))
         ab[0, 1:], ab[1], ab[2, :-1] = -dt * above, d, -dt * below
         np.testing.assert_array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+
+
+# ---------------------------------------------------------------------
+# the 2-D modal solve against splu on the same stacked matrix
+# ---------------------------------------------------------------------
+
+
+_species = st.tuples(
+    st.floats(1e-3, 1.0),  # d
+    st.floats(-1.99, 1.99),  # grid Peclet number h*alpha/d, both signs
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    species=st.tuples(_species, _species),
+    dt=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, species=((1e-3, 1.99), (1.0, -1.99)), dt=10.0, seed=0)
+@example(n=40, species=((1e-3, -1.99), (1.0, 1.99)), dt=10.0, seed=0)
+def test_separable_solve_matches_splu(n, species, dt, seed):
+    # I - dt*blockdiag(L1, L2) for two species with different d and alpha.
+    # It is an M-matrix, so its inverse is nonnegative and one solve on a
+    # vector of ones gives ||A^-1||_inf exactly: the infinity-norm condition
+    # number costs no dense factorization.  The DCTs sum n terms per entry,
+    # so the residual bound grows with n.
+    grid = make_grid(2, 0.0, 1.0, n)
+    ops = tuple(transport_for(grid, d, peclet * d / grid.h) for d, peclet in species)
+    eye = sparse.identity(grid.size, format="csr")
+    m = sparse.block_diag([eye - dt * op.matrix for op in ops], format="csc")
+    b = np.random.default_rng(seed).standard_normal(2 * grid.size)
+    x = SeparableSolve(ops, dt).solve(b)
+
+    eps = np.finfo(float).eps
+    x_inf = np.max(np.abs(x))
+    m_inf = abs(m).sum(axis=1).max()
+    residual = np.max(np.abs(m @ x - b))
+    assert residual <= 8 * n * eps * (m_inf * x_inf + np.max(np.abs(b)))
+    lu = spla.splu(m)
+    cond = m_inf * np.max(lu.solve(np.ones(2 * grid.size)))
+    assert np.max(np.abs(x - lu.solve(b))) <= 1e3 * eps * cond * x_inf

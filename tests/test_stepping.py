@@ -62,7 +62,15 @@ def test_mass_identity_single_step():
 
 
 def test_mass_identity_along_trajectory():
-    stepper, grid, eff = make_stepper(n=48, dt=0.05)
+    _assert_mass_identity_along_trajectory(*make_stepper(n=48, dt=0.05)[:2])
+
+
+def test_mass_identity_along_trajectory_2d():
+    # the modal solve conserves mass to rounding like the banded one
+    _assert_mass_identity_along_trajectory(*make_stepper(n=12, dim=2, dt=0.05)[:2])
+
+
+def _assert_mass_identity_along_trajectory(stepper, grid):
     h = grid.cell_volume
     u = np.full(grid.size, 0.4)
     v = 0.3 + 0.2 * np.linspace(0.0, 1.0, grid.size)
@@ -101,12 +109,51 @@ def test_positivity_random_states(data):
     # dt at the stability cap and combined density inside the positivity
     # envelope u+v <= K1*(1 + 1/(rr1*dt)): outputs stay nonnegative with
     # zero clamp events
-    _, _, eff = make_stepper(n=24)
-    stepper, grid, _ = make_stepper(n=24, dt=max_stable_dt(eff))
+    _assert_positive_step(data, n=24)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=hnp.arrays(
+        dtype=float,
+        shape=(2, 64),
+        elements=st.floats(0.0, 1.0),
+    )
+)
+def test_positivity_random_states_2d(data):
+    # the same envelope on an 8x8 grid: the modal solve's rounding stays
+    # inside the clamp tolerance
+    _assert_positive_step(data, n=8, dim=2)
+
+
+def _assert_positive_step(data, **kw):
+    _, _, eff = make_stepper(**kw)
+    stepper, grid, _ = make_stepper(dt=max_stable_dt(eff), **kw)
     u, v = data[0], data[1]
     un, vn = stepper.step(u, v)
     assert un.min() >= 0.0 and vn.min() >= 0.0
     assert stepper.clamp_events == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_returned_states_do_not_alias_reused_buffers(dim):
+    stepper, grid, _ = make_stepper(n=12, dim=dim, dt=0.1)
+    x = np.linspace(0.0, 1.0, grid.size)
+    u, v = stepper.step(0.2 + x, 0.8 - 0.5 * x)
+    kept = u.copy(), v.copy()
+    stepper.step(u, v)
+    np.testing.assert_array_equal(u, kept[0])
+    np.testing.assert_array_equal(v, kept[1])
+
+
+def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 2-D stepper must not call splu")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    stepper, grid, _ = make_stepper(n=12, dim=2, form="raw")
+    u, v = stepper.step(np.full(grid.size, 0.5), np.full(grid.size, 0.5))
+    assert u.min() > 0.0 and v.min() > 0.0
 
 
 def test_transform_equivalence_short_run():
@@ -199,19 +246,21 @@ def _two_scan_clamp(w, events):
 
 
 @pytest.mark.parametrize(
-    "kw",
+    "kw,rtol",
     [
-        dict(n=64, mu=0.3),
-        dict(n=64, mu=0.1, mu2=0.25, form="raw"),
-        dict(n=12, mu=0.1, dim=2, form="raw"),
+        (dict(n=64, mu=0.3), 0.0),
+        (dict(n=64, mu=0.1, mu2=0.25, form="raw"), 0.0),
+        (dict(n=12, mu=0.1, dim=2, form="raw"), 1e-12),
     ],
     ids=["1d-folded", "1d-raw-unequal-harvest", "2d-raw"],
 )
-def test_stacked_step_matches_two_solve_reference(kw):
+def test_stacked_step_matches_two_solve_reference(kw, rtol):
     # Each species solved on its own with its own factorization and the
-    # two-scan clamp: the stacked solve must give bitwise-equal states and
-    # the same clamp count.  The initial hump sits far outside the
-    # positivity envelope, so the first steps clamp.
+    # two-scan clamp: the stacked solve must give the same states and the
+    # same clamp count.  The initial hump sits far outside the positivity
+    # envelope, so the first steps clamp.  States must agree within
+    # ``rtol`` of their sup-norm: bitwise in 1-D (rtol 0); the 2-D modal
+    # solve agrees with splu to rounding only.
     stepper, _, eff = make_stepper(**kw)
     cap = max_stable_dt(eff) if stepper.form == "folded" else max_stable_dt(stepper.params, eff.r.values)
     stepper, grid, eff = make_stepper(dt=cap, **kw)
@@ -228,8 +277,8 @@ def test_stacked_step_matches_two_solve_reference(kw):
             _two_scan_clamp(solve_u(ru + dt * stepper.reaction_u(ru, rv)), events),
             _two_scan_clamp(solve_v(rv + dt * stepper.reaction_v(ru, rv)), events),
         )
-        np.testing.assert_array_equal(u, ru)
-        np.testing.assert_array_equal(v, rv)
+        assert np.max(np.abs(u - ru)) <= rtol * np.max(np.abs(ru))
+        assert np.max(np.abs(v - rv)) <= rtol * np.max(np.abs(rv))
     assert stepper.clamp_events == events[0] > 0
 
 
