@@ -24,8 +24,15 @@ the orthonormal DCT-II diagonalizes exactly:
     λ_j = -(4d/h²) sin²(π j / 2n),
 
 with s_0 = √(1/n) and s_j = √(2/n) otherwise.  ``separable_parts`` and
-``dct_basis`` expose Lx, λ and C, so I - dt·L can be solved as n
+``dct_basis`` expose Lx's bands, λ and C, so I - dt·L can be solved as n
 independent tridiagonal systems along x, one per y-mode.
+
+A 1-D operator also carries its three bands (lower, diag, upper), the
+arrays its sparse matrix is built from, so the steady, eigen and time
+stepping layers can factor shifted and scaled copies of it as plain
+tridiagonal systems without going through scipy.sparse.  The bands are
+shared by every caller, so they are read-only.  A 2-D operator carries
+its sparse matrix only (``bands`` is None).
 """
 
 from __future__ import annotations
@@ -51,6 +58,9 @@ __all__ = [
 ]
 
 
+Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 @dataclass(frozen=True)
 class TransportOperator:
     grid: Grid
@@ -58,6 +68,7 @@ class TransportOperator:
     alpha: float
     matrix: sparse.csr_matrix
     peclet: float
+    bands: Bands | None = None  # (lower, diag, upper) of a 1-D operator
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(values, dtype=float)
@@ -73,7 +84,7 @@ def check_peclet(grid: Grid, d: float, alpha: float) -> float:
     return peclet
 
 
-def _tridiagonal(n: int, h: float, d: float, alpha: float) -> sparse.csr_matrix:
+def _tridiagonal(n: int, h: float, d: float, alpha: float) -> Bands:
     diff = d / (h * h)
     drift = alpha / (2.0 * h)
 
@@ -83,7 +94,13 @@ def _tridiagonal(n: int, h: float, d: float, alpha: float) -> sparse.csr_matrix:
     # Zero-flux faces: the boundary rows see only one face.
     diag[0] = -diff - drift
     diag[-1] = -diff + drift
-    return sparse.diags([lower, diag, upper], offsets=[-1, 0, 1], format="csr")
+    for band in (lower, diag, upper):
+        band.setflags(write=False)
+    return lower, diag, upper
+
+
+def _matrix(bands: Bands) -> sparse.csr_matrix:
+    return sparse.diags(list(bands), offsets=[-1, 0, 1], format="csr")
 
 
 def assemble_transport(grid: Grid, d: float, alpha: float) -> TransportOperator:
@@ -91,8 +108,10 @@ def assemble_transport(grid: Grid, d: float, alpha: float) -> TransportOperator:
     if grid.dim != 1:
         raise ConfigError("assemble_transport expects a 1-D grid; use assemble_transport_2d")
     peclet = check_peclet(grid, d, alpha)
-    matrix = _tridiagonal(grid.n, grid.h, d, alpha)
-    return TransportOperator(grid=grid, d=d, alpha=alpha, matrix=matrix, peclet=peclet)
+    bands = _tridiagonal(grid.n, grid.h, d, alpha)
+    return TransportOperator(
+        grid=grid, d=d, alpha=alpha, matrix=_matrix(bands), peclet=peclet, bands=bands
+    )
 
 
 def assemble_transport_2d(grid: Grid, d: float, alpha: float) -> TransportOperator:
@@ -101,8 +120,8 @@ def assemble_transport_2d(grid: Grid, d: float, alpha: float) -> TransportOperat
         raise ConfigError("assemble_transport_2d expects a 2-D grid")
     peclet = check_peclet(grid, d, alpha)
     n, h = grid.n, grid.h
-    lx = _tridiagonal(n, h, d, alpha)
-    ly = _tridiagonal(n, h, d, 0.0)
+    lx = _matrix(_tridiagonal(n, h, d, alpha))
+    ly = _matrix(_tridiagonal(n, h, d, 0.0))
     eye = sparse.identity(n, format="csr")
     matrix = (sparse.kron(eye, lx) + sparse.kron(ly, eye)).tocsr()
     return TransportOperator(grid=grid, d=d, alpha=alpha, matrix=matrix, peclet=peclet)
@@ -115,8 +134,8 @@ def transport_for(grid: Grid, d: float, alpha: float) -> TransportOperator:
     return assemble_transport_2d(grid, d, alpha)
 
 
-def separable_parts(op: TransportOperator) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """Lx and the eigenvalues λ of Ly for a 2-D operator L = I⊗Lx + Ly⊗I."""
+def separable_parts(op: TransportOperator) -> tuple[Bands, np.ndarray]:
+    """Lx's bands and the eigenvalues λ of Ly for a 2-D operator L = I⊗Lx + Ly⊗I."""
     if op.grid.dim != 2:
         raise ConfigError("separable_parts expects a 2-D operator")
     n, h = op.grid.n, op.grid.h

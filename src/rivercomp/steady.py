@@ -7,6 +7,14 @@ Newton iteration; the single-species path can also march in time first
 ("hybrid", the default) or exclusively ("long-time"), which doubles as an
 independent cross-check of the Newton result.
 
+On a 1-D grid the single-species Newton and march systems are factored
+straight from the operator's bands (``linsolve.factor_shifted``), with no
+sparse matrix built; on a 2-D grid they go to sparse LU.  The coexistence
+Newton assembles its 2n-by-2n Jacobian directly in CSC form from a
+pattern fixed once per solve, and factors it with ``splu``.  The final
+Jacobian's near-singular flag comes from LAPACK's banded ``gbtrf`` and
+``gbcon`` on the interleaved unknowns, a deterministic condition estimate.
+
 The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
 refined grids: the growth-weighted capacity gap and its quadratic twin,
@@ -22,10 +30,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ConfigError, SolverError
 from .grid import Field, Grid
-from .linsolve import factorize
+from .linsolve import factor_shifted
 from .model import EffectiveParams, ModelParams
 from .operators import TransportOperator, face_fluxes
 
@@ -106,8 +115,7 @@ def _march(
     # trajectory-accuracy step; convergence then needs O(10) steps per
     # relaxation time regardless of how hard the harvest squeezes r*r1.
     dt = 0.9 / float(np.max(eff.rr1.values))
-    eye = sparse.identity(op.grid.size, format="csr")
-    solve = factorize(eye - dt * op.matrix)
+    solve = factor_shifted(op, shift=1.0, scale=-dt)
     u = u0.copy()
     for k in range(1, max_steps + 1):
         u_next = solve.solve(u + dt * eff.rr1.values * u * (1.0 - u / eff.K1.values))
@@ -137,9 +145,8 @@ def _newton_single(
     for it in range(1, max_iter + 1):
         if res_norm < tol:
             return u, it - 1
-        jac = op.matrix + sparse.diags(rr1 * (1.0 - 2.0 * u / K1))
         try:
-            delta = factorize(jac).solve(-res)
+            delta = factor_shifted(op, potential=rr1 * (1.0 - 2.0 * u / K1)).solve(-res)
         except SolverError as exc:
             raise SolverError(f"steady-state Newton system is singular: {exc}") from None
         s = 1.0
@@ -227,34 +234,69 @@ def _pair_residual(
     )
 
 
-def _pair_jacobian(
-    op1: TransportOperator,
-    op2: TransportOperator,
-    eff: EffectiveParams,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> sparse.csc_matrix:
-    rr1 = eff.rr1.values
-    K1 = eff.K1.values
-    j11 = op1.matrix + sparse.diags(rr1 * (1.0 - (2.0 * u + v) / K1))
-    j22 = op2.matrix + sparse.diags(rr1 * (1.0 - (u + 2.0 * v) / K1))
-    j12 = sparse.diags(-rr1 * u / K1)
-    j21 = sparse.diags(-rr1 * v / K1)
-    return sparse.bmat([[j11, j12], [j21, j22]], format="csc")
+class _PairJacobian:
+    """The pair Jacobian [[L1 + D11, D12], [D21, L2 + D22]] as a CSC matrix.
+
+    The D blocks are diagonal, so the pattern is fixed by the operators:
+    the row indices and the permutation into CSC order are built once, and
+    each call fills the values in a fixed entry order, permutes them and
+    drops exact zeros the way ``sparse.bmat`` does.  The arrays, and so the
+    ``splu`` factors, are the same as those of the ``bmat`` assembly.
+    """
+
+    def __init__(self, op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams):
+        n = op1.grid.size
+        self._rr1, self._K1 = eff.rr1.values, eff.K1.values
+        self._diag1, self._diag2 = op1.matrix.diagonal(), op2.matrix.diagonal()
+        m1, m2 = op1.matrix.tocoo(), op2.matrix.tocoo()
+        off1, off2 = m1.row != m1.col, m2.row != m2.col
+        self._off = np.concatenate([m1.data[off1], m2.data[off2]])
+        idx = np.arange(n, dtype=np.int32)
+        # Entry order: off-diagonals of L1, then L2, then the diagonals
+        # of the four blocks (11, 22, 12, 21).
+        rows = np.concatenate([m1.row[off1], m2.row[off2] + n, idx, idx + n, idx, idx + n])
+        cols = np.concatenate([m1.col[off1], m2.col[off2] + n, idx, idx + n, idx + n, idx])
+        self._order = np.lexsort((rows, cols))
+        self._rows, self._cols = rows[self._order], cols[self._order]
+        self._shape = (2 * n, 2 * n)
+
+    def __call__(self, u: np.ndarray, v: np.ndarray) -> sparse.csc_matrix:
+        rr1, K1 = self._rr1, self._K1
+        values = np.concatenate(
+            [
+                self._off,
+                self._diag1 + rr1 * (1.0 - (2.0 * u + v) / K1),
+                self._diag2 + rr1 * (1.0 - (u + 2.0 * v) / K1),
+                -rr1 * u / K1,
+                -rr1 * v / K1,
+            ]
+        )[self._order]
+        keep = values != 0.0
+        indptr = np.zeros(self._shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self._cols[keep], minlength=self._shape[1]), out=indptr[1:])
+        return sparse.csc_matrix((values[keep], self._rows[keep], indptr), shape=self._shape)
 
 
 def _near_singular(jac: sparse.csc_matrix) -> bool:
-    try:
-        lu = spla.splu(jac)
-    except RuntimeError:
+    """Whether the pair Jacobian's 1-norm condition number exceeds 1e10.
+
+    With the unknowns interleaved as (u0, v0, u1, v1, ...) the Jacobian is
+    banded (kl = ku = 2 in 1-D, 2n on an n-by-n grid).  LAPACK's ``gbtrf``
+    factors it and ``gbcon`` estimates the condition number, with no
+    random start, so the answer is the same on every run.
+    """
+    n = jac.shape[0] // 2
+    m = jac.tocoo()
+    rows, cols = 2 * (m.row % n) + m.row // n, 2 * (m.col % n) + m.col // n
+    k = int(np.max(np.abs(rows - cols)))
+    ab = np.zeros((3 * k + 1, 2 * n))
+    ab[2 * k + rows - cols, cols] = m.data
+    anorm = float(np.max(abs(jac).sum(axis=0)))
+    lu, ipiv, info = lapack.dgbtrf(ab, k, k, overwrite_ab=True)
+    if info > 0:
         return True
-    n = jac.shape[0]
-    inv_op = spla.LinearOperator((n, n), matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"))
-    try:
-        cond = spla.onenormest(jac) * spla.onenormest(inv_op)
-    except Exception:
-        return True
-    return bool(cond > 1e10)
+    rcond, _ = lapack.dgbcon(k, k, lu, ipiv, anorm)
+    return bool(rcond < 1e-10)
 
 
 def solve_coexistence(
@@ -280,15 +322,15 @@ def solve_coexistence(
         u = np.asarray(guess[0], dtype=float).copy()
         v = np.asarray(guess[1], dtype=float).copy()
     n = op1.grid.size
+    jacobian = _PairJacobian(op1, op2, eff)
 
     res = _pair_residual(op1, op2, eff, u, v)
     res_norm = float(np.max(np.abs(res)))
     for it in range(1, max_iter + 1):
         if res_norm < tol:
             break
-        jac = _pair_jacobian(op1, op2, eff, u, v)
         try:
-            lu = spla.splu(jac)
+            lu = spla.splu(jacobian(u, v))
         except RuntimeError:
             raise SolverError(
                 "coexistence Jacobian is singular; a marginal/bifurcation "
@@ -323,7 +365,7 @@ def solve_coexistence(
         v=v,
         residual=res_norm,
         iterations=it,
-        jacobian_near_singular=_near_singular(_pair_jacobian(op1, op2, eff, u, v)),
+        jacobian_near_singular=_near_singular(jacobian(u, v)),
     )
 
 

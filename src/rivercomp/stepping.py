@@ -27,11 +27,10 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ConfigError
 from .grid import Grid
-from .linsolve import Factorization, SeparableSolve, factorize
+from .linsolve import implicit_solver
 from .model import EffectiveParams, ModelParams, raw_reaction, reaction
 from .operators import TransportOperator
 
@@ -161,14 +160,7 @@ class Stepper:
 
         self._n = self.grid.size
         self._rhs = np.empty(2 * self._n)
-        self._solve: Factorization | SeparableSolve
-        if self.grid.dim == 2:
-            self._solve = SeparableSolve((op1, op2), self.dt)
-        else:
-            eye = sparse.identity(self._n, format="csr")
-            self._solve = factorize(
-                sparse.block_diag((eye - self.dt * op1.matrix, eye - self.dt * op2.matrix), format="csr")
-            )
+        self._solve = implicit_solver((op1, op2), self.dt)
 
     # -- reaction terms -------------------------------------------------
 

@@ -1,0 +1,205 @@
+"""The 1-D steady and eigen layers factor straight from operator bands.
+
+Each band path keeps its sparse oracle here: the pair Jacobian against a
+``sparse.bmat`` assembly, the Newton, march and eigen loops against the
+same loops run on the sparse matrices they used to assemble, and the
+near-singular flag against a dense condition number.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rivercomp import linsolve, spectral, steady
+from rivercomp.config import parse_config
+from rivercomp.operators import transport_for
+from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
+
+SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, alpha2=0.0006, mu=0.3)
+
+
+def setup(n=64, dim=1, **params):
+    cfg = parse_config(overrides=dict(params or SLOW, n=n, dim=dim))
+    grid = cfg.grid()
+    p = cfg.params
+    return grid, cfg.effective(grid), transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
+
+
+# ---------------------------------------------------------------------
+# pair Jacobian: CSC arrays against the bmat assembly
+# ---------------------------------------------------------------------
+
+
+def bmat_jacobian(op1, op2, eff, u, v):
+    """The pair Jacobian as assembled block by block with ``sparse.bmat``."""
+    rr1, K1 = eff.rr1.values, eff.K1.values
+    j11 = op1.matrix + sparse.diags(rr1 * (1.0 - (2.0 * u + v) / K1))
+    j22 = op2.matrix + sparse.diags(rr1 * (1.0 - (u + 2.0 * v) / K1))
+    j12 = sparse.diags(-rr1 * u / K1)
+    j21 = sparse.diags(-rr1 * v / K1)
+    return sparse.bmat([[j11, j12], [j21, j22]], format="csc")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    dim=st.sampled_from([1, 1, 2]),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_jacobian_csc_matches_bmat(n, dim, zeros, seed):
+    # Exact zeros in u or v empty the coupling diagonals there; bmat drops
+    # those entries, and so must the direct assembly.
+    grid, eff, op1, op2 = setup(n=n if dim == 1 else min(n, 12), dim=dim, **dict(SLOW, alpha1=-0.003))
+    rng = np.random.default_rng(seed)
+    u, v = 2.0 * rng.random(grid.size), 2.0 * rng.random(grid.size)
+    u[rng.random(grid.size) < zeros] = 0.0
+    v[rng.random(grid.size) < zeros] = 0.0
+    got = steady._PairJacobian(op1, op2, eff)(u, v)
+    want = bmat_jacobian(op1, op2, eff, u, v)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_pair_jacobian_drops_a_zero_diagonal_entry_like_bmat():
+    # A diagonal entry of L1 + D11 that cancels to exactly zero.
+    grid, eff, op1, op2 = setup(n=8)
+    u, v = np.full(grid.size, 0.5), np.full(grid.size, 0.5)
+    rr1, K1 = eff.rr1.values, eff.K1.values
+    target = -op1.matrix.diagonal()[3]
+    v[3] = K1[3] * (1.0 - target / rr1[3]) - 2.0 * u[3]
+    assert op1.matrix.diagonal()[3] + rr1[3] * (1.0 - (2.0 * u[3] + v[3]) / K1[3]) == 0.0
+    got = steady._PairJacobian(op1, op2, eff)(u, v)
+    want = bmat_jacobian(op1, op2, eff, u, v)
+    assert got.nnz == want.nnz == 8 * grid.size - 4 - 1
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+# ---------------------------------------------------------------------
+# 1-D Newton, march and eigen loops against their sparse assemblies
+# ---------------------------------------------------------------------
+
+
+def assembled(op, shift=0.0, scale=1.0, potential=None):
+    """The sparse matrix each 1-D caller assembled before the band path.
+
+    Built with the callers' own sparse expressions: I - dt·L for the
+    steady march, L + diag(c) for the steady Newton step, shift·I -
+    (L + diag(p)) for the eigen shifts.
+    """
+    eye = sparse.identity(op.grid.size, format="csr")
+    if potential is None:
+        assert shift == 1.0
+        return eye - (-scale) * op.matrix
+    if shift == 0.0 and scale == 1.0:
+        return op.matrix + sparse.diags(potential)
+    assert scale == -1.0
+    return eye * shift - (op.matrix + sparse.diags(potential)).tocsr()
+
+
+def via_diagonals(op, shift=0.0, scale=1.0, potential=None):
+    """Factor the assembled matrix from its diagonals, as the sparse path did."""
+    m = assembled(op, shift, scale, potential)
+    return linsolve.Factorization(m.diagonal(), m.diagonal(-1), m.diagonal(1))
+
+
+def via_splu(op, shift=0.0, scale=1.0, potential=None):
+    return spla.splu(assembled(op, shift, scale, potential).tocsc())
+
+
+def run_loops(monkeypatch, factor, grid, eff, op1, op2):
+    monkeypatch.setattr(steady, "factor_shifted", factor)
+    monkeypatch.setattr(spectral, "factor_shifted", factor)
+    start = np.full(grid.size, 0.5 * float(np.min(eff.K1.values)))
+    marched, steps = steady._march(op1, eff, start, 1e-5)
+    u, its = steady._newton_single(op1, eff, marched, 1e-10)
+    eigen = principal_eigenpair(op2, invasion_potential(u, eff))
+    return marched, steps, u, its, eigen
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_band_loops_equal_the_sparse_assembly(monkeypatch, n):
+    grid, eff, op1, op2 = setup(n=n)
+    with monkeypatch.context() as patch:
+        bands = run_loops(patch, linsolve.factor_shifted, grid, eff, op1, op2)
+    with monkeypatch.context() as patch:
+        diagonals = run_loops(patch, via_diagonals, grid, eff, op1, op2)
+    with monkeypatch.context() as patch:
+        lu = run_loops(patch, via_splu, grid, eff, op1, op2)
+
+    # The same tridiagonal elimination on the same entries: bitwise.
+    for got, want in zip(bands[:4], diagonals[:4]):
+        np.testing.assert_array_equal(got, want)
+    assert bands[4].growth_rate == diagonals[4].growth_rate
+    assert bands[4].iterations == diagonals[4].iterations
+    np.testing.assert_array_equal(bands[4].phi, diagonals[4].phi)
+
+    # splu eliminates in another order: the same answers to rounding.
+    marched, steps, u, its, eigen = lu
+    assert (steps, its) == (bands[1], bands[3])
+    np.testing.assert_allclose(marched, bands[0], rtol=1e-10)
+    np.testing.assert_allclose(u, bands[2], rtol=1e-12)
+    scale = float(np.max(np.abs(op2.matrix).sum(axis=1)))
+    assert abs(eigen.growth_rate - bands[4].growth_rate) <= 1e-12 * scale
+    np.testing.assert_allclose(eigen.phi, bands[4].phi, rtol=1e-8)
+
+
+def test_1d_steady_and_eigen_make_no_bmat_call(monkeypatch):
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the 1-D steady and eigen layers must not call {name}")
+
+        return call
+
+    monkeypatch.setattr(sparse, "bmat", refuse("sparse.bmat"))
+    grid, eff, op1, op2 = setup(n=128)
+    with monkeypatch.context() as patch:
+        # Lone states and eigenpairs need no sparse LU at all.
+        patch.setattr(spla, "splu", refuse("splu"))
+        u = steady.solve_single_steady(op1, eff).u
+        v = steady.solve_single_steady(op2, eff, method="newton").u
+        steady.solve_single_steady(op2, eff, method="long-time")
+        semitrivial_stability(op2, u, eff)
+        semitrivial_stability(op1, v, eff)
+    sym_grid, sym_eff, sym_op, _ = setup(n=64, d1=0.05, d2=0.05, alpha1=0.02, alpha2=0.02, mu=0.1)
+    assert steady.solve_coexistence(sym_op, sym_op, sym_eff) is not None
+    assert steady.solve_coexistence(op1, op2, eff) is None
+
+
+# ---------------------------------------------------------------------
+# near-singular flag against the dense condition number
+# ---------------------------------------------------------------------
+
+
+def symmetric_jacobians(n, dim):
+    """Pair Jacobians of the equal-movement family at scaled lone states.
+
+    At u + v = û the Jacobian is singular; at u + v = (1 + δ)·û its
+    condition number grows like 1/δ, so the δ's straddle the 1e10 line.
+    """
+    grid, eff, op, _ = setup(n=n, dim=dim, d1=0.05, d2=0.05, alpha1=0.02, alpha2=0.02, mu=0.1)
+    single = steady.solve_single_steady(op, eff).u
+    jacobian = steady._PairJacobian(op, op, eff)
+    for delta in (0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 0.0):
+        yield jacobian(0.4 * (1.0 + delta) * single, 0.6 * (1.0 + delta) * single)
+
+
+@pytest.mark.parametrize("n, dim", [(8, 1), (32, 1), (128, 1), (4, 2), (6, 2)])
+def test_near_singular_agrees_with_dense_condition_number(n, dim):
+    flags = []
+    for jac in symmetric_jacobians(n, dim):
+        cond = np.linalg.cond(jac.toarray(), 1)
+        state = np.random.get_state()
+        flag = steady._near_singular(jac)
+        # No random start: the global generator is left untouched.
+        after = np.random.get_state()
+        assert state[0] == after[0] and np.array_equal(state[1], after[1]) and state[2:] == after[2:]
+        assert steady._near_singular(jac) is flag
+        if not 1e9 <= cond <= 1e11:
+            assert flag == (cond > 1e10), cond
+        flags.append(flag)
+    assert flags[0] is False and flags[-1] is True

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rivercomp.errors import SolverError
 from rivercomp.grid import make_grid
-from rivercomp.linsolve import SeparableSolve, factorize
+from rivercomp.linsolve import Factorization, SeparableSolve, factor_shifted, sparse_lu
 from rivercomp.operators import transport_for
 
 
@@ -19,20 +19,21 @@ def test_tridiagonal_solve_matches_dense():
     off = rng.random(n - 1)
     m = sparse.diags([off, main, off * 0.5], offsets=[-1, 0, 1], format="csr")
     b = rng.standard_normal(n)
-    x = factorize(m).solve(b)
+    x = Factorization(main, off, off * 0.5).solve(b)
     np.testing.assert_allclose(m @ x, b, atol=1e-12)
 
 
 def test_factorization_reusable():
     m = sparse.diags([[1.0, 1.0], [3.0, 3.0, 3.0], [1.0, 1.0]], offsets=[-1, 0, 1], format="csr")
-    f = factorize(m)
+    f = Factorization(np.full(3, 3.0), np.ones(2), np.ones(2))
     for seed in range(3):
         b = np.random.default_rng(seed).random(3)
         np.testing.assert_allclose(m @ f.solve(b), b, atol=1e-13)
 
 
 def test_wider_bandwidth_takes_sparse_path():
-    # pentadiagonal falls back to sparse LU, same answers
+    # A 2-D operator is not tridiagonal: its shifted systems go to sparse
+    # LU, and so does any matrix handed to sparse_lu, same answers.
     rng = np.random.default_rng(11)
     n = 30
     m = sparse.diags(
@@ -41,7 +42,15 @@ def test_wider_bandwidth_takes_sparse_path():
         format="csr",
     )
     b = rng.standard_normal(n)
-    np.testing.assert_allclose(m @ factorize(m).solve(b), b, atol=1e-11)
+    np.testing.assert_allclose(m @ sparse_lu(m).solve(b), b, atol=1e-11)
+
+    op = transport_for(make_grid(2, 0.0, 1.0, 6), 0.3, 0.5)
+    p = rng.standard_normal(op.grid.size)
+    solver = factor_shifted(op, shift=2.0, scale=-0.5, potential=p)
+    assert isinstance(solver, spla.SuperLU)
+    m = 2.0 * sparse.identity(op.grid.size) - 0.5 * (op.matrix + sparse.diags(p))
+    b = rng.standard_normal(op.grid.size)
+    np.testing.assert_allclose(m @ solver.solve(b), b, atol=1e-12)
 
 
 # ---------------------------------------------------------------------
@@ -50,23 +59,24 @@ def test_wider_bandwidth_takes_sparse_path():
 
 
 @pytest.mark.parametrize(
-    "dense",
+    "bands",
     [
-        [[1.0, 1.0], [1.0, 1.0]],
-        [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+        ([1.0, 1.0], [1.0], [1.0]),  # [[1, 1], [1, 1]]
+        ([1.0, 0.0, 1.0], [0.0, 0.0], [0.0, 0.0]),
     ],
     ids=["2x2", "diag(1,0,1)"],
 )
-def test_singular_matrix_raises_solver_error(dense):
+def test_singular_matrix_raises_solver_error(bands):
     with pytest.raises(SolverError, match="singular"):
-        factorize(sparse.csr_matrix(np.array(dense)))
+        Factorization(*(np.array(band) for band in bands))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_small_tridiagonal_systems(n):
-    m = sparse.diags([np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -0.5)], [-1, 0, 1], format="csr")
+    lower, diag, upper = np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -0.5)
+    m = sparse.diags([lower, diag, upper], [-1, 0, 1], format="csr")
     b = np.arange(1.0, n + 1.0)
-    np.testing.assert_allclose(m @ factorize(m).solve(b), b, rtol=1e-15)
+    np.testing.assert_allclose(m @ Factorization(diag, lower, upper).solve(b), b, rtol=1e-15)
 
 
 def _tridiagonal(dl, d, du):
@@ -107,7 +117,7 @@ def test_tridiagonal_path_with_row_pivoting_matches_splu(n, seed):
     du = _random_signs(rng, n - 1) * rng.uniform(0.0, 0.5, n - 1)
     m = _tridiagonal(dl, d, du)
     b = rng.standard_normal(n)
-    _assert_matches_splu(m, b, factorize(m).solve(b))
+    _assert_matches_splu(m, b, Factorization(d, dl, du).solve(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -128,7 +138,7 @@ def test_tridiagonal_path_on_stepper_m_matrices(n, seed, dt):
     d = 1.0 + dt * (np.append(below, 0.0) + np.insert(above, 0, 0.0))
     m = _tridiagonal(-dt * below, d, -dt * above)
     b = rng.uniform(0.0, 1.0, n)
-    x = factorize(m).solve(b)
+    x = Factorization(d, -dt * below, -dt * above).solve(b)
     _assert_matches_splu(m, b, x)
     if n >= 3:
         # The tridiagonal path performs gtsv's operations: bitwise equal to

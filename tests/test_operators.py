@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivercomp.errors import ConfigError, GridResolutionError
 from rivercomp.grid import make_grid
@@ -159,3 +162,26 @@ def test_dimension_dispatch():
         assemble_transport(make_grid(2, 0.0, 1.0, 4), 1.0, 0.0)
     with pytest.raises(ConfigError):
         assemble_transport_2d(make_grid(1, 0.0, 1.0, 8), 1.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    d=st.floats(1e-3, 10.0),
+    peclet=st.floats(-1.99, 1.99),
+)
+def test_bands_rebuild_the_matrix_array_for_array(n, d, peclet):
+    # The steady, eigen and stepping layers factor 1-D systems from the
+    # bands alone, so the bands must be exactly the matrix the rest of the
+    # package applies, and must not be writable through the operator.
+    grid = make_grid(1, 0.0, 1.0, n)
+    op = assemble_transport(grid, d, peclet * d / grid.h)
+    rebuilt = sparse.diags(list(op.bands), offsets=[-1, 0, 1], format="csr")
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(rebuilt, name), getattr(op.matrix, name))
+    assert [band.shape for band in op.bands] == [(n - 1,), (n,), (n - 1,)]
+    assert not any(band.flags.writeable for band in op.bands)
+
+
+def test_2d_operator_carries_no_bands():
+    assert assemble_transport_2d(make_grid(2, 0.0, 1.0, 4), 1.0, 0.5).bands is None
