@@ -6,10 +6,13 @@ operator/stepper stack and classifies the outcome.  The preset catalog
 reproduction runs; each carries its full parameter set so runs are
 self-contained.  ``sweep_alpha2`` walks the second species' drift rate
 across the interval where the competition outcome is known to flip,
-classifying every point from the two invasion eigenvalues plus a
-coexistence Newton solve, and brackets the coexistence window with one
-bisection refinement per edge.  ``run_verification`` aggregates the
-steady-state integral/band/eigenvalue checks into a pass/fail report.
+classifying every point from the two invasion eigenvalues, and brackets
+the coexistence window with one bisection refinement per edge.  A
+coexistence Newton solve runs only at points whose two indices share a
+sign beyond the marginal band: by the competitive trichotomy (Hsu, Smith
+& Waltman 1996) these are the only points where finding a pair can change
+the verdict.  ``run_verification`` aggregates the steady-state
+integral/band/eigenvalue checks into a pass/fail report.
 """
 
 from __future__ import annotations
@@ -369,6 +372,14 @@ def eigen_report(cfg: RunConfig) -> dict:
 
 @dataclass
 class SweepPoint:
+    """One classified drift rate of the sweep.
+
+    ``coexistence_found`` and ``note`` report the pair search, which runs
+    only where both indices share a sign beyond the marginal band.  At
+    exclusion and marginal points no search runs, so they are False and
+    empty there.
+    """
+
     alpha2: float
     kappa: float  # stability index of the first species' lone state
     tau: float  # stability index of the second species' lone state
@@ -430,8 +441,9 @@ def _evaluate_point(
 ) -> SweepPoint:
     op2 = transport_for(grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
+    marginal = cfg.tolerances.marginal
     kappa = semitrivial_stability(
-        op2, resident_u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
+        op2, resident_u, eff, tol_marginal=marginal, eigen_tol=cfg.tolerances.eigen
     ).report.stability_index
 
     v_warm = warm.get("v_hat")
@@ -444,27 +456,30 @@ def _evaluate_point(
         v_state = solve_single_steady(op2, eff, tol=tol)
     warm["v_hat"] = v_state.u
     tau = semitrivial_stability(
-        op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
+        op1, v_state.u, eff, tol_marginal=marginal, eigen_tol=cfg.tolerances.eigen
     ).report.stability_index
 
+    # The pair search runs only where its answer can change the verdict:
+    # both indices beyond the marginal band with the same sign.  Elsewhere
+    # the point records no pair and no note, and drops the warm pair.
     note = ""
-    found = False
-    try:
-        pair = solve_coexistence(op1, op2, eff, guess=warm.get("pair"), tol=tol)
-        if pair is None and warm.get("pair") is not None:
-            pair = solve_coexistence(op1, op2, eff, tol=tol)
-    except SolverError as exc:
-        pair = None
-        note = f"coexistence solve: {exc}"
+    pair = None
+    if point_outcome(kappa, tau, True, marginal) != point_outcome(kappa, tau, False, marginal):
+        try:
+            pair = solve_coexistence(op1, op2, eff, guess=warm.get("pair"), tol=tol)
+            if pair is None and warm.get("pair") is not None:
+                pair = solve_coexistence(op1, op2, eff, tol=tol)
+        except SolverError as exc:
+            note = f"coexistence solve: {exc}"
     if pair is not None:
-        found = True
         warm["pair"] = (pair.u, pair.v)
         if pair.jacobian_near_singular:
             note = "coexistence Jacobian nearly singular"
     else:
         warm.pop("pair", None)
 
-    verdict, anomaly = point_outcome(kappa, tau, found, cfg.tolerances.marginal)
+    found = pair is not None
+    verdict, anomaly = point_outcome(kappa, tau, found, marginal)
     return SweepPoint(
         alpha2=alpha2,
         kappa=kappa,

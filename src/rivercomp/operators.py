@@ -27,18 +27,20 @@ with s_0 = √(1/n) and s_j = √(2/n) otherwise.  ``separable_parts`` and
 ``dct_basis`` expose Lx's bands, λ and C, so I - dt·L can be solved as n
 independent tridiagonal systems along x, one per y-mode.
 
-A 1-D operator also carries its three bands (lower, diag, upper), the
-arrays its sparse matrix is built from, so the steady, eigen and time
-stepping layers can factor shifted and scaled copies of it as plain
-tridiagonal systems without going through scipy.sparse.  The bands are
-shared by every caller, so they are read-only.  A 2-D operator carries
-its sparse matrix only (``bands`` is None).
+A 1-D operator is its three bands (lower, diag, upper): the steady,
+eigen and time stepping layers factor shifted and scaled copies of them as
+plain tridiagonal systems, and ``band_matvec`` applies them, so no
+scipy.sparse object is built.  The bands are shared by every caller, so
+they are read-only.  A 1-D operator's sparse ``matrix`` is built from its
+bands on first read, for the oracles that want one.  A 2-D operator
+carries its sparse matrix from assembly on (``bands`` is None).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -52,6 +54,7 @@ __all__ = [
     "assemble_transport",
     "assemble_transport_2d",
     "transport_for",
+    "band_matvec",
     "face_fluxes",
     "separable_parts",
     "dct_basis",
@@ -61,17 +64,37 @@ __all__ = [
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def band_matvec(bands: Bands, x: np.ndarray) -> np.ndarray:
+    """y = T·x for the tridiagonal T with bands (lower, diag, upper).
+
+    Each row sums its terms left to right, as ``csr_matvec`` does over a
+    row of the CSR matrix, so the result is bitwise equal to ``T @ x``
+    (up to the sign of an exact zero).
+    """
+    lower, diag, upper = bands
+    y = diag * x
+    y[1:] = lower * x[:-1] + y[1:]
+    y[:-1] += upper * x[1:]
+    return y
+
+
 @dataclass(frozen=True)
 class TransportOperator:
     grid: Grid
     d: float
     alpha: float
-    matrix: sparse.csr_matrix
     peclet: float
     bands: Bands | None = None  # (lower, diag, upper) of a 1-D operator
+    kron_sum: sparse.csr_matrix | None = field(default=None, repr=False)  # a 2-D operator
+
+    @cached_property
+    def matrix(self) -> sparse.csr_matrix:
+        """L as a CSR matrix; a 1-D operator builds it from its bands on first read."""
+        return self.kron_sum if self.bands is None else _matrix(self.bands)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(values, dtype=float)
+        x = np.asarray(values, dtype=float)
+        return self.matrix @ x if self.bands is None else band_matvec(self.bands, x)
 
 
 def check_peclet(grid: Grid, d: float, alpha: float) -> float:
@@ -109,9 +132,7 @@ def assemble_transport(grid: Grid, d: float, alpha: float) -> TransportOperator:
         raise ConfigError("assemble_transport expects a 1-D grid; use assemble_transport_2d")
     peclet = check_peclet(grid, d, alpha)
     bands = _tridiagonal(grid.n, grid.h, d, alpha)
-    return TransportOperator(
-        grid=grid, d=d, alpha=alpha, matrix=_matrix(bands), peclet=peclet, bands=bands
-    )
+    return TransportOperator(grid=grid, d=d, alpha=alpha, peclet=peclet, bands=bands)
 
 
 def assemble_transport_2d(grid: Grid, d: float, alpha: float) -> TransportOperator:
@@ -124,7 +145,7 @@ def assemble_transport_2d(grid: Grid, d: float, alpha: float) -> TransportOperat
     ly = _matrix(_tridiagonal(n, h, d, 0.0))
     eye = sparse.identity(n, format="csr")
     matrix = (sparse.kron(eye, lx) + sparse.kron(ly, eye)).tocsr()
-    return TransportOperator(grid=grid, d=d, alpha=alpha, matrix=matrix, peclet=peclet)
+    return TransportOperator(grid=grid, d=d, alpha=alpha, peclet=peclet, kron_sum=matrix)
 
 
 def transport_for(grid: Grid, d: float, alpha: float) -> TransportOperator:

@@ -19,7 +19,10 @@ is tiny compared to the matrix norm.
 
 Each shift factors shift·I - (L + diag(p)) through
 ``linsolve.factor_shifted``: from the operator's bands on a 1-D grid,
-by sparse LU on a 2-D one.
+by sparse LU on a 2-D one.  The products with L + diag(p) behind the
+Collatz bracket and the residual go through ``band_matvec`` on a 1-D
+grid, so a 1-D eigenpair builds no scipy.sparse object; they are bitwise
+equal to products with the CSR matrix, which a 2-D grid still uses.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .errors import ConfigError, SolverError
 from .grid import Grid
 from .linsolve import factor_shifted
 from .model import EffectiveParams
-from .operators import TransportOperator
+from .operators import TransportOperator, band_matvec
 
 __all__ = [
     "EigenReport",
@@ -74,9 +77,22 @@ class EigenReport:
         return -self.growth_rate
 
 
-def _collatz_bounds(matrix: sparse.csr_matrix, x: np.ndarray) -> tuple[float, float]:
-    q = (matrix @ x) / x
-    return float(np.min(q)), float(np.max(q))
+def _shifted_matvec(op: TransportOperator, p: np.ndarray):
+    """x -> (L + diag(p))·x, and the row sums of |L + diag(p)|.
+
+    A 1-D operator works on its bands; a 2-D one on its CSR matrix.  Both
+    give the products and row sums the CSR matrix of L + diag(p) gives.
+    """
+    if op.bands is None:
+        matrix = (op.matrix + sparse.diags(p)).tocsr()
+        return matrix.__matmul__, np.abs(matrix).sum(axis=1)
+    lower, diag, upper = op.bands
+    bands = (lower, diag + p, upper)
+    # Summed as the CSR row reduction sums a row l, d, u: l + (d + u).
+    rows = np.abs(bands[1])
+    rows[:-1] += np.abs(upper)
+    rows[1:] = np.abs(lower) + rows[1:]
+    return lambda x: band_matvec(bands, x), rows
 
 
 def principal_eigenpair(
@@ -96,16 +112,17 @@ def principal_eigenpair(
         raise ConfigError(
             f"potential has shape {p.shape}, expected ({op.grid.size},)"
         )
-    matrix = (op.matrix + sparse.diags(p)).tocsr()
-    n = matrix.shape[0]
-    scale = float(np.max(np.abs(matrix).sum(axis=1)))
+    matvec, rows = _shifted_matvec(op, p)
+    n = op.grid.size
+    scale = float(np.max(rows))
     if scale == 0.0:
         return EigenReport(growth_rate=0.0, phi=np.ones(n), iterations=0, residual=0.0)
     res_target = max(tol, 64.0 * np.finfo(float).eps) * scale
     margin_floor = 1e-8 * scale
 
     x = np.ones(n)
-    lo, hi = _collatz_bounds(matrix, x)
+    q = matvec(x) / x
+    lo, hi = float(np.min(q)), float(np.max(q))
     margin = max(hi - lo, margin_floor)
     shift = hi + margin
     solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
@@ -122,8 +139,9 @@ def principal_eigenpair(
             solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
             continue
         x = y / float(np.max(y))
-        lo, hi = _collatz_bounds(matrix, x)
-        mx = matrix @ x
+        mx = matvec(x)
+        q = mx / x  # the Collatz quotients bracket the dominant eigenvalue
+        lo, hi = float(np.min(q)), float(np.max(q))
         lam = float(x @ mx) / float(x @ x)
         residual = float(np.max(np.abs(mx - lam * x)))
         if residual <= res_target:
@@ -139,7 +157,7 @@ def principal_eigenpair(
                 if float(np.min(y)) <= 0.0:
                     break
                 cand = y / float(np.max(y))
-                mc = matrix @ cand
+                mc = matvec(cand)
                 lam_c = float(cand @ mc) / float(cand @ cand)
                 res_c = float(np.max(np.abs(mc - lam_c * cand)))
                 if res_c < residual:

@@ -8,10 +8,12 @@ Newton iteration; the single-species path can also march in time first
 independent cross-check of the Newton result.
 
 On a 1-D grid the single-species Newton and march systems are factored
-straight from the operator's bands (``linsolve.factor_shifted``), with no
-sparse matrix built; on a 2-D grid they go to sparse LU.  The coexistence
-Newton assembles its 2n-by-2n Jacobian directly in CSC form from a
-pattern fixed once per solve, and factors it with ``splu``.  The final
+straight from the operator's bands (``linsolve.factor_shifted``), and the
+residuals apply the bands (``TransportOperator.apply``), with no sparse
+matrix built; on a 2-D grid they go to sparse LU.  The coexistence
+Newton assembles its 2n-by-2n Jacobian directly in CSC form, from a
+pattern fixed once per solve by the operator bands (the CSR matrix in
+2-D), and factors it with ``splu``.  The final
 Jacobian's near-singular flag comes from LAPACK's banded ``gbtrf`` and
 ``gbcon`` on the interleaved unknowns, a deterministic condition estimate.
 
@@ -92,7 +94,7 @@ def positivity_floor(eff: EffectiveParams) -> float:
 
 
 def _single_residual(op: TransportOperator, eff: EffectiveParams, u: np.ndarray) -> np.ndarray:
-    return op.matrix @ u + eff.rr1.values * u * (1.0 - u / eff.K1.values)
+    return op.apply(u) + eff.rr1.values * u * (1.0 - u / eff.K1.values)
 
 
 def _march(
@@ -230,7 +232,26 @@ def _pair_residual(
 ) -> np.ndarray:
     shared = 1.0 - (u + v) / eff.K1.values
     return np.concatenate(
-        [op1.matrix @ u + eff.rr1.values * u * shared, op2.matrix @ v + eff.rr1.values * v * shared]
+        [op1.apply(u) + eff.rr1.values * u * shared, op2.apply(v) + eff.rr1.values * v * shared]
+    )
+
+
+def _split(op: TransportOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of L's off-diagonal entries, and L's diagonal.
+
+    A 1-D operator reads them off its bands; a 2-D one off its CSR matrix.
+    """
+    if op.bands is None:
+        m = op.matrix.tocoo()
+        off = m.row != m.col
+        return m.row[off], m.col[off], m.data[off], op.matrix.diagonal()
+    lower, diag, upper = op.bands
+    idx = np.arange(len(lower), dtype=np.int32)
+    return (
+        np.concatenate([idx + 1, idx]),
+        np.concatenate([idx, idx + 1]),
+        np.concatenate([lower, upper]),
+        diag,
     )
 
 
@@ -247,15 +268,14 @@ class _PairJacobian:
     def __init__(self, op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams):
         n = op1.grid.size
         self._rr1, self._K1 = eff.rr1.values, eff.K1.values
-        self._diag1, self._diag2 = op1.matrix.diagonal(), op2.matrix.diagonal()
-        m1, m2 = op1.matrix.tocoo(), op2.matrix.tocoo()
-        off1, off2 = m1.row != m1.col, m2.row != m2.col
-        self._off = np.concatenate([m1.data[off1], m2.data[off2]])
+        rows1, cols1, off1, self._diag1 = _split(op1)
+        rows2, cols2, off2, self._diag2 = _split(op2)
+        self._off = np.concatenate([off1, off2])
         idx = np.arange(n, dtype=np.int32)
         # Entry order: off-diagonals of L1, then L2, then the diagonals
         # of the four blocks (11, 22, 12, 21).
-        rows = np.concatenate([m1.row[off1], m2.row[off2] + n, idx, idx + n, idx, idx + n])
-        cols = np.concatenate([m1.col[off1], m2.col[off2] + n, idx, idx + n, idx + n, idx])
+        rows = np.concatenate([rows1, rows2 + n, idx, idx + n, idx, idx + n])
+        cols = np.concatenate([cols1, cols2 + n, idx, idx + n, idx + n, idx])
         self._order = np.lexsort((rows, cols))
         self._rows, self._cols = rows[self._order], cols[self._order]
         self._shape = (2 * n, 2 * n)

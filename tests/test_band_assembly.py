@@ -1,9 +1,10 @@
-"""The 1-D steady and eigen layers factor straight from operator bands.
+"""The 1-D steady and eigen layers work straight from operator bands.
 
-Each band path keeps its sparse oracle here: the pair Jacobian against a
-``sparse.bmat`` assembly, the Newton, march and eigen loops against the
-same loops run on the sparse matrices they used to assemble, and the
-near-singular flag against a dense condition number.
+Each band path keeps its sparse oracle here: the band products against
+CSR products, the pair Jacobian against a ``sparse.bmat`` assembly, the
+Newton, march and eigen loops against the same loops run on the sparse
+matrices they used to assemble, and the near-singular flag against a
+dense condition number.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from rivercomp import linsolve, spectral, steady
 from rivercomp.config import parse_config
-from rivercomp.operators import transport_for
+from rivercomp.grid import make_grid
+from rivercomp.operators import assemble_transport, transport_for
 from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
 
 SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, alpha2=0.0006, mu=0.3)
@@ -26,6 +28,52 @@ def setup(n=64, dim=1, **params):
     grid = cfg.grid()
     p = cfg.params
     return grid, cfg.effective(grid), transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
+
+
+# ---------------------------------------------------------------------
+# band products against CSR products
+# ---------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(3, 200),
+    d=st.floats(1e-3, 10.0),
+    peclet=st.floats(-1.99, 1.99),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_products_equal_csr_products(n, d, peclet, seed):
+    grid = make_grid(1, 0.0, 1.0, n)
+    op = assemble_transport(grid, d, peclet * d / grid.h)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+    x[rng.random(n) < 0.1] = 0.0
+    p = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+    # L·x, as the steady residuals take it.
+    np.testing.assert_array_equal(op.apply(x), op.matrix @ x)
+    # (L + diag(p))·x and the row sums of |L + diag(p)|, as the eigen
+    # iteration takes them.
+    m = (op.matrix + sparse.diags(p)).tocsr()
+    matvec, rows = spectral._shifted_matvec(op, p)
+    np.testing.assert_array_equal(matvec(x), m @ x)
+    np.testing.assert_array_equal(rows, np.asarray(np.abs(m).sum(axis=1)).ravel())
+
+
+def test_1d_steady_and_eigen_layers_build_no_operator_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the 1-D steady and eigen layers must not call sparse.diags")
+
+    monkeypatch.setattr(sparse, "diags", refuse)
+    grid, eff, op1, op2 = setup(n=64)
+    u = steady.solve_single_steady(op1, eff).u
+    report = principal_eigenpair(op2, invasion_potential(u, eff))
+    # The pair residual and Jacobian read the bands too.
+    _, sym_eff, sym_op, _ = setup(n=64, d1=0.05, d2=0.05, alpha1=0.02, alpha2=0.02, mu=0.1)
+    assert steady.solve_coexistence(sym_op, sym_op, sym_eff) is not None
+    monkeypatch.undo()
+    # The dense oracle reads the sparse matrix, built on this first read.
+    dense = spectral.dense_principal_eigenpair(op2, invasion_potential(u, eff))
+    assert abs(report.growth_rate - dense.growth_rate) <= 1e-9 * abs(dense.growth_rate)
 
 
 # ---------------------------------------------------------------------

@@ -2,13 +2,19 @@
 
 Sweeps here run at coarse resolution so the file stays fast; the frozen
 habitat (slow movement, moderate harvest) has no coexistence window, so
-every interior point must classify as a second-species win.
+every interior point must classify as a second-species win.  The sweep
+searches for a coexistence pair only where the answer can change the
+verdict; an ungated copy of its point evaluation, kept here as an oracle,
+searches at every point.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
+from rivercomp import experiments
 from rivercomp.config import parse_config
-from rivercomp.errors import ConfigError
+from rivercomp.errors import ConfigError, SolverError
 from rivercomp.experiments import (
     PRESETS,
     SweepPoint,
@@ -21,6 +27,9 @@ from rivercomp.experiments import (
     sweep_alpha2,
     sweep_transitions,
 )
+from rivercomp.operators import transport_for
+from rivercomp.spectral import semitrivial_stability
+from rivercomp.steady import solve_coexistence, solve_single_steady
 from rivercomp.stepping import Verdict
 
 SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, mu=0.3, n=64, points=8)
@@ -156,3 +165,149 @@ def test_steady_report_finds_no_pair_in_weak_harvest_habitat():
     assert report["coexistence"]["found"] is False
     assert report["u_state"]["capacity_gap"] > 0.0
     assert report["v_state"]["residual"] < cfg.tolerances.steady
+
+
+# ---------------------------------------------------------------------
+# pair search only where it can change the verdict
+# ---------------------------------------------------------------------
+
+
+def ungated_evaluate_point(alpha2, cfg, grid, eff, op1, resident_u, warm):
+    """A sweep point with a pair search, and a cold retry, at every point."""
+    op2 = transport_for(grid, cfg.params.d2, alpha2)
+    tol = cfg.tolerances.steady
+    kappa = semitrivial_stability(
+        op2, resident_u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
+    ).report.stability_index
+    v_warm = warm.get("v_hat")
+    if v_warm is not None:
+        try:
+            v_state = solve_single_steady(op2, eff, tol=tol, method="newton", u0=v_warm)
+        except SolverError:
+            v_state = solve_single_steady(op2, eff, tol=tol)
+    else:
+        v_state = solve_single_steady(op2, eff, tol=tol)
+    warm["v_hat"] = v_state.u
+    tau = semitrivial_stability(
+        op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
+    ).report.stability_index
+
+    note = ""
+    found = False
+    try:
+        pair = solve_coexistence(op1, op2, eff, guess=warm.get("pair"), tol=tol)
+        if pair is None and warm.get("pair") is not None:
+            pair = solve_coexistence(op1, op2, eff, tol=tol)
+    except SolverError as exc:
+        pair = None
+        note = f"coexistence solve: {exc}"
+    if pair is not None:
+        found = True
+        warm["pair"] = (pair.u, pair.v)
+        if pair.jacobian_near_singular:
+            note = "coexistence Jacobian nearly singular"
+    else:
+        warm.pop("pair", None)
+
+    verdict, anomaly = point_outcome(kappa, tau, found, cfg.tolerances.marginal)
+    return SweepPoint(
+        alpha2=alpha2, kappa=kappa, tau=tau, coexistence_found=found,
+        verdict=verdict, anomaly=anomaly, note=note,
+    )
+
+
+def pair_can_decide(point, tol):
+    return min(point.kappa, point.tau) > tol or max(point.kappa, point.tau) < -tol
+
+
+def spy_pair_searches(monkeypatch):
+    """Record the alpha2 of every pair search the sweep makes."""
+    searched = []
+
+    def spy(op1, op2, eff, **kwargs):
+        searched.append(op2.alpha)
+        return solve_coexistence(op1, op2, eff, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_coexistence", spy)
+    return searched
+
+
+@pytest.mark.parametrize(
+    "kappa, tau, searches",
+    [
+        (1e-3, 1e-3, True),  # a pair would be an anomaly
+        (-1e-3, -1e-3, True),  # a pair means coexistence
+        (-1e-3, 1e-3, False),
+        (1e-3, -1e-3, False),
+        (5e-8, 1e-3, False),  # marginal
+        (-1e-3, -5e-8, False),
+    ],
+)
+def test_pair_search_runs_where_the_indices_share_a_sign(monkeypatch, kappa, tau, searches):
+    reports = iter(SimpleNamespace(report=SimpleNamespace(stability_index=i)) for i in (kappa, tau))
+    monkeypatch.setattr(experiments, "semitrivial_stability", lambda *args, **kwargs: next(reports))
+    searched = spy_pair_searches(monkeypatch)
+    cfg = parse_config(overrides=dict(SLOW, mode="sweep"))
+    grid, eff = cfg.grid(), cfg.effective(cfg.grid())
+    op1 = transport_for(grid, cfg.params.d1, cfg.params.alpha1)
+    resident = solve_single_steady(op1, eff).u
+    warm = {"pair": (resident, resident)}
+    point = experiments._evaluate_point(7e-4, cfg, grid, eff, op1, resident, warm)
+    assert bool(searched) is searches
+    assert (point.kappa, point.tau) == (kappa, tau)
+    if not searches:
+        assert (point.coexistence_found, point.note) == (False, "")
+        assert "pair" not in warm
+
+
+def test_criterion_6_family_sweep_searches_for_no_pair(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no criterion-6 point can change its verdict on a pair")
+
+    monkeypatch.setattr(experiments, "solve_coexistence", refuse)
+    for mu in (0.1, 0.3, 0.7):
+        result = sweep_alpha2(parse_config(overrides=dict(SLOW, mode="sweep", mu=mu)))
+        assert result.verdict_pattern() == ["VWins"] * 8
+        assert not any(p.coexistence_found or p.note for p in result.points)
+
+
+def test_mutually_invasible_points_still_search_for_a_pair(monkeypatch):
+    searched = spy_pair_searches(monkeypatch)
+    cfg = parse_config(overrides=dict(SLOW, mode="sweep", K="1 + x", points=16))
+    result = sweep_alpha2(cfg)
+    tol = cfg.tolerances.marginal
+    mutual = [p.alpha2 for p in result.points if max(p.kappa, p.tau) < -tol]
+    assert mutual
+    assert sorted(set(searched)) == sorted(
+        p.alpha2 for p in result.points + result.edge_points if pair_can_decide(p, tol)
+    )
+
+
+_ORACLE_FAMILIES = {
+    "criterion 6": dict(SLOW),
+    "K = 1 + x": dict(SLOW, K="1 + x", points=16),
+    "weak": dict(d1=0.08, d2=0.07, alpha1=0.05, mu=0.009, n=64, points=8),
+    "fast": dict(d1=3.0, d2=0.8, alpha1=0.7, mu=0.1, n=64, points=8),
+    # The narrow-sliver family: one of these points sits in the window.
+    "sliver": dict(SLOW, mu=0.997, points=120, tolerances={"marginal": 1e-9}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_gated_sweep_agrees_with_the_ungated_oracle(monkeypatch, family):
+    cfg = parse_config(overrides=dict(_ORACLE_FAMILIES[family], mode="sweep"))
+    gated = sweep_alpha2(cfg)
+    monkeypatch.setattr(experiments, "_evaluate_point", ungated_evaluate_point)
+    oracle = sweep_alpha2(cfg)
+
+    assert gated.window == oracle.window
+    assert gated.anomalies == oracle.anomalies
+    assert len(gated.edge_points) == len(oracle.edge_points)
+    tol = cfg.tolerances.marginal
+    for got, want in zip(gated.points + gated.edge_points, oracle.points + oracle.edge_points):
+        assert (got.alpha2, got.kappa, got.tau) == (want.alpha2, want.kappa, want.tau)
+        assert (got.verdict, got.anomaly) == (want.verdict, want.anomaly)
+        if not pair_can_decide(got, tol):
+            assert (got.coexistence_found, got.note) == (False, "")
+    if family == "sliver":
+        assert gated.window is not None
