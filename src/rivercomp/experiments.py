@@ -266,6 +266,7 @@ def simulate_report(traj: Trajectory, outcome: Outcome) -> dict:
         "final_mass_v": traj.mass_v[-1],
         "clamp_events": traj.clamp_events,
         "truncated": traj.truncated,
+        "implicit_solve": traj.implicit_solve,
     }
 
 

@@ -14,6 +14,14 @@ maps nonnegative states to nonnegative states and changes total mass by
 exactly dt times the integrated reaction (the transport columns sum to
 zero).
 
+The stepper carries both species as one stacked (2, n) state.  Its
+explicit half evaluates both reactions in one fused pass, sharing
+u + v and 1 - (u + v)/K, and writes u + dt R_u and v + dt R_v straight
+into one stacked right-hand side; the implicit half is one solve of the
+stacked system (see ``linsolve.implicit_solver``).  ``model.reaction``
+and ``model.raw_reaction`` stay as the oracles the fused pass matches
+bitwise.
+
 Trajectories record sup-norms and masses at a fixed sample cadence, plus
 full snapshots at requested times; the classifier turns the recorded
 norm histories into one of five qualitative outcomes.
@@ -84,6 +92,7 @@ class Trajectory:
     sampled_fields: list[tuple[np.ndarray, np.ndarray]] | None = None
     clamp_events: int = 0
     truncated: bool = False
+    implicit_solve: str | None = None  # the stepper's ``implicit_solve``
 
     @property
     def final_state(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,14 +131,25 @@ class Stepper:
     "raw" evaluates growth minus harvest literally and also covers
     unequal fractions.
 
+    The state is the stacked (2, n) array w = [u; v].  The explicit half
+    evaluates both species' reactions in one pass over w, straight into
+    one right-hand-side buffer reused across steps:
+
+        g = 1 - (u + v)/cap,   rhs = w + dt·((rate·w)·g - loss·w),
+
+    with rate = r·r1, cap = K1 and no loss term in the folded form, and
+    rate = r, cap = K, loss = [mu1·r; mu2·r] in the raw form.  Each
+    species keeps the operation order of ``model.reaction`` and
+    ``model.raw_reaction`` (u + v and v + u are the same IEEE sum), so
+    the right-hand side is bitwise what those oracles give.
+
     The implicit half of both species is one block-diagonal system,
-    I - dt·blockdiag(L1, L2), factored once here.  Each step writes the
-    stacked right-hand side [u + dt R_u; v + dt R_v] into one buffer
-    reused across steps, makes one solve and one clamp pass.  In 1-D the
-    stack is still tridiagonal (the coupling entries are zero, so no row
-    is interchanged) and the result is bitwise equal to solving the two
-    species apart.  In 2-D it is solved in modal form
-    (``linsolve.SeparableSolve``), which agrees with sparse LU to rounding.
+    I - dt·blockdiag(L1, L2), factored once here
+    (``linsolve.implicit_solver``; its strategy is ``implicit_solve``):
+    one solve and one clamp pass per step.  In 1-D the stack is still
+    tridiagonal (the coupling entries are zero, so no row is
+    interchanged) and the result is bitwise equal to solving the two
+    species apart.  In 2-D the solve agrees with sparse LU to rounding.
     """
 
     def __init__(
@@ -158,11 +178,20 @@ class Stepper:
         self.dt = float(dt)
         self.clamp_events = 0
 
-        self._n = self.grid.size
-        self._rhs = np.empty(2 * self._n)
+        n = self.grid.size
+        if form == "folded":
+            self._rate, self._cap, self._loss = eff.rr1.values, eff.K1.values, None
+        else:
+            r = eff.r.values
+            self._rate, self._cap = r, eff.K.values
+            self._loss = np.stack((params.mu1 * r, params.mu2 * r))
+        self._rhs = np.empty((2, n))
+        self._crowding = np.empty(n)
+        self._harvest = np.empty((2, n))
         self._solve = implicit_solver((op1, op2), self.dt)
+        self.implicit_solve = self._solve.name
 
-    # -- reaction terms -------------------------------------------------
+    # -- reaction terms (the oracles of the fused pass) -------------------
 
     def reaction_u(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.form == "folded":
@@ -176,19 +205,37 @@ class Stepper:
 
     # -- stepping --------------------------------------------------------
 
-    def step(self, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def step(
+        self, u: np.ndarray, v: np.ndarray | None = None
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """Advance both species by dt; clamps and counts negative output.
 
-        The returned states are views of one new array of both species;
-        they never alias the reused right-hand side buffer.
+        ``step(w)`` takes the stacked (2, n) state and returns the new
+        one; ``step(u, v)`` takes the species apart and returns views of
+        one new stacked array.  Neither aliases the reused buffers.
         """
-        rhs_u, rhs_v = self._rhs[: self._n], self._rhs[self._n :]
-        np.multiply(self.dt, self.reaction_u(u, v), out=rhs_u)
-        np.add(u, rhs_u, out=rhs_u)
-        np.multiply(self.dt, self.reaction_v(u, v), out=rhs_v)
-        np.add(v, rhs_v, out=rhs_v)
-        w = self._clamp(self._solve.solve(self._rhs))
-        return w[: self._n], w[self._n :]
+        if v is None:
+            return self._advance(u)
+        w = self._advance(np.stack((u, v)))
+        return w[0], w[1]
+
+    def explicit_rhs(self, w: np.ndarray) -> np.ndarray:
+        """The stacked right-hand side w + dt·R(w), in the reused buffer."""
+        rhs, g = self._rhs, self._crowding
+        np.add(w[0], w[1], out=g)
+        np.divide(g, self._cap, out=g)
+        np.subtract(1.0, g, out=g)
+        np.multiply(self._rate, w, out=rhs)
+        np.multiply(rhs, g, out=rhs)
+        if self._loss is not None:
+            np.subtract(rhs, np.multiply(self._loss, w, out=self._harvest), out=rhs)
+        np.multiply(self.dt, rhs, out=rhs)
+        np.add(w, rhs, out=rhs)
+        return rhs
+
+    def _advance(self, w: np.ndarray) -> np.ndarray:
+        x = self._solve.solve(self.explicit_rhs(w).ravel())
+        return self._clamp(x).reshape(w.shape)
 
     def _clamp(self, w: np.ndarray) -> np.ndarray:
         """Zero negative entries of ``w`` in place, counting those below tolerance."""
@@ -220,63 +267,44 @@ def integrate(
     if t_end < 0.0:
         raise ConfigError(f"t_end must be nonnegative, got {t_end}")
     grid = stepper.grid
-    u = np.asarray(u0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
-    if u.shape != (grid.size,) or v.shape != (grid.size,):
+    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
+    if u0.shape != (grid.size,) or v0.shape != (grid.size,):
         raise ConfigError("initial data does not match the grid")
-    if (u < 0.0).any() or (v < 0.0).any():
+    w = np.stack((u0, v0))
+    if (w < 0.0).any():
         raise ConfigError("initial data must be nonnegative")
 
-    if t_end == 0.0:
-        vol = grid.cell_volume
-        return Trajectory(
-            grid=grid,
-            dt=stepper.dt,
-            times=np.array([0.0]),
-            norm_u_inf=np.array([float(np.max(np.abs(u)))]),
-            norm_v_inf=np.array([float(np.max(np.abs(v)))]),
-            mass_u=np.array([vol * float(u.sum())]),
-            mass_v=np.array([vol * float(v.sum())]),
-            snapshots={0.0: (u.copy(), v.copy())},
-            sampled_fields=[(u.copy(), v.copy())] if record_fields else None,
-            clamp_events=stepper.clamp_events,
-            truncated=False,
-        )
-
     dt = stepper.dt
-    total_steps = max(1, math.ceil(t_end / dt - 1e-12))
+    total_steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0.0 else 0
     sample_every = max(1, total_steps // max(1, n_samples))
     vol = grid.cell_volume
+    samples: list[tuple[float, ...]] = []  # (t, |u|, |v|, mass u, mass v)
+    fields: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_fields else None
+
+    def sample(t: float, w: np.ndarray) -> None:
+        norms = (float(np.max(np.abs(x))) for x in w)
+        samples.append((t, *norms, *(vol * float(x.sum()) for x in w)))
+        if fields is not None:
+            fields.append((w[0].copy(), w[1].copy()))
 
     pending = sorted(set(float(t) for t in snapshot_times))
-    times = [0.0]
-    norm_u = [float(np.max(np.abs(u)))]
-    norm_v = [float(np.max(np.abs(v)))]
-    mass_u = [vol * float(u.sum())]
-    mass_v = [vol * float(v.sum())]
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    fields = [(u.copy(), v.copy())] if record_fields else None
+    sample(0.0, w)
     if pending and pending[0] <= 0.0:
-        snapshots[0.0] = (u.copy(), v.copy())
+        snapshots[0.0] = (w[0].copy(), w[1].copy())
         pending = [t for t in pending if t > 0.0]
 
     start = time.monotonic() if wall_clock_budget is not None else 0.0
     truncated = False
     k = 0
     while k < total_steps:
-        u, v = stepper.step(u, v)
+        w = stepper.step(w)
         k += 1
         t = k * dt
         if k % sample_every == 0 or k == total_steps:
-            times.append(t)
-            norm_u.append(float(np.max(np.abs(u))))
-            norm_v.append(float(np.max(np.abs(v))))
-            mass_u.append(vol * float(u.sum()))
-            mass_v.append(vol * float(v.sum()))
-            if fields is not None:
-                fields.append((u.copy(), v.copy()))
+            sample(t, w)
         while pending and t >= pending[0] - 1e-12:
-            snapshots[t] = (u.copy(), v.copy())
+            snapshots[t] = (w[0].copy(), w[1].copy())
             pending.pop(0)
         if wall_clock_budget is not None and time.monotonic() - start > wall_clock_budget:
             truncated = True
@@ -284,28 +312,24 @@ def integrate(
 
     final_t = k * dt
     if final_t not in snapshots:
-        snapshots[final_t] = (u.copy(), v.copy())
-    if times[-1] != final_t:
-        times.append(final_t)
-        norm_u.append(float(np.max(np.abs(u))))
-        norm_v.append(float(np.max(np.abs(v))))
-        mass_u.append(vol * float(u.sum()))
-        mass_v.append(vol * float(v.sum()))
-        if fields is not None:
-            fields.append((u.copy(), v.copy()))
+        snapshots[final_t] = (w[0].copy(), w[1].copy())
+    if samples[-1][0] != final_t:
+        sample(final_t, w)
 
+    times, norm_u, norm_v, mass_u, mass_v = (np.array(column) for column in zip(*samples))
     return Trajectory(
         grid=grid,
         dt=dt,
-        times=np.array(times),
-        norm_u_inf=np.array(norm_u),
-        norm_v_inf=np.array(norm_v),
-        mass_u=np.array(mass_u),
-        mass_v=np.array(mass_v),
+        times=times,
+        norm_u_inf=norm_u,
+        norm_v_inf=norm_v,
+        mass_u=mass_u,
+        mass_v=mass_v,
         snapshots=snapshots,
         sampled_fields=fields,
         clamp_events=stepper.clamp_events,
         truncated=truncated,
+        implicit_solve=stepper.implicit_solve,
     )
 
 

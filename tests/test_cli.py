@@ -21,7 +21,19 @@ def test_simulate_writes_bundle_and_exits_zero(tmp_path, capsys):
     assert (out / "norms.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["outcome"] == "Undecided"
+    assert report["implicit_solve"] == "banded"
     assert "-> " + str(out) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("alpha,solve", [(1.0, "modal-banded"), (0.025, "diagonal")])
+def test_simulate_reports_the_2d_implicit_solve(tmp_path, alpha, solve):
+    # alpha/d = 40 spreads Lx's symmetrizer by about e^20: drift-dominated
+    # input keeps the modal-banded solve.
+    out = tmp_path / "run"
+    flags = ["--dim", "2", "--d1", "0.025", "--d2", "0.025", "--alpha1", str(alpha),
+             "--alpha2", str(alpha), "--mu", "0.009", "--n", "24"]
+    assert main(["simulate", *flags, "--t-end", "0.5", "--samples", "5", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["implicit_solve"] == solve
 
 
 def test_unknown_config_key_in_file_exits_two(tmp_path, capsys):

@@ -6,9 +6,18 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rivercomp import experiments
 from rivercomp.errors import SolverError
 from rivercomp.grid import make_grid
-from rivercomp.linsolve import Factorization, SeparableSolve, factor_shifted, sparse_lu
+from rivercomp.linsolve import (
+    MAX_SYMMETRIZER_SPREAD,
+    DiagonalSolve,
+    Factorization,
+    SeparableSolve,
+    factor_shifted,
+    implicit_solver,
+    sparse_lu,
+)
 from rivercomp.operators import transport_for
 
 
@@ -169,6 +178,10 @@ _species = st.tuples(
 @example(n=3, species=((1e-3, 1.99), (1.0, -1.99)), dt=10.0, seed=0)
 @example(n=40, species=((1e-3, -1.99), (1.0, 1.99)), dt=10.0, seed=0)
 def test_separable_solve_matches_splu(n, species, dt, seed):
+    _assert_stacked_solve_matches_splu(SeparableSolve, n, species, dt, seed)
+
+
+def _assert_stacked_solve_matches_splu(solver, n, species, dt, seed):
     # I - dt*blockdiag(L1, L2) for two species with different d and alpha.
     # It is an M-matrix, so its inverse is nonnegative and one solve on a
     # vector of ones gives ||A^-1||_inf exactly: the infinity-norm condition
@@ -179,7 +192,7 @@ def test_separable_solve_matches_splu(n, species, dt, seed):
     eye = sparse.identity(grid.size, format="csr")
     m = sparse.block_diag([eye - dt * op.matrix for op in ops], format="csc")
     b = np.random.default_rng(seed).standard_normal(2 * grid.size)
-    x = SeparableSolve(ops, dt).solve(b)
+    x = solver(ops, dt).solve(b)
 
     eps = np.finfo(float).eps
     x_inf = np.max(np.abs(x))
@@ -189,3 +202,82 @@ def test_separable_solve_matches_splu(n, species, dt, seed):
     lu = spla.splu(m)
     cond = m_inf * np.max(lu.solve(np.ones(2 * grid.size)))
     assert np.max(np.abs(x - lu.solve(b))) <= 1e3 * eps * cond * x_inf
+
+
+def _spread(n, peclet):
+    """max(s)/min(s) of Lx's symmetrizer: each of the n - 1 off-diagonal
+    pairs contributes √(lower/upper) = √((1 + Pe/2)/(1 - Pe/2))."""
+    return ((1.0 + 0.5 * abs(peclet)) / (1.0 - 0.5 * abs(peclet))) ** (0.5 * (n - 1))
+
+
+def _peclet(n, spread):
+    """The grid Peclet number whose symmetrizer spread on n cells is ``spread``."""
+    ratio = spread ** (2.0 / (n - 1))
+    return 2.0 * (ratio - 1.0) / (ratio + 1.0)
+
+
+_diagonal_species = st.tuples(
+    st.floats(1e-3, 1.0),  # d
+    st.floats(0.0, 1.0),  # log of the spread over log MAX_SYMMETRIZER_SPREAD
+    st.sampled_from([-1.0, 1.0]),  # drift direction
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    species=st.tuples(_diagonal_species, _diagonal_species),
+    dt=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, species=((1e-3, 1.0, 1.0), (1.0, 1.0, -1.0)), dt=10.0, seed=0)
+@example(n=40, species=((1e-3, 1.0, -1.0), (1.0, 1.0, 1.0)), dt=10.0, seed=0)
+def test_diagonal_solve_matches_splu(n, species, dt, seed):
+    # The bounds of the modal-banded test, over every spread the selection
+    # lets through, up to MAX_SYMMETRIZER_SPREAD itself.
+    pairs = [
+        (d, sign * _peclet(n, MAX_SYMMETRIZER_SPREAD**fraction)) for d, fraction, sign in species
+    ]
+    _assert_stacked_solve_matches_splu(DiagonalSolve, n, pairs, dt, seed)
+
+
+# ---------------------------------------------------------------------
+# which 2-D solve the stepper gets
+# ---------------------------------------------------------------------
+
+
+def _solver_for(n, *species):
+    grid = make_grid(2, 0.0, 1.0, n)
+    ops = tuple(transport_for(grid, d, peclet * d / grid.h) for d, peclet in species)
+    return implicit_solver(ops, 0.1)
+
+
+@pytest.mark.parametrize("figure", ["fig15", "fig16", "fig17"])
+def test_planar_presets_get_the_diagonal_solve(figure):
+    cfg = experiments.preset_config(figure)
+    grid, p = cfg.grid(), cfg.params
+    ops = (transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2))
+    assert isinstance(implicit_solver(ops, cfg.dt), DiagonalSolve)
+
+
+@pytest.mark.parametrize(
+    "n,species",
+    [
+        (3, ((1e-3, 1.99), (1.0, -1.99))),
+        (40, ((1e-3, -1.99), (1.0, 1.99))),
+    ],
+    ids=["n3-peclet1.99", "n40-peclet1.99"],
+)
+def test_peclet_extremes_get_the_modal_banded_solve(n, species):
+    assert min(_spread(n, peclet) for _, peclet in species) > MAX_SYMMETRIZER_SPREAD
+    assert isinstance(_solver_for(n, *species), SeparableSolve)
+
+
+@pytest.mark.parametrize("n", [3, 12, 40])
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_spread_rule_selects_the_solve(n, factor):
+    # One species just inside or just outside the limit decides for both.
+    peclet = _peclet(n, factor * MAX_SYMMETRIZER_SPREAD)
+    assert _spread(n, peclet) == pytest.approx(factor * MAX_SYMMETRIZER_SPREAD)
+    solver = _solver_for(n, (0.5, 0.0), (0.02, -peclet))
+    assert isinstance(solver, DiagonalSolve if factor < 1.0 else SeparableSolve)

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rivercomp import stepping
 from rivercomp.errors import ConfigError
 from rivercomp.grid import make_grid
-from rivercomp.model import ModelParams, build_effective_params
+from rivercomp.model import ModelParams, build_effective_params, raw_reaction, reaction
 from rivercomp.operators import transport_for
 from rivercomp.stepping import (
     CLAMP_TOLERANCE,
@@ -66,8 +67,10 @@ def test_mass_identity_along_trajectory():
 
 
 def test_mass_identity_along_trajectory_2d():
-    # the modal solve conserves mass to rounding like the banded one
-    _assert_mass_identity_along_trajectory(*make_stepper(n=12, dim=2, dt=0.05)[:2])
+    # the diagonal solve conserves mass to rounding like the banded one
+    stepper, grid, _ = make_stepper(n=12, dim=2, dt=0.05)
+    assert stepper.implicit_solve == "diagonal"
+    _assert_mass_identity_along_trajectory(stepper, grid)
 
 
 def _assert_mass_identity_along_trajectory(stepper, grid):
@@ -280,6 +283,41 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
         assert np.max(np.abs(u - ru)) <= rtol * np.max(np.abs(ru))
         assert np.max(np.abs(v - rv)) <= rtol * np.max(np.abs(rv))
     assert stepper.clamp_events == events[0] > 0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
+def test_fused_rhs_is_bitwise_the_oracle_reactions(dim, n):
+    # Folded form against model.reaction, raw form with mu1 != mu2 against
+    # model.raw_reaction: u + dt*R(u, v) and v + dt*R(v, u), bitwise.
+    rng = np.random.default_rng(dim)
+    folded, grid, eff = make_stepper(n=n, dim=dim, mu=0.3)
+    raw, _, _ = make_stepper(n=n, dim=dim, mu=0.1, mu2=0.25, form="raw")
+    r, K = raw.eff.r.values, raw.eff.K.values
+    for _ in range(5):
+        u, v = 2.0 * rng.random((2, grid.size))
+        rhs = folded.explicit_rhs(np.stack((u, v)))
+        dt = folded.dt
+        np.testing.assert_array_equal(rhs[0], u + dt * reaction(u, v, eff))
+        np.testing.assert_array_equal(rhs[1], v + dt * reaction(v, u, eff))
+        rhs = raw.explicit_rhs(np.stack((u, v)))
+        dt = raw.dt
+        np.testing.assert_array_equal(rhs[0], u + dt * raw_reaction(u, v, r, K, 0.1))
+        np.testing.assert_array_equal(rhs[1], v + dt * raw_reaction(v, u, r, K, 0.25))
+
+
+@pytest.mark.parametrize("form", ["folded", "raw"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stepper_run_calls_no_reaction_oracle(monkeypatch, form, dim):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the step must evaluate its reactions in the fused pass")
+
+    stepper, grid, _ = make_stepper(n=12, dim=dim, form=form)
+    monkeypatch.setattr(stepping, "reaction", refuse)
+    monkeypatch.setattr(stepping, "raw_reaction", refuse)
+    u0 = np.full(grid.size, 0.5)
+    traj = integrate(stepper, u0, u0, 20 * stepper.dt, n_samples=5)
+    assert traj.times[-1] == pytest.approx(20 * stepper.dt)
+    stepper.step(u0, u0)
 
 
 def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance():
