@@ -6,136 +6,14 @@ harvest model (`model`), semi-implicit time stepping and outcome
 classification (`stepping`), steady states and their integral/band
 diagnostics (`steady`), principal-eigenvalue stability analysis
 (`spectral`), experiment orchestration (`experiments`), and strict
-config/output plumbing (`config`, `output`, `cli`).
+config/output plumbing (`config`, `output`, `cli`).  Import names from
+those modules.  Importing the package loads every computational module;
+`output` and `cli` load when first imported.
 """
 
-from .config import RunConfig, Tolerances, parse_config
-from .errors import (
-    AnomalyError,
-    ConfigError,
-    GridResolutionError,
-    RiverCompError,
-    SolverError,
-)
-from .grid import Field, Grid, make_grid, sample_expression
-from .model import (
-    EffectiveParams,
-    ModelParams,
-    RegimeReport,
-    build_effective_params,
-    classify_regime,
-    raw_reaction,
-    reaction,
-)
-from .operators import (
-    TransportOperator,
-    assemble_transport,
-    assemble_transport_2d,
-    face_fluxes,
-    transport_for,
-)
-from .spectral import (
-    EigenReport,
-    StabilityVerdict,
-    dense_principal_eigenpair,
-    eigen_difference_residual,
-    invasion_potential,
-    principal_eigenpair,
-    semitrivial_stability,
-)
-from .steady import (
-    CoexistencePair,
-    SteadyState,
-    capacity_gap_integral,
-    coexistence_identity_residuals,
-    flux_diagnostics,
-    log_slope_report,
-    per_capita_balance_residual,
-    solve_coexistence,
-    solve_single_steady,
-)
-from .stepping import (
-    Outcome,
-    Stepper,
-    Trajectory,
-    Verdict,
-    classify_outcome,
-    default_eps_extinct,
-    integrate,
-    max_stable_dt,
-)
-from .experiments import (
-    PRESETS,
-    FigurePreset,
-    SweepPoint,
-    SweepResult,
-    point_outcome,
-    preset_config,
-    run_figure,
-    run_verification,
-    simulate_run,
-    sweep_alpha2,
+from . import (
+    config, errors, experiments, fieldexpr, grid, linsolve,
+    model, operators, spectral, steady, stepping,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnomalyError",
-    "ConfigError",
-    "GridResolutionError",
-    "RiverCompError",
-    "SolverError",
-    "Field",
-    "Grid",
-    "make_grid",
-    "sample_expression",
-    "EffectiveParams",
-    "ModelParams",
-    "RegimeReport",
-    "build_effective_params",
-    "classify_regime",
-    "raw_reaction",
-    "reaction",
-    "TransportOperator",
-    "assemble_transport",
-    "assemble_transport_2d",
-    "face_fluxes",
-    "transport_for",
-    "EigenReport",
-    "StabilityVerdict",
-    "dense_principal_eigenpair",
-    "eigen_difference_residual",
-    "invasion_potential",
-    "principal_eigenpair",
-    "semitrivial_stability",
-    "CoexistencePair",
-    "SteadyState",
-    "capacity_gap_integral",
-    "coexistence_identity_residuals",
-    "flux_diagnostics",
-    "log_slope_report",
-    "per_capita_balance_residual",
-    "solve_coexistence",
-    "solve_single_steady",
-    "Outcome",
-    "Stepper",
-    "Trajectory",
-    "Verdict",
-    "classify_outcome",
-    "default_eps_extinct",
-    "integrate",
-    "max_stable_dt",
-    "RunConfig",
-    "Tolerances",
-    "parse_config",
-    "PRESETS",
-    "FigurePreset",
-    "SweepPoint",
-    "SweepResult",
-    "point_outcome",
-    "preset_config",
-    "run_figure",
-    "run_verification",
-    "simulate_run",
-    "sweep_alpha2",
-]

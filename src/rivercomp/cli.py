@@ -2,8 +2,7 @@
 
 One command with subcommands: simulate, steady, eigen, sweep, figure,
 verify.  Every scalar config key has a flag; flags override config-file
-values, and RIVERCOMP_WORKERS overrides the configured worker count
-unless --workers is given explicitly.
+values.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including verification runs with failing checks), 4 anomaly gate.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,8 +31,6 @@ from .experiments import (
 from .output import write_bundle
 
 __all__ = ["main"]
-
-_WORKERS_ENV = "RIVERCOMP_WORKERS"
 
 
 def _comma_floats(text: str) -> list[float]:
@@ -79,7 +75,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
     d.add_argument("--samples", type=int, help="number of norm samples over the run")
     d.add_argument("--points", type=int, help="sweep resolution")
-    d.add_argument("--workers", type=int, help="parallel workers for sweeps")
     d.add_argument("--out-dir", dest="out_dir", help="output directory")
     t = sub.add_argument_group("tolerances")
     t.add_argument("--tol-steady", dest="tol_steady", type=float)
@@ -111,7 +106,6 @@ _CONFIG_FLAGS = (
     "snapshot_times",
     "samples",
     "points",
-    "workers",
     "out_dir",
 )
 
@@ -129,13 +123,6 @@ def _overrides_from(args: argparse.Namespace) -> dict:
     }
     if tol:
         overrides["tolerances"] = tol
-    if "workers" not in overrides and os.environ.get(_WORKERS_ENV):
-        try:
-            overrides["workers"] = int(os.environ[_WORKERS_ENV])
-        except ValueError:
-            raise ConfigError(
-                f"{_WORKERS_ENV} must be an integer, got {os.environ[_WORKERS_ENV]!r}"
-            )
     return overrides
 
 
@@ -256,9 +243,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2
-    except SolverError as exc:
-        _emit_error("numerical", exc)
-        return 3
     except RiverCompError as exc:
         _emit_error("numerical", exc)
         return 3

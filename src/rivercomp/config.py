@@ -68,7 +68,6 @@ _ECHO_ORDER = (
     "snapshot_times",
     "samples",
     "points",
-    "workers",
     "out_dir",
     "tolerances",
 )
@@ -97,7 +96,6 @@ class RunConfig:
     snapshot_times: tuple[float, ...]
     samples: int
     points: int
-    workers: int
     out_dir: str
     figure: str | None
     tolerances: Tolerances
@@ -137,7 +135,6 @@ class RunConfig:
             "snapshot_times": list(self.snapshot_times),
             "samples": self.samples,
             "points": self.points,
-            "workers": self.workers,
             "out_dir": self.out_dir,
             "tolerances": {
                 "steady": self.tolerances.steady,
@@ -360,9 +357,6 @@ def parse_config(
     points = _as_int("points", take("points", 33))
     if points < 1:
         raise ConfigError(f"points must be positive, got {points}")
-    workers = _as_int("workers", take("workers", 1))
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
     out_dir = _as_str("out_dir", take("out_dir", "out"))
 
     figure = merged.get("figure")
@@ -403,7 +397,6 @@ def parse_config(
         snapshot_times=snapshot_times,
         samples=samples,
         points=points,
-        workers=workers,
         out_dir=out_dir,
         figure=figure,
         tolerances=Tolerances(**tol_values),

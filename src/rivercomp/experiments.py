@@ -1,25 +1,30 @@
-"""Experiment orchestration: presets, pipelines, the drift-rate sweep.
+"""Experiment orchestration: problems, presets, pipelines, the drift-rate sweep.
 
-Three layers live here.  ``simulate_run`` wires a parsed config into the
-operator/stepper stack and classifies the outcome.  The preset catalog
-(`PRESETS`) pins down the named parameter sets used for qualitative
-reproduction runs; each carries its full parameter set so runs are
-self-contained.  ``sweep_alpha2`` walks the second species' drift rate
-across the interval where the competition outcome is known to flip,
-classifying every point from the two invasion eigenvalues, and brackets
-the coexistence window with one bisection refinement per edge.  A
-coexistence Newton solve runs only at points whose two indices share a
-sign beyond the marginal band: by the competitive trichotomy (Hsu, Smith
-& Waltman 1996) these are the only points where finding a pair can change
-the verdict.  ``run_verification`` aggregates the steady-state
-integral/band/eigenvalue checks into a pass/fail report.
+A ``Problem`` holds everything one parameter set determines: its grid,
+folded coefficients and two transport operators, the lone states u_hat
+and v_hat, the invasion indices kappa and tau, and the same problem on
+the halved grid.  All but the grid and coefficients are built on first
+use and kept, so every pipeline asks for what it needs and nothing is
+solved twice.  ``simulate_run`` wires a problem into the stepper and
+classifies the outcome.  The preset catalog (`PRESETS`) pins down the named
+parameter sets used for qualitative reproduction runs; each carries its
+full parameter set so runs are self-contained.  ``sweep_alpha2`` walks
+the second species' drift rate across the interval where the competition
+outcome is known to flip, classifying every point from the two invasion
+eigenvalues, and brackets the coexistence window with one bisection
+refinement per edge.  A coexistence Newton solve runs only at points
+whose two indices share a sign beyond the marginal band: by the
+competitive trichotomy (Hsu, Smith & Waltman 1996) these are the only
+points where finding a pair can change the verdict.  ``run_verification``
+aggregates the steady-state integral/band/eigenvalue checks into a
+pass/fail report.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,12 +33,14 @@ from .errors import ConfigError, SolverError
 from .model import classify_regime
 from .operators import transport_for
 from .spectral import (
+    StabilityVerdict,
     drift_band_excess,
     eigen_difference_residual,
     invasion_potential,
     semitrivial_stability,
 )
 from .steady import (
+    SteadyState,
     capacity_gap_integral,
     coexistence_identity_residuals,
     constant_capacity_companion,
@@ -45,6 +52,7 @@ from .steady import (
 from .stepping import Outcome, Stepper, Trajectory, Verdict, classify_outcome, integrate
 
 __all__ = [
+    "Problem",
     "FigurePreset",
     "PRESETS",
     "preset_config",
@@ -58,6 +66,74 @@ __all__ = [
     "sweep_alpha2",
     "run_verification",
 ]
+
+
+# ---------------------------------------------------------------------
+# one parameter set
+# ---------------------------------------------------------------------
+
+
+class Problem:
+    """One run's parameter set and the state every pipeline derives from it.
+
+    The grid and folded coefficients are built with the problem; the
+    operators, lone states, invasion indices and halved-grid companion
+    are built on first use and kept.
+    """
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.grid = cfg.grid()
+        self.eff = cfg.effective(self.grid)
+
+    @cached_property
+    def op1(self):
+        return transport_for(self.grid, self.cfg.params.d1, self.cfg.params.alpha1)
+
+    @cached_property
+    def op2(self):
+        return transport_for(self.grid, self.cfg.params.d2, self.cfg.params.alpha2)
+
+    @cached_property
+    def u_hat(self) -> SteadyState:
+        """The first species' lone state."""
+        return solve_single_steady(self.op1, self.eff, tol=self.cfg.tolerances.steady)
+
+    @cached_property
+    def v_hat(self) -> SteadyState:
+        """The second species' lone state."""
+        return solve_single_steady(self.op2, self.eff, tol=self.cfg.tolerances.steady)
+
+    def _invasion(self, invader_op, resident: SteadyState) -> StabilityVerdict:
+        tol = self.cfg.tolerances
+        return semitrivial_stability(
+            invader_op, resident.u, self.eff, tol_marginal=tol.marginal, eigen_tol=tol.eigen
+        )
+
+    @cached_property
+    def kappa(self) -> StabilityVerdict:
+        """Stability of u_hat against invasion by the second species."""
+        return self._invasion(self.op2, self.u_hat)
+
+    @cached_property
+    def tau(self) -> StabilityVerdict:
+        """Stability of v_hat against invasion by the first species."""
+        return self._invasion(self.op1, self.v_hat)
+
+    @cached_property
+    def coarse(self) -> Problem | None:
+        """The same problem with n halved, or None where n is odd, below 6,
+        or the halved grid breaks a config check (the Peclet guard)."""
+        n = self.cfg.n
+        if n % 2 != 0 or n // 2 < 3:
+            return None
+        overrides = {k: v for k, v in self.cfg.echo_dict().items() if k != "_defaulted"}
+        overrides["n"] = n // 2
+        try:
+            cfg = parse_config(overrides=overrides)
+        except ConfigError:
+            return None
+        return Problem(cfg)
 
 
 # ---------------------------------------------------------------------
@@ -228,18 +304,13 @@ def preset_config(figure: str, overrides: dict | None = None) -> RunConfig:
 # ---------------------------------------------------------------------
 
 
-def _operators(cfg: RunConfig, grid):
-    p = cfg.params
-    return transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
-
-
 def simulate_run(cfg: RunConfig) -> tuple[Trajectory, Outcome]:
     """Integrate the competition system per config and classify the end state."""
-    grid = cfg.grid()
-    eff = cfg.effective(grid)
-    op1, op2 = _operators(cfg, grid)
-    stepper = Stepper(op1, op2, cfg.params, eff, dt=cfg.dt, form=cfg.reaction_form)
-    u0, v0 = cfg.initial_fields(grid)
+    problem = Problem(cfg)
+    stepper = Stepper(
+        problem.op1, problem.op2, cfg.params, problem.eff, dt=cfg.dt, form=cfg.reaction_form
+    )
+    u0, v0 = cfg.initial_fields(problem.grid)
     traj = integrate(
         stepper,
         u0,
@@ -265,7 +336,6 @@ def simulate_report(traj: Trajectory, outcome: Outcome) -> dict:
         "final_mass_u": traj.mass_u[-1],
         "final_mass_v": traj.mass_v[-1],
         "clamp_events": traj.clamp_events,
-        "truncated": traj.truncated,
         "implicit_solve": traj.implicit_solve,
     }
 
@@ -287,18 +357,14 @@ def run_figure(
 
 def steady_report(cfg: RunConfig) -> dict:
     """Solve both single-species states and attempt a coexistence pair."""
-    grid = cfg.grid()
-    eff = cfg.effective(grid)
-    op1, op2 = _operators(cfg, grid)
-    tol = cfg.tolerances.steady
-    u_state = solve_single_steady(op1, eff, tol=tol)
-    v_state = solve_single_steady(op2, eff, tol=tol)
+    problem = Problem(cfg)
+    eff = problem.eff
     report = {
-        "u_state": _state_summary(u_state, eff),
-        "v_state": _state_summary(v_state, eff),
+        "u_state": _state_summary(problem.u_hat, eff),
+        "v_state": _state_summary(problem.v_hat, eff),
     }
     try:
-        pair = solve_coexistence(op1, op2, eff, tol=tol)
+        pair = solve_coexistence(problem.op1, problem.op2, eff, tol=cfg.tolerances.steady)
     except SolverError as exc:
         report["coexistence"] = {"found": False, "note": str(exc)}
         return report
@@ -332,37 +398,25 @@ def _state_summary(state, eff) -> dict:
 
 def eigen_report(cfg: RunConfig) -> dict:
     """Invasion stability indices of both single-species states."""
-    grid = cfg.grid()
-    eff = cfg.effective(grid)
-    op1, op2 = _operators(cfg, grid)
-    tol = cfg.tolerances.steady
-    u_state = solve_single_steady(op1, eff, tol=tol)
-    v_state = solve_single_steady(op2, eff, tol=tol)
-    kappa = semitrivial_stability(
-        op2, u_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
-    )
-    tau = semitrivial_stability(
-        op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
-    )
+    problem = Problem(cfg)
     regime = classify_regime(cfg.params)
     return {
-        "u_state": {
-            "stability_index": kappa.report.stability_index,
-            "growth_rate": kappa.report.growth_rate,
-            "verdict": kappa.verdict,
-            "iterations": kappa.report.iterations,
-            "residual": kappa.report.residual,
-        },
-        "v_state": {
-            "stability_index": tau.report.stability_index,
-            "growth_rate": tau.report.growth_rate,
-            "verdict": tau.verdict,
-            "iterations": tau.report.iterations,
-            "residual": tau.report.residual,
-        },
+        "u_state": _index_summary(problem.kappa),
+        "v_state": _index_summary(problem.tau),
         "drift_ratio_1": regime.ratio1,
         "drift_ratio_2": regime.ratio2,
         "faster_disperser_higher_ratio": regime.holds_c1,
+    }
+
+
+def _index_summary(stability: StabilityVerdict) -> dict:
+    report = stability.report
+    return {
+        "stability_index": report.stability_index,
+        "growth_rate": report.growth_rate,
+        "verdict": stability.verdict,
+        "iterations": report.iterations,
+        "residual": report.residual,
     }
 
 
@@ -431,20 +485,14 @@ def point_outcome(
     return Verdict.UNDECIDED, False
 
 
-def _evaluate_point(
-    alpha2: float,
-    cfg: RunConfig,
-    grid,
-    eff,
-    op1,
-    resident_u: np.ndarray,
-    warm: dict,
-) -> SweepPoint:
-    op2 = transport_for(grid, cfg.params.d2, alpha2)
+def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
+    """Classify one drift rate against the problem's first-species lone state."""
+    cfg, eff, op1 = problem.cfg, problem.eff, problem.op1
+    op2 = transport_for(problem.grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
     marginal = cfg.tolerances.marginal
     kappa = semitrivial_stability(
-        op2, resident_u, eff, tol_marginal=marginal, eigen_tol=cfg.tolerances.eigen
+        op2, problem.u_hat.u, eff, tol_marginal=marginal, eigen_tol=cfg.tolerances.eigen
     ).report.stability_index
 
     v_warm = warm.get("v_hat")
@@ -498,8 +546,8 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     The range is the open interval from omega1*alpha1 to alpha1, with
     omega1 = d2/d1; points sit on a uniform interior grid.  The resident
     profile of species 1 is solved once (it does not involve alpha2).
-    Points are processed in contiguous blocks, one per worker, so warm
-    starts stay within a block and results are independent of scheduling.
+    Points run in order, each warm-starting its lone state and pair from
+    the point before.
     """
     p = cfg.params
     if not (p.d1 > p.d2 > 0.0):
@@ -515,26 +563,9 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     n_points = cfg.points
     alphas = [lo + (hi - lo) * j / (n_points + 1) for j in range(1, n_points + 1)]
 
-    grid = cfg.grid()
-    eff = cfg.effective(grid)
-    op1 = transport_for(grid, p.d1, p.alpha1)
-    resident = solve_single_steady(op1, eff, tol=cfg.tolerances.steady)
-
-    def run_block(block: list[int]) -> list[SweepPoint]:
-        warm: dict = {}
-        return [
-            _evaluate_point(alphas[i], cfg, grid, eff, op1, resident.u, warm) for i in block
-        ]
-
-    indices = list(range(n_points))
-    n_blocks = max(1, min(cfg.workers, n_points))
-    blocks = [list(chunk) for chunk in np.array_split(indices, n_blocks)]
-    if n_blocks == 1:
-        results = [run_block(blocks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_blocks) as pool:
-            results = list(pool.map(run_block, blocks))
-    points = [pt for block in results for pt in block]
+    problem = Problem(cfg)
+    warm: dict = {}
+    points = [_evaluate_point(problem, alpha2, warm) for alpha2 in alphas]
 
     anomalies = [
         f"alpha2={pt.alpha2!r}: both lone states attracting yet a positive pair exists"
@@ -563,7 +594,7 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
         left_outer = alphas[i0 - 1] if i0 > 0 else lo
         right_outer = alphas[i1 + 1] if i1 < n_points - 1 else hi
         for mid, side in (((left_outer + w_lo) / 2.0, "lo"), ((w_hi + right_outer) / 2.0, "hi")):
-            probe = _evaluate_point(mid, cfg, grid, eff, op1, resident.u, {})
+            probe = _evaluate_point(problem, mid, {})
             edge_points.append(probe)
             if probe.anomaly:
                 anomalies.append(
@@ -617,17 +648,16 @@ def run_verification(cfg: RunConfig) -> dict:
 
     Returns a report dict with one entry per check carrying pass/skip
     status and the measured residuals.  Checks that need a coarser
-    companion grid derive one by halving n (skipped if that would break
-    the Peclet guard).
+    companion grid share the problem's halved-grid companion (skipped if
+    halving would break the Peclet guard).
     """
-    grid = cfg.grid()
-    eff = cfg.effective(grid)
+    problem = Problem(cfg)
+    grid, eff = problem.grid, problem.eff
     p = cfg.params
-    op1, op2 = _operators(cfg, grid)
     tol = cfg.tolerances.steady
     checks: dict[str, dict] = {}
 
-    resident = solve_single_steady(op1, eff, tol=tol)
+    resident = problem.u_hat
 
     gap = capacity_gap_integral(resident.u, eff)
     if gap.degenerate:
@@ -646,7 +676,7 @@ def run_verification(cfg: RunConfig) -> dict:
     if grid.dim == 1:
         # The band is a constant-capacity statement; heterogeneous
         # capacity is flattened to its mean before checking it.
-        companion, _ = constant_capacity_companion(op1, eff, tol=tol)
+        companion, _ = constant_capacity_companion(problem.op1, eff, tol=tol)
         band = log_slope_report(companion.u, p.d1, p.alpha1, grid)
         resident_band = log_slope_report(resident.u, p.d1, p.alpha1, grid)
         checks["log_slope_band"] = {
@@ -660,33 +690,16 @@ def run_verification(cfg: RunConfig) -> dict:
     else:
         checks["log_slope_band"] = {"pass": True, "skipped": True, "note": "1-D diagnostic"}
 
-    potential = invasion_potential(resident.u, eff)
     if grid.dim == 1:
-        fine = eigen_difference_residual(
-            op1, op2, potential, p.d1, p.d2, p.alpha1, p.alpha2, eigen_tol=cfg.tolerances.eigen
-        )
+        fine = _eigen_difference(problem)
         entry = {
             "pass": True,
             "skipped": False,
             "residual": fine.residual,
             "index_gap": fine.growth_first - fine.growth_second,
         }
-        coarse_cfg = _halved(cfg)
-        if coarse_cfg is not None:
-            cgrid = coarse_cfg.grid()
-            ceff = coarse_cfg.effective(cgrid)
-            cop1, cop2 = _operators(coarse_cfg, cgrid)
-            cres = solve_single_steady(cop1, ceff, tol=tol)
-            coarse = eigen_difference_residual(
-                cop1,
-                cop2,
-                invasion_potential(cres.u, ceff),
-                p.d1,
-                p.d2,
-                p.alpha1,
-                p.alpha2,
-                eigen_tol=cfg.tolerances.eigen,
-            )
+        if problem.coarse is not None:
+            coarse = _eigen_difference(problem.coarse)
             ratio = coarse.residual / fine.residual if fine.residual > 0.0 else math.inf
             entry["coarse_residual"] = coarse.residual
             entry["ratio"] = ratio
@@ -697,13 +710,8 @@ def run_verification(cfg: RunConfig) -> dict:
     else:
         checks["eigen_difference"] = {"pass": True, "skipped": True, "note": "1-D diagnostic"}
 
-    kappa = semitrivial_stability(
-        op2, resident.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
-    )
-    v_state = solve_single_steady(op2, eff, tol=tol)
-    tau = semitrivial_stability(
-        op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
-    )
+    kappa, tau = problem.kappa, problem.tau
+    potential = invasion_potential(resident.u, eff)
     checks["invasion_indices"] = {
         "pass": True,
         "skipped": False,
@@ -728,7 +736,7 @@ def run_verification(cfg: RunConfig) -> dict:
             "note": "requires a strictly decreasing invasion potential on a 1-D habitat",
         }
 
-    checks["coexistence_identities"] = _identity_check(cfg, grid, eff, op1, op2, tol)
+    checks["coexistence_identities"] = _identity_check(problem)
 
     return {
         "checks": checks,
@@ -736,29 +744,27 @@ def run_verification(cfg: RunConfig) -> dict:
     }
 
 
-def _halved(cfg: RunConfig) -> RunConfig | None:
-    if cfg.n % 2 != 0 or cfg.n // 2 < 3:
-        return None
-    overrides = {k: v for k, v in cfg.echo_dict().items() if k != "_defaulted"}
-    overrides["n"] = cfg.n // 2
-    try:
-        return parse_config(overrides=overrides)
-    except ConfigError:
-        return None
+def _eigen_difference(problem: Problem):
+    p, eigen_tol = problem.cfg.params, problem.cfg.tolerances.eigen
+    potential = invasion_potential(problem.u_hat.u, problem.eff)
+    return eigen_difference_residual(
+        problem.op1, problem.op2, potential, p.d1, p.d2, p.alpha1, p.alpha2, eigen_tol=eigen_tol
+    )
 
 
-def _identity_check(cfg: RunConfig, grid, eff, op1, op2, tol: float) -> dict:
-    if grid.dim != 1:
+def _identity_check(problem: Problem) -> dict:
+    if problem.grid.dim != 1:
         return {"pass": True, "skipped": True, "note": "1-D diagnostic"}
-    p = cfg.params
+    p = problem.cfg.params
+    tol = problem.cfg.tolerances.steady
     try:
-        pair = solve_coexistence(op1, op2, eff, tol=tol)
+        pair = solve_coexistence(problem.op1, problem.op2, problem.eff, tol=tol)
     except SolverError as exc:
         return {"pass": True, "skipped": True, "note": f"no pair: {exc}"}
     if pair is None:
         return {"pass": True, "skipped": True, "note": "no strictly positive pair at these parameters"}
-    report = coexistence_identity_residuals(pair, op1, op2, p)
-    balance = per_capita_balance_residual(pair.u, pair.v, p, grid)
+    report = coexistence_identity_residuals(pair, problem.op1, problem.op2, p)
+    balance = per_capita_balance_residual(pair.u, pair.v, p, problem.grid)
     entry: dict = {
         "pass": True,
         "skipped": False,
@@ -766,17 +772,14 @@ def _identity_check(cfg: RunConfig, grid, eff, op1, op2, tol: float) -> dict:
         "residual_second": report.residual_second,
         "balance_max": balance.max_abs,
     }
-    coarse_cfg = _halved(cfg)
-    if coarse_cfg is not None:
-        cgrid = coarse_cfg.grid()
-        ceff = coarse_cfg.effective(cgrid)
-        cop1, cop2 = _operators(coarse_cfg, cgrid)
+    coarse = problem.coarse
+    if coarse is not None:
         try:
-            cpair = solve_coexistence(cop1, cop2, ceff, tol=tol)
+            cpair = solve_coexistence(coarse.op1, coarse.op2, coarse.eff, tol=tol)
         except SolverError:
             cpair = None
         if cpair is not None:
-            creport = coexistence_identity_residuals(cpair, cop1, cop2, p)
+            creport = coexistence_identity_residuals(cpair, coarse.op1, coarse.op2, p)
             ratios = []
             for fine_r, coarse_r in (
                 (report.residual_first, creport.residual_first),

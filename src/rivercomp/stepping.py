@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +90,6 @@ class Trajectory:
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     sampled_fields: list[tuple[np.ndarray, np.ndarray]] | None = None
     clamp_events: int = 0
-    truncated: bool = False
     implicit_solve: str | None = None  # the stepper's ``implicit_solve``
 
     @property
@@ -253,16 +251,14 @@ def integrate(
     n_samples: int = 100,
     snapshot_times: tuple[float, ...] = (),
     record_fields: bool = False,
-    wall_clock_budget: float | None = None,
 ) -> Trajectory:
     """Step from t=0 until t >= t_end, sampling norms and masses evenly.
 
     Snapshots are taken at the first step time reaching each requested
     value and always at the final step.  With ``record_fields`` the full
     state at every sample is kept (memory permitting); useful for
-    trajectory-level comparisons.  A wall-clock budget, if given, stops
-    early and marks the trajectory truncated.  ``t_end=0`` returns a
-    trajectory holding only the initial sample.
+    trajectory-level comparisons.  ``t_end=0`` returns a trajectory
+    holding only the initial sample.
     """
     if t_end < 0.0:
         raise ConfigError(f"t_end must be nonnegative, got {t_end}")
@@ -294,23 +290,16 @@ def integrate(
         snapshots[0.0] = (w[0].copy(), w[1].copy())
         pending = [t for t in pending if t > 0.0]
 
-    start = time.monotonic() if wall_clock_budget is not None else 0.0
-    truncated = False
-    k = 0
-    while k < total_steps:
+    for k in range(1, total_steps + 1):
         w = stepper.step(w)
-        k += 1
         t = k * dt
         if k % sample_every == 0 or k == total_steps:
             sample(t, w)
         while pending and t >= pending[0] - 1e-12:
             snapshots[t] = (w[0].copy(), w[1].copy())
             pending.pop(0)
-        if wall_clock_budget is not None and time.monotonic() - start > wall_clock_budget:
-            truncated = True
-            break
 
-    final_t = k * dt
+    final_t = total_steps * dt
     if final_t not in snapshots:
         snapshots[final_t] = (w[0].copy(), w[1].copy())
     if samples[-1][0] != final_t:
@@ -328,7 +317,6 @@ def integrate(
         snapshots=snapshots,
         sampled_fields=fields,
         clamp_events=stepper.clamp_events,
-        truncated=truncated,
         implicit_solve=stepper.implicit_solve,
     )
 
@@ -356,17 +344,15 @@ def classify_outcome(
 
     A species is extinct when its final sup-norm is below ``eps_extinct``.
     One extinction is a win for the survivor; coexistence additionally
-    requires both norm histories to have settled.  Everything else,
-    including truncated runs, is undecided.
+    requires both norm histories to have settled.  Everything else is
+    undecided.
     """
     nu = float(traj.norm_u_inf[-1])
     nv = float(traj.norm_v_inf[-1])
     settled = _settled(traj.norm_u_inf, eps_settle, eps_extinct) and _settled(
         traj.norm_v_inf, eps_settle, eps_extinct
     )
-    if traj.truncated:
-        verdict = Verdict.UNDECIDED
-    elif nu < eps_extinct and nv < eps_extinct:
+    if nu < eps_extinct and nv < eps_extinct:
         verdict = Verdict.BOTH_EXTINCT
     elif nv < eps_extinct <= nu:
         verdict = Verdict.U_WINS

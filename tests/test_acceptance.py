@@ -273,7 +273,7 @@ def test_criterion_6_drift_rate_window():
     cfg = parse_config(
         overrides=dict(
             d1=0.002, d2=0.001, alpha1=0.001, mu=0.3, n=256, points=33,
-            mode="sweep", workers=2,
+            mode="sweep",
         )
     )
     result = sweep_alpha2(cfg)

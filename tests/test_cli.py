@@ -37,13 +37,16 @@ def test_simulate_reports_the_2d_implicit_solve(tmp_path, alpha, solve):
 
 
 def test_unknown_config_key_in_file_exits_two(tmp_path, capsys):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"d1": 0.08, "d2": 0.07, "bogus": 1}))
-    code = main(["simulate", "--config", str(path)])
-    assert code == 2
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "config"
-    assert "bogus" in record["message"]
+    # An echo written before the sweep lost its worker count still holds
+    # "workers"; it is refused like any other unknown key.
+    for key in ("bogus", "workers"):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"d1": 0.08, "d2": 0.07, key: 1}))
+        code = main(["simulate", "--config", str(path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "config"
+        assert f"unknown config key {key!r}" in record["message"]
 
 
 def test_figure_rejects_config_file(tmp_path, capsys):
@@ -93,32 +96,3 @@ def test_eigen_subcommand_prints_verdicts(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "(unstable)" in text and "(stable)" in text
 
-
-def test_workers_env_used_when_flag_absent(tmp_path, monkeypatch):
-    monkeypatch.setenv("RIVERCOMP_WORKERS", "2")
-    out = tmp_path / "sweep-env"
-    code = main(
-        ["sweep", "--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001",
-         "--mu", "0.3", "--n", "64", "--points", "8", "--out-dir", str(out)]
-    )
-    assert code == 0
-    assert json.loads((out / "config.echo.json").read_text())["workers"] == 2
-
-
-def test_workers_flag_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("RIVERCOMP_WORKERS", "7")
-    out = tmp_path / "sweep-flag"
-    code = main(
-        ["sweep", "--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001",
-         "--mu", "0.3", "--n", "64", "--points", "8", "--workers", "1",
-         "--out-dir", str(out)]
-    )
-    assert code == 0
-    assert json.loads((out / "config.echo.json").read_text())["workers"] == 1
-
-
-def test_workers_env_must_be_integer(monkeypatch, capsys):
-    monkeypatch.setenv("RIVERCOMP_WORKERS", "many")
-    code = main(["sweep", "--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001"])
-    assert code == 2
-    assert "RIVERCOMP_WORKERS" in json.loads(capsys.readouterr().err.strip())["message"]

@@ -17,7 +17,6 @@ def test_minimal_config_fills_documented_defaults():
     assert cfg.t_end == 100.0
     assert cfg.dt == 0.1
     assert cfg.samples == 100
-    assert cfg.workers == 1
     assert cfg.out_dir == "out"
     assert cfg.params.mu1 == 0.0 and cfg.params.mu2 == 0.0
     for key in ("mu1", "mu2", "K", "dt", "tolerances.steady", "tolerances.extinct"):

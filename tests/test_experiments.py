@@ -33,6 +33,9 @@ from rivercomp.steady import solve_coexistence, solve_single_steady
 from rivercomp.stepping import Verdict
 
 SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, mu=0.3, n=64, points=8)
+WEAK_FAMILY = dict(d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04, mu=0.009)
+# Identical species: a continuum of coexistence pairs splits one lone state.
+SYMMETRIC = dict(d1=0.05, d2=0.05, alpha1=0.02, alpha2=0.02, mu=0.1, n=64)
 
 
 def test_unknown_preset_error_lists_catalog():
@@ -85,18 +88,6 @@ def test_sweep_without_window_classifies_every_point_v_wins():
     assert result.window is None
     assert result.anomalies == []
     assert sweep_transitions(result) == []
-
-
-def test_sweep_results_do_not_depend_on_worker_count():
-    one = sweep_alpha2(parse_config(overrides=dict(SLOW, mode="sweep", workers=1)))
-    two = sweep_alpha2(parse_config(overrides=dict(SLOW, mode="sweep", workers=2)))
-    assert [p.alpha2 for p in one.points] == [p.alpha2 for p in two.points]
-    assert [p.verdict for p in one.points] == [p.verdict for p in two.points]
-    # kappa reuses the shared resident profile, so it is bitwise stable;
-    # tau depends on per-block warm starts and may move at solver-tol level.
-    assert [p.kappa for p in one.points] == [p.kappa for p in two.points]
-    for a, b in zip(one.points, two.points):
-        assert a.tau == pytest.approx(b.tau, abs=1e-8)
 
 
 def test_sweep_parameter_validation():
@@ -167,13 +158,58 @@ def test_steady_report_finds_no_pair_in_weak_harvest_habitat():
     assert report["v_state"]["residual"] < cfg.tolerances.steady
 
 
+def test_problem_solves_each_lone_state_once(monkeypatch):
+    solved = []
+
+    def spy(op, eff, **kwargs):
+        solved.append(op.alpha)
+        return solve_single_steady(op, eff, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_single_steady", spy)
+    problem = experiments.Problem(parse_config(overrides=dict(WEAK_FAMILY, n=64)))
+    for _ in range(2):
+        assert problem.kappa.verdict == "unstable"
+        assert problem.tau.verdict == "stable"
+        assert problem.u_hat.residual < problem.cfg.tolerances.steady
+    assert solved == [0.05, 0.04]
+
+
+@pytest.mark.parametrize("n, coarse_n", [(64, 32), (6, 3), (63, None), (4, None)])
+def test_problem_halves_even_grids_of_at_least_six_cells(n, coarse_n):
+    problem = experiments.Problem(parse_config(overrides=dict(WEAK_FAMILY, n=n)))
+    coarse = problem.coarse
+    assert problem.coarse is coarse
+    assert (None if coarse is None else coarse.grid.size) == coarse_n
+
+
+def test_verification_parses_its_halved_grid_once(monkeypatch):
+    # Where a pair exists, both the eigen-difference and the identity checks
+    # compare against the halved grid; they share one coarse problem.
+    parsed = []
+
+    def spy(*args, **kwargs):
+        parsed.append(kwargs["overrides"]["n"])
+        return parse_config(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "parse_config", spy)
+    report = run_verification(parse_config(overrides=dict(SYMMETRIC, mode="verify")))
+    checks = report["checks"]
+    assert "coarse_residual" in checks["eigen_difference"]
+    assert checks["coexistence_identities"]["skipped"] is False
+    assert "ratios" in checks["coexistence_identities"]
+    assert parsed == [32]
+
+
 # ---------------------------------------------------------------------
 # pair search only where it can change the verdict
 # ---------------------------------------------------------------------
 
 
-def ungated_evaluate_point(alpha2, cfg, grid, eff, op1, resident_u, warm):
+def ungated_evaluate_point(problem, alpha2, warm):
     """A sweep point with a pair search, and a cold retry, at every point."""
+    cfg, grid, eff, op1, resident_u = (
+        problem.cfg, problem.grid, problem.eff, problem.op1, problem.u_hat.u
+    )
     op2 = transport_for(grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
     kappa = semitrivial_stability(
@@ -248,11 +284,10 @@ def test_pair_search_runs_where_the_indices_share_a_sign(monkeypatch, kappa, tau
     monkeypatch.setattr(experiments, "semitrivial_stability", lambda *args, **kwargs: next(reports))
     searched = spy_pair_searches(monkeypatch)
     cfg = parse_config(overrides=dict(SLOW, mode="sweep"))
-    grid, eff = cfg.grid(), cfg.effective(cfg.grid())
-    op1 = transport_for(grid, cfg.params.d1, cfg.params.alpha1)
-    resident = solve_single_steady(op1, eff).u
+    problem = experiments.Problem(cfg)
+    resident = problem.u_hat.u
     warm = {"pair": (resident, resident)}
-    point = experiments._evaluate_point(7e-4, cfg, grid, eff, op1, resident, warm)
+    point = experiments._evaluate_point(problem, 7e-4, warm)
     assert bool(searched) is searches
     assert (point.kappa, point.tau) == (kappa, tau)
     if not searches:

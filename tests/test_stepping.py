@@ -218,15 +218,6 @@ def test_snapshots_and_final_state():
     assert u_end.shape == (grid.size,)
 
 
-def test_wall_clock_budget_marks_truncated():
-    stepper, grid, _ = make_stepper(n=256, dt=1e-3)
-    u0 = np.full(grid.size, 0.5)
-    traj = integrate(stepper, u0, u0, 1e6, wall_clock_budget=0.05)
-    assert traj.truncated
-    out = classify_outcome(traj, eps_extinct=1e-3)
-    assert out.verdict is Verdict.UNDECIDED
-
-
 def _reference_solver(grid, d, alpha, dt):
     """One species' implicit solve the way the two-solve stepper did it.
 
@@ -350,7 +341,7 @@ def test_mismatched_harvest_needs_raw_form():
 # ---------------------------------------------------------------------
 
 
-def fake_traj(nu, nv, settled=True, truncated=False):
+def fake_traj(nu, nv, settled=True):
     k = 40
     tail_u = np.full(k, nu) if settled else np.linspace(2 * nu + 0.5, nu, k)
     tail_v = np.full(k, nv) if settled else np.linspace(2 * nv + 0.5, nv, k)
@@ -363,7 +354,6 @@ def fake_traj(nu, nv, settled=True, truncated=False):
         norm_v_inf=tail_v,
         mass_u=tail_u.copy(),
         mass_v=tail_v.copy(),
-        truncated=truncated,
     )
 
 
@@ -380,11 +370,6 @@ def fake_traj(nu, nv, settled=True, truncated=False):
 def test_classify_outcome_table(nu, nv, settled, verdict):
     out = classify_outcome(fake_traj(nu, nv, settled=settled), eps_extinct=1e-3)
     assert out.verdict is verdict
-
-
-def test_truncated_is_always_undecided():
-    out = classify_outcome(fake_traj(0.0, 1.8, truncated=True), eps_extinct=1e-3)
-    assert out.verdict is Verdict.UNDECIDED
 
 
 def test_default_extinction_threshold():
