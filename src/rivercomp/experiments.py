@@ -416,6 +416,7 @@ def _index_summary(stability: StabilityVerdict) -> dict:
         "growth_rate": report.growth_rate,
         "verdict": stability.verdict,
         "iterations": report.iterations,
+        "factorizations": report.factorizations,
         "residual": report.residual,
     }
 
@@ -485,15 +486,33 @@ def point_outcome(
     return Verdict.UNDECIDED, False
 
 
+def _warm_phi(warm: dict, key: str):
+    """The Perron vector of the eigen report kept under ``key``, or None."""
+    report = warm.get(key)
+    return None if report is None else report.phi
+
+
 def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
-    """Classify one drift rate against the problem's first-species lone state."""
+    """Classify one drift rate against the problem's first-species lone state.
+
+    ``warm`` carries the previous point's second-species lone state, pair,
+    and kappa and tau eigen reports; this point starts from them and
+    leaves its own in their place.
+    """
     cfg, eff, op1 = problem.cfg, problem.eff, problem.op1
     op2 = transport_for(problem.grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
     marginal = cfg.tolerances.marginal
-    kappa = semitrivial_stability(
-        op2, problem.u_hat.u, eff, tol_marginal=marginal, eigen_tol=cfg.tolerances.eigen
-    ).report.stability_index
+    eigen_tol = cfg.tolerances.eigen
+    warm["kappa"] = semitrivial_stability(
+        op2,
+        problem.u_hat.u,
+        eff,
+        tol_marginal=marginal,
+        eigen_tol=eigen_tol,
+        x0=_warm_phi(warm, "kappa"),
+    ).report
+    kappa = warm["kappa"].stability_index
 
     v_warm = warm.get("v_hat")
     if v_warm is not None:
@@ -504,9 +523,10 @@ def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
     else:
         v_state = solve_single_steady(op2, eff, tol=tol)
     warm["v_hat"] = v_state.u
-    tau = semitrivial_stability(
-        op1, v_state.u, eff, tol_marginal=marginal, eigen_tol=cfg.tolerances.eigen
-    ).report.stability_index
+    warm["tau"] = semitrivial_stability(
+        op1, v_state.u, eff, tol_marginal=marginal, eigen_tol=eigen_tol, x0=_warm_phi(warm, "tau")
+    ).report
+    tau = warm["tau"].stability_index
 
     # The pair search runs only where its answer can change the verdict:
     # both indices beyond the marginal band with the same sign.  Elsewhere
@@ -546,8 +566,11 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     The range is the open interval from omega1*alpha1 to alpha1, with
     omega1 = d2/d1; points sit on a uniform interior grid.  The resident
     profile of species 1 is solved once (it does not involve alpha2).
-    Points run in order, each warm-starting its lone state and pair from
-    the point before.
+    Points run in order, each warm-starting from the point before: the
+    second species' lone state (Newton from the previous profile), the
+    pair search (from the previous pair), and the kappa and tau eigen
+    solves (from the previous Perron vectors).  The first point and the
+    edge probes start cold.
     """
     p = cfg.params
     if not (p.d1 > p.d2 > 0.0):
@@ -745,10 +768,20 @@ def run_verification(cfg: RunConfig) -> dict:
 
 
 def _eigen_difference(problem: Problem):
+    # kappa's eigen solve is op2's eigenpair under the same potential and
+    # tolerance, so the identity reuses it.
     p, eigen_tol = problem.cfg.params, problem.cfg.tolerances.eigen
     potential = invasion_potential(problem.u_hat.u, problem.eff)
     return eigen_difference_residual(
-        problem.op1, problem.op2, potential, p.d1, p.d2, p.alpha1, p.alpha2, eigen_tol=eigen_tol
+        problem.op1,
+        problem.op2,
+        potential,
+        p.d1,
+        p.d2,
+        p.alpha1,
+        p.alpha2,
+        eigen_tol=eigen_tol,
+        second=problem.kappa.report,
     )
 
 

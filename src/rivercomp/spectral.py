@@ -17,6 +17,15 @@ tightened well below the current margin, which turns the usually slow
 power-type convergence into a few sharp steps even when the spectral gap
 is tiny compared to the matrix norm.
 
+The iteration starts from x = 1 unless the caller passes a strictly
+positive start vector ``x0``.  Because the bracket holds for every
+positive vector, any such start keeps every guard above intact; a start
+near the Perron vector, such as the eigenvector of a neighbouring
+parameter value (the predictor step of a continuation method, Allgower
+& Georg 1990), gives a tight bracket at once, so the first shift already
+sits close to the eigenvalue and the solve takes a few steps and one or
+two factorizations.  ``EigenReport.factorizations`` counts the shifts.
+
 Each shift factors shift·I - (L + diag(p)) through
 ``linsolve.factor_shifted``: from the operator's bands on a 1-D grid,
 by sparse LU on a 2-D one.  The products with L + diag(p) behind the
@@ -65,12 +74,15 @@ class EigenReport:
     small seed of the linearized species grows.  ``stability_index`` is
     its negation, so positive values certify stability.  ``phi`` is the
     strictly positive eigenvector scaled to unit sup-norm.
+    ``factorizations`` counts the shifted matrices factored: the first
+    shift plus every re-anchor and back-off (0 for the dense path).
     """
 
     growth_rate: float
     phi: np.ndarray
     iterations: int
     residual: float
+    factorizations: int
 
     @property
     def stability_index(self) -> float:
@@ -100,50 +112,70 @@ def principal_eigenpair(
     potential: np.ndarray,
     tol: float = 1e-12,
     max_iter: int = 10_000,
+    x0: np.ndarray | None = None,
 ) -> EigenReport:
     """Dominant eigenpair of L + diag(potential) by guarded inverse iteration.
 
     ``tol`` is relative: the iteration stops when the eigen-residual in
     sup-norm drops below tol times the matrix sup-norm (floored near
     machine precision).  Raises SolverError if the cap is hit.
+
+    ``x0`` is the start vector, x = 1 when omitted.  It must have one
+    finite, strictly positive entry per cell (ConfigError otherwise):
+    the Collatz quotients of any positive vector bracket the eigenvalue,
+    so the first shift lies above it and the iterates stay positive
+    whatever the start.  A start near the Perron vector cuts the
+    iterations and shifts; the result then agrees with the cold start
+    to the residual target, not bitwise.
     """
     p = np.asarray(potential, dtype=float)
-    if p.shape != (op.grid.size,):
-        raise ConfigError(
-            f"potential has shape {p.shape}, expected ({op.grid.size},)"
-        )
-    matvec, rows = _shifted_matvec(op, p)
     n = op.grid.size
-    scale = float(np.max(rows))
+    if p.shape != (n,):
+        raise ConfigError(f"potential has shape {p.shape}, expected ({n},)")
+    if x0 is None:
+        x = np.ones(n)
+    else:
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (n,):
+            raise ConfigError(f"start vector has shape {x.shape}, expected ({n},)")
+        if not (np.all(np.isfinite(x)) and x.min() > 0.0):
+            raise ConfigError("start vector must be finite and strictly positive")
+    matvec, rows = _shifted_matvec(op, p)
+    scale = float(rows.max())
     if scale == 0.0:
-        return EigenReport(growth_rate=0.0, phi=np.ones(n), iterations=0, residual=0.0)
+        return EigenReport(
+            growth_rate=0.0, phi=np.ones(n), iterations=0, residual=0.0, factorizations=0
+        )
     res_target = max(tol, 64.0 * np.finfo(float).eps) * scale
     margin_floor = 1e-8 * scale
 
-    x = np.ones(n)
+    # Reductions go through the array methods: bitwise what np.min/np.max
+    # give, without the module-level wrapper on every iteration.
     q = matvec(x) / x
-    lo, hi = float(np.min(q)), float(np.max(q))
+    lo, hi = q.min(), q.max()
     margin = max(hi - lo, margin_floor)
     shift = hi + margin
     solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
+    factorizations = 1
 
     iterations = 0
     while iterations < max_iter:
         y = solver.solve(x)
         iterations += 1
-        if float(np.min(y)) <= 0.0:
+        if y.min() <= 0.0:
             # Numerically possible only when the shift sits almost on top
             # of the eigenvalue; back off and refactor.
             margin *= 10.0
             shift = hi + margin
             solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
+            factorizations += 1
             continue
-        x = y / float(np.max(y))
+        x = y / y.max()
         mx = matvec(x)
         q = mx / x  # the Collatz quotients bracket the dominant eigenvalue
-        lo, hi = float(np.min(q)), float(np.max(q))
+        lo, hi = q.min(), q.max()
         lam = float(x @ mx) / float(x @ x)
-        residual = float(np.max(np.abs(mx - lam * x)))
+        residual = float(np.abs(mx - lam * x).max())
         if residual <= res_target:
             # Polish toward the rounding floor while progress is cheap: the
             # shift is anchored by now, so each extra solve shrinks the
@@ -154,22 +186,29 @@ def principal_eigenpair(
                     break
                 y = solver.solve(x)
                 iterations += 1
-                if float(np.min(y)) <= 0.0:
+                if y.min() <= 0.0:
                     break
-                cand = y / float(np.max(y))
+                cand = y / y.max()
                 mc = matvec(cand)
                 lam_c = float(cand @ mc) / float(cand @ cand)
-                res_c = float(np.max(np.abs(mc - lam_c * cand)))
+                res_c = float(np.abs(mc - lam_c * cand).max())
                 if res_c < residual:
                     x, lam, residual = cand, lam_c, res_c
                 if res_c >= 0.5 * residual:
                     break
-            return EigenReport(growth_rate=lam, phi=x, iterations=iterations, residual=residual)
+            return EigenReport(
+                growth_rate=lam,
+                phi=x,
+                iterations=iterations,
+                residual=residual,
+                factorizations=factorizations,
+            )
         spread = max(hi - lo, margin_floor)
         if shift - hi > 8.0 * spread:
             margin = spread
             shift = hi + margin
             solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
+            factorizations += 1
     raise SolverError(
         f"eigen iteration did not reach residual {res_target:.3e} in {max_iter} solves "
         f"(last residual {residual:.3e})"
@@ -203,7 +242,9 @@ def dense_principal_eigenpair(op: TransportOperator, potential: np.ndarray) -> E
         raise SolverError("dense dominant eigenvector is not one-signed")
     mx = matrix @ phi
     residual = float(np.max(np.abs(mx - lam.real * phi)))
-    return EigenReport(growth_rate=float(lam.real), phi=phi, iterations=0, residual=residual)
+    return EigenReport(
+        growth_rate=float(lam.real), phi=phi, iterations=0, residual=residual, factorizations=0
+    )
 
 
 # ---------------------------------------------------------------------
@@ -229,15 +270,19 @@ def semitrivial_stability(
     eff: EffectiveParams,
     tol_marginal: float = TOL_MARGINAL,
     eigen_tol: float = 1e-12,
+    x0: np.ndarray | None = None,
 ) -> StabilityVerdict:
     """Linear stability of a single-species state against the other species.
 
     The invader moves with ``invader_op`` and experiences the per-capita
     growth left over by the resident.  A positive stability index beyond
     ``tol_marginal`` certifies the resident state repels the invader;
-    beyond it on the negative side, the invader gets in.
+    beyond it on the negative side, the invader gets in.  ``x0`` is the
+    eigen solve's start vector (see ``principal_eigenpair``).
     """
-    report = principal_eigenpair(invader_op, invasion_potential(resident, eff), tol=eigen_tol)
+    report = principal_eigenpair(
+        invader_op, invasion_potential(resident, eff), tol=eigen_tol, x0=x0
+    )
     idx = report.stability_index
     if idx > tol_marginal:
         verdict = "stable"
@@ -270,6 +315,7 @@ def eigen_difference_residual(
     alpha1: float,
     alpha2: float,
     eigen_tol: float = 1e-12,
+    second: EigenReport | None = None,
 ) -> EigenDifferenceReport:
     """Weighted-integral identity for the gap between two stability indices.
 
@@ -277,13 +323,15 @@ def eigen_difference_residual(
     between their stability indices (negated dominant eigenvalues)
     equals a weighted integral built from the two eigenvectors; the
     discrete mismatch shrinks at second order in the mesh width, which
-    pins down both eigensolver and quadrature at once.
+    pins down both eigensolver and quadrature at once.  ``second`` is
+    op2's eigenpair under this potential when the caller already has
+    it; it is solved here otherwise.
     """
     grid = op1.grid
     if grid.dim != 1:
         raise ConfigError("the eigenvalue difference identity is a 1-D diagnostic")
     rep1 = principal_eigenpair(op1, potential, tol=eigen_tol)
-    rep2 = principal_eigenpair(op2, potential, tol=eigen_tol)
+    rep2 = second if second is not None else principal_eigenpair(op2, potential, tol=eigen_tol)
     x = grid.centers
     h = grid.h
     z1, z2 = rep1.phi, rep2.phi

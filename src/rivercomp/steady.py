@@ -122,7 +122,7 @@ def _march(
     for k in range(1, max_steps + 1):
         u_next = solve.solve(u + dt * eff.rr1.values * u * (1.0 - u / eff.K1.values))
         np.maximum(u_next, 0.0, out=u_next)
-        rate = float(np.max(np.abs(u_next - u))) / dt
+        rate = float(np.abs(u_next - u).max()) / dt
         u = u_next
         if rate < rate_tol:
             return u, k
@@ -143,7 +143,7 @@ def _newton_single(
     rr1 = eff.rr1.values
     K1 = eff.K1.values
     res = _single_residual(op, eff, u)
-    res_norm = float(np.max(np.abs(res)))
+    res_norm = float(np.abs(res).max())
     for it in range(1, max_iter + 1):
         if res_norm < tol:
             return u, it - 1
@@ -155,7 +155,7 @@ def _newton_single(
         while s >= _MIN_DAMPING:
             trial = u + s * delta
             trial_res = _single_residual(op, eff, trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
+            trial_norm = float(np.abs(trial_res).max())
             if trial_norm <= (1.0 - _ARMIJO_SLOPE * s) * res_norm:
                 u, res, res_norm = trial, trial_res, trial_norm
                 break

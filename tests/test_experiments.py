@@ -5,14 +5,17 @@ habitat (slow movement, moderate harvest) has no coexistence window, so
 every interior point must classify as a second-species win.  The sweep
 searches for a coexistence pair only where the answer can change the
 verdict; an ungated copy of its point evaluation, kept here as an oracle,
-searches at every point.
+searches at every point.  Its kappa and tau eigen solves start from the
+previous point's Perron vectors; a copy that starts every one cold is
+the oracle for that.
 """
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from rivercomp import experiments
+from rivercomp import experiments, spectral
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError, SolverError
 from rivercomp.experiments import (
@@ -27,8 +30,9 @@ from rivercomp.experiments import (
     sweep_alpha2,
     sweep_transitions,
 )
+from rivercomp.linsolve import factor_shifted
 from rivercomp.operators import transport_for
-from rivercomp.spectral import semitrivial_stability
+from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
 from rivercomp.steady import solve_coexistence, solve_single_steady
 from rivercomp.stepping import Verdict
 
@@ -148,6 +152,9 @@ def test_eigen_report_weak_harvest_verdicts():
     assert report["u_state"]["stability_index"] < 0.0
     assert report["v_state"]["stability_index"] > 0.0
     assert report["faster_disperser_higher_ratio"] is True
+    for state in ("u_state", "v_state"):
+        assert type(report[state]["factorizations"]) is int
+        assert 1 <= report[state]["factorizations"] <= report[state]["iterations"]
 
 
 def test_steady_report_finds_no_pair_in_weak_harvest_habitat():
@@ -212,9 +219,11 @@ def ungated_evaluate_point(problem, alpha2, warm):
     )
     op2 = transport_for(grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
-    kappa = semitrivial_stability(
-        op2, resident_u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
-    ).report.stability_index
+    warm["kappa"] = semitrivial_stability(
+        op2, resident_u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen,
+        x0=warm["kappa"].phi if "kappa" in warm else None,
+    ).report
+    kappa = warm["kappa"].stability_index
     v_warm = warm.get("v_hat")
     if v_warm is not None:
         try:
@@ -224,9 +233,11 @@ def ungated_evaluate_point(problem, alpha2, warm):
     else:
         v_state = solve_single_steady(op2, eff, tol=tol)
     warm["v_hat"] = v_state.u
-    tau = semitrivial_stability(
-        op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen
-    ).report.stability_index
+    warm["tau"] = semitrivial_stability(
+        op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen,
+        x0=warm["tau"].phi if "tau" in warm else None,
+    ).report
+    tau = warm["tau"].stability_index
 
     note = ""
     found = False
@@ -346,3 +357,101 @@ def test_gated_sweep_agrees_with_the_ungated_oracle(monkeypatch, family):
             assert (got.coexistence_found, got.note) == (False, "")
     if family == "sliver":
         assert gated.window is not None
+
+
+# ---------------------------------------------------------------------
+# eigen solves warm-started from the previous point
+# ---------------------------------------------------------------------
+
+
+def cold_eigen_evaluate_point(problem, alpha2, warm, evaluate=experiments._evaluate_point):
+    """A sweep point whose kappa and tau eigen solves start from x = 1."""
+    warm.pop("kappa", None)
+    warm.pop("tau", None)
+    return evaluate(problem, alpha2, warm)
+
+
+def spy_eigen_solves(monkeypatch):
+    """Record (growth rate, residual target) of every invasion eigen solve."""
+    solves = []
+
+    def spy(invader_op, resident, eff, **kwargs):
+        verdict = semitrivial_stability(invader_op, resident, eff, **kwargs)
+        rows = spectral._shifted_matvec(invader_op, invasion_potential(resident, eff))[1]
+        target = max(kwargs["eigen_tol"], 64.0 * np.finfo(float).eps) * float(rows.max())
+        solves.append((verdict.report.growth_rate, target))
+        return verdict
+
+    monkeypatch.setattr(experiments, "semitrivial_stability", spy)
+    return solves
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_warm_eigen_sweep_agrees_with_the_cold_oracle(monkeypatch, family):
+    cfg = parse_config(overrides=dict(_ORACLE_FAMILIES[family], mode="sweep"))
+    solves = spy_eigen_solves(monkeypatch)
+    warm = sweep_alpha2(cfg)
+    warm_solves = solves[:]
+    solves.clear()
+    monkeypatch.setattr(experiments, "_evaluate_point", cold_eigen_evaluate_point)
+    cold = sweep_alpha2(cfg)
+    cold_solves = solves
+
+    assert warm.window == cold.window
+    assert warm.anomalies == cold.anomalies
+    assert len(warm.edge_points) == len(cold.edge_points)
+    for got, want in zip(warm.points + warm.edge_points, cold.points + cold.edge_points):
+        assert got.alpha2 == want.alpha2
+        assert (got.verdict, got.anomaly) == (want.verdict, want.anomaly)
+        assert (got.coexistence_found, got.note) == (want.coexistence_found, want.note)
+    # The lone states do not depend on the eigen solves, so the n-th solve
+    # of both sweeps is the same matrix; each eigenvalue meets its target.
+    assert len(warm_solves) == len(cold_solves)
+    for (got, target), (want, _) in zip(warm_solves, cold_solves):
+        assert abs(got - want) <= target
+
+
+def test_criterion_6_sweep_eigen_work(monkeypatch):
+    # With every eigen solve started cold this sweep takes 644 iterations
+    # and 330 shift factorizations.
+    factored = []
+
+    def spy(*args, **kwargs):
+        factored.append(kwargs["shift"])
+        return factor_shifted(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "factor_shifted", spy)
+    reports = []
+
+    def record(*args, **kwargs):
+        verdict = semitrivial_stability(*args, **kwargs)
+        reports.append(verdict.report)
+        return verdict
+
+    monkeypatch.setattr(experiments, "semitrivial_stability", record)
+    cfg = parse_config(overrides=dict(SLOW, mode="sweep", n=256, points=33))
+    result = sweep_alpha2(cfg)
+    assert result.verdict_pattern() == ["VWins"] * 33
+    assert len(reports) == 66
+    assert sum(r.iterations for r in reports) <= 322
+    assert len(factored) <= 200
+    assert len(factored) == sum(r.factorizations for r in reports)
+
+
+def test_verification_solves_each_eigenpair_once(monkeypatch):
+    # kappa's eigenpair is the eigen-difference identity's second one, on
+    # the fine grid and on the halved one.
+    solved = []
+
+    def spy(op, potential, **kwargs):
+        solved.append((op.grid.size, op.alpha, potential.tobytes()))
+        return principal_eigenpair(op, potential, **kwargs)
+
+    monkeypatch.setattr(spectral, "principal_eigenpair", spy)
+    report = run_verification(preset_config("fig1", {"n": 128}))
+    assert report["all_pass"] is True
+    assert "coarse_residual" in report["checks"]["eigen_difference"]
+    assert len(solved) == len(set(solved)) == 5
+    assert sorted((n, alpha) for n, alpha, _ in solved) == [
+        (64, 0.04), (64, 0.05), (128, 0.04), (128, 0.05), (128, 0.05)
+    ]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError
@@ -8,6 +10,7 @@ from rivercomp.model import ModelParams, build_effective_params
 from rivercomp.operators import transport_for
 from rivercomp.spectral import (
     TOL_MARGINAL,
+    _shifted_matvec,
     dense_principal_eigenpair,
     drift_band_excess,
     eigen_difference_residual,
@@ -156,3 +159,81 @@ def test_drift_band_needs_positive_input():
 
     with pytest.raises(SolverError):
         drift_band_excess(phi, 0.1, 0.05, grid)
+
+
+# ---------------------------------------------------------------------
+# start vector
+# ---------------------------------------------------------------------
+
+
+def residual_target(op, potential, tol=1e-12):
+    """The eigen iteration's stopping residual for L + diag(potential)."""
+    return max(tol, 64.0 * np.finfo(float).eps) * float(_shifted_matvec(op, potential)[1].max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(8, 128),
+    log_d=st.floats(-2.0, 0.5),
+    # Drift up to 10 diffusion lengths keeps the eigenvalue's condition
+    # number small enough that residual and eigenvalue error agree in size.
+    ratio=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_any_positive_start_gives_the_cold_eigenvalue(n, log_d, ratio, seed):
+    rng = np.random.default_rng(seed)
+    grid = make_grid(1, 0.0, 1.0, n)
+    d = 10.0**log_d
+    op = transport_for(grid, d, ratio * d)
+    potential = rng.uniform(-1.0, 1.0, n)
+    x0 = np.exp(rng.uniform(-3.0, 3.0, n))
+    cold = principal_eigenpair(op, potential)
+    warm = principal_eigenpair(op, potential, x0=x0)
+    assert abs(warm.growth_rate - cold.growth_rate) <= residual_target(op, potential)
+    assert warm.phi.min() > 0.0
+    assert warm.phi.max() == 1.0
+
+
+def test_unit_start_is_the_cold_path_bitwise():
+    cfg, grid, eff, op1, op2 = weak_setup(128)
+    potential = invasion_potential(solve_single_steady(op1, eff).u, eff)
+    cold = principal_eigenpair(op2, potential)
+    unit = principal_eigenpair(op2, potential, x0=np.ones(grid.size))
+    assert unit.growth_rate == cold.growth_rate
+    assert (unit.iterations, unit.factorizations) == (cold.iterations, cold.factorizations)
+    assert np.array_equal(unit.phi, cold.phi)
+
+
+def test_start_at_the_perron_vector_converges_at_once():
+    cfg, grid, eff, op1, op2 = weak_setup(256)
+    potential = invasion_potential(solve_single_steady(op1, eff).u, eff)
+    cold = principal_eigenpair(op2, potential)
+    assert cold.factorizations > 1
+    warm = principal_eigenpair(op2, potential, x0=cold.phi)
+    assert warm.iterations <= 2
+    assert warm.factorizations == 1
+    assert abs(warm.growth_rate - cold.growth_rate) <= residual_target(op2, potential)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["zero", "negative", "nan", "inf", "short", "column"],
+)
+def test_start_vector_must_be_finite_positive_and_one_per_cell(bad):
+    grid = make_grid(1, 0.0, 1.0, 32)
+    op = transport_for(grid, 0.08, 0.05)
+    x0 = np.ones(grid.size)
+    if bad == "zero":
+        x0[5] = 0.0
+    elif bad == "negative":
+        x0[-1] = -1e-3
+    elif bad == "nan":
+        x0[0] = np.nan
+    elif bad == "inf":
+        x0[7] = np.inf
+    elif bad == "short":
+        x0 = x0[:-1]
+    else:
+        x0 = x0[:, None]
+    with pytest.raises(ConfigError, match="start vector"):
+        principal_eigenpair(op, np.zeros(grid.size), x0=x0)
