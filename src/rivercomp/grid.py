@@ -78,12 +78,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ConfigError("field contains non-finite values")
 
-    def as_2d(self) -> np.ndarray:
-        """Reshape to (n, n) with y as the slow axis; 2-D grids only."""
-        if self.grid.dim != 2:
-            raise ConfigError("as_2d() is only meaningful on a 2-D grid")
-        return self.values.reshape(self.grid.n, self.grid.n)
-
     @property
     def mass(self) -> float:
         """Cell-volume weighted total, i.e. the midpoint-rule integral."""

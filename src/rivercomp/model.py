@@ -13,7 +13,7 @@ and ``raw_reaction`` evaluate the two algebraically identical forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class ModelParams:
     def equal_harvest(self) -> bool:
         return self.mu1 == self.mu2
 
-    def with_alpha2(self, alpha2: float) -> "ModelParams":
-        return replace(self, alpha2=alpha2)
-
 
 @dataclass(frozen=True)
 class EffectiveParams:
@@ -91,15 +88,11 @@ class EffectiveParams:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """Drift-to-diffusion ratios and the ordering flags built from them."""
+    """The two drift-to-diffusion ratios and which one dominates."""
 
     ratio1: float  # alpha1 / d1
     ratio2: float  # alpha2 / d2
     holds_c1: bool  # ratio1 >= ratio2
-    holds_c2: bool  # ratio1 <  ratio2
-    d_ordered: bool  # d1 > d2 > 0
-    alpha_ordered: bool  # alpha1 > alpha2 > 0
-    omega1: float  # d2 / d1, the lower edge factor of the drift window
 
 
 def build_effective_params(params: ModelParams, grid: Grid, mu: float | None = None) -> EffectiveParams:
@@ -160,21 +153,7 @@ def raw_reaction(
 
 
 def classify_regime(params: ModelParams) -> RegimeReport:
-    """Compare the two drift-to-diffusion ratios.
-
-    Exactly one of the two regime flags holds; ties (equal ratios) land on
-    ``holds_c1``.  ``omega1 = d2/d1`` scales the lower end of the alpha2
-    interval inside which outcomes flip from one exclusion to the other.
-    """
+    """Compare the two drift-to-diffusion ratios; ties land on ``holds_c1``."""
     ratio1 = params.alpha1 / params.d1
     ratio2 = params.alpha2 / params.d2
-    holds_c1 = ratio1 >= ratio2
-    return RegimeReport(
-        ratio1=ratio1,
-        ratio2=ratio2,
-        holds_c1=holds_c1,
-        holds_c2=not holds_c1,
-        d_ordered=params.d1 > params.d2 > 0.0,
-        alpha_ordered=params.alpha1 > params.alpha2 > 0.0,
-        omega1=params.d2 / params.d1,
-    )
+    return RegimeReport(ratio1=ratio1, ratio2=ratio2, holds_c1=ratio1 >= ratio2)

@@ -2,10 +2,12 @@
 
 The single-species resident profile solves  L u + r·r1·u·(1 - u/K1) = 0
 with the no-flux transport operator L; the coexistence system couples two
-of these through the shared quadratic term.  Both are solved by damped
-Newton iteration; the single-species path can also march in time first
-("hybrid", the default) or exclusively ("long-time"), which doubles as an
-independent cross-check of the Newton result.
+of these through the shared quadratic term.  Both go through one
+Armijo-damped Newton loop (``_damped_newton``), the pair on the stacked
+state [u; v]; only the linear solve of a step differs.  The
+single-species path can also march in time first ("hybrid", the default)
+or exclusively ("long-time"), which doubles as an independent
+cross-check of the Newton result.
 
 On a 1-D grid the single-species Newton and march systems are factored
 straight from the operator's bands (``linsolve.factor_shifted``), and the
@@ -21,12 +23,14 @@ The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
 refined grids: the growth-weighted capacity gap and its quadratic twin,
 log-slope bands, per-capita transport balance, and a pair of weighted
-integral-vs-boundary identities for coexistence pairs.
+integral-vs-boundary identities for coexistence pairs.  Face fluxes
+themselves come from ``operators.face_fluxes``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +43,7 @@ from .grid import Field, Grid
 from .linsolve import factor_shifted
 from .model import EffectiveParams, ModelParams
 from .operators import TransportOperator, face_fluxes
+from .stepping import max_stable_dt
 
 __all__ = [
     "SteadyState",
@@ -47,7 +52,6 @@ __all__ = [
     "LogSlopeReport",
     "BalanceResidual",
     "IdentityReport",
-    "FluxDiagnostics",
     "solve_single_steady",
     "solve_coexistence",
     "constant_capacity_companion",
@@ -56,7 +60,6 @@ __all__ = [
     "log_slope_report",
     "per_capita_balance_residual",
     "coexistence_identity_residuals",
-    "flux_diagnostics",
     "positivity_floor",
 ]
 
@@ -89,6 +92,48 @@ def positivity_floor(eff: EffectiveParams) -> float:
 
 
 # ---------------------------------------------------------------------
+# the damped Newton loop
+# ---------------------------------------------------------------------
+
+
+def _damped_newton(
+    residual: Callable[[np.ndarray], np.ndarray],
+    step: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x: np.ndarray,
+    tol: float,
+    max_iter: int,
+    what: str,
+) -> tuple[np.ndarray, float, int]:
+    """Armijo-damped Newton iteration on residual(x) = 0 in sup-norm.
+
+    ``step(x, res)`` returns the full Newton update for the residual
+    ``res`` at ``x``; the loop halves it until the residual norm falls by
+    the Armijo fraction.  Returns the state, its residual norm and the
+    number of updates taken (0 for a start that already meets ``tol``).
+    Raises ``SolverError`` naming ``what`` when no damping down to
+    ``_MIN_DAMPING`` helps, or after ``max_iter`` updates.
+    """
+    res = residual(x)
+    res_norm = float(np.abs(res).max())
+    for updates in range(max_iter):
+        if res_norm < tol:
+            return x, res_norm, updates
+        delta = step(x, res)
+        s = 1.0
+        while s >= _MIN_DAMPING:
+            trial = x + s * delta
+            trial_res = residual(trial)
+            trial_norm = float(np.abs(trial_res).max())
+            if trial_norm <= (1.0 - _ARMIJO_SLOPE * s) * res_norm:
+                x, res, res_norm = trial, trial_res, trial_norm
+                break
+            s *= 0.5
+        else:
+            raise SolverError(f"{what} Newton stalled at residual {res_norm:.3e} (target {tol:.3e})")
+    raise SolverError(f"{what} Newton hit the iteration cap at residual {res_norm:.3e}")
+
+
+# ---------------------------------------------------------------------
 # single species
 # ---------------------------------------------------------------------
 
@@ -116,7 +161,7 @@ def _march(
     # march can take the full reaction-stability step rather than the small
     # trajectory-accuracy step; convergence then needs O(10) steps per
     # relaxation time regardless of how hard the harvest squeezes r*r1.
-    dt = 0.9 / float(np.max(eff.rr1.values))
+    dt = max_stable_dt(eff)
     solve = factor_shifted(op, shift=1.0, scale=-dt)
     u = u0.copy()
     for k in range(1, max_steps + 1):
@@ -139,33 +184,19 @@ def _newton_single(
     tol: float,
     max_iter: int = 60,
 ) -> tuple[np.ndarray, int]:
-    u = u0.copy()
     rr1 = eff.rr1.values
     K1 = eff.K1.values
-    res = _single_residual(op, eff, u)
-    res_norm = float(np.abs(res).max())
-    for it in range(1, max_iter + 1):
-        if res_norm < tol:
-            return u, it - 1
+
+    def step(u: np.ndarray, res: np.ndarray) -> np.ndarray:
         try:
-            delta = factor_shifted(op, potential=rr1 * (1.0 - 2.0 * u / K1)).solve(-res)
+            return factor_shifted(op, potential=rr1 * (1.0 - 2.0 * u / K1)).solve(-res)
         except SolverError as exc:
             raise SolverError(f"steady-state Newton system is singular: {exc}") from None
-        s = 1.0
-        while s >= _MIN_DAMPING:
-            trial = u + s * delta
-            trial_res = _single_residual(op, eff, trial)
-            trial_norm = float(np.abs(trial_res).max())
-            if trial_norm <= (1.0 - _ARMIJO_SLOPE * s) * res_norm:
-                u, res, res_norm = trial, trial_res, trial_norm
-                break
-            s *= 0.5
-        else:
-            raise SolverError(
-                f"steady-state Newton stalled at residual {res_norm:.3e} "
-                f"(target {tol:.3e})"
-            )
-    raise SolverError(f"steady-state Newton hit the iteration cap at residual {res_norm:.3e}")
+
+    u, _, updates = _damped_newton(
+        lambda u: _single_residual(op, eff, u), step, u0.copy(), tol, max_iter, "steady-state"
+    )
+    return u, updates
 
 
 def solve_single_steady(
@@ -224,12 +255,11 @@ def solve_single_steady(
 
 
 def _pair_residual(
-    op1: TransportOperator,
-    op2: TransportOperator,
-    eff: EffectiveParams,
-    u: np.ndarray,
-    v: np.ndarray,
+    op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams, x: np.ndarray
 ) -> np.ndarray:
+    """Both species' residuals, stacked, at the stacked state x = [u; v]."""
+    n = op1.grid.size
+    u, v = x[:n], x[n:]
     shared = 1.0 - (u + v) / eff.K1.values
     return np.concatenate(
         [op1.apply(u) + eff.rr1.values * u * shared, op2.apply(v) + eff.rr1.values * v * shared]
@@ -334,48 +364,26 @@ def solve_coexistence(
     single-species or empty profile), which is the honest answer "no
     coexistence state found from this start" rather than a failure.
     """
-    K1 = eff.K1.values
     if guess is None:
-        u = K1 / 3.0
-        v = K1 / 3.0
-    else:
-        u = np.asarray(guess[0], dtype=float).copy()
-        v = np.asarray(guess[1], dtype=float).copy()
+        guess = (eff.K1.values / 3.0, eff.K1.values / 3.0)
+    x = np.concatenate(guess, dtype=float)
     n = op1.grid.size
     jacobian = _PairJacobian(op1, op2, eff)
 
-    res = _pair_residual(op1, op2, eff, u, v)
-    res_norm = float(np.max(np.abs(res)))
-    for it in range(1, max_iter + 1):
-        if res_norm < tol:
-            break
+    def step(x: np.ndarray, res: np.ndarray) -> np.ndarray:
         try:
-            lu = spla.splu(jacobian(u, v))
+            lu = spla.splu(jacobian(x[:n], x[n:]))
         except RuntimeError:
             raise SolverError(
                 "coexistence Jacobian is singular; a marginal/bifurcation "
                 "point is suspected at these parameters"
             ) from None
-        delta = lu.solve(-res)
-        s = 1.0
-        while s >= _MIN_DAMPING:
-            trial_u = u + s * delta[:n]
-            trial_v = v + s * delta[n:]
-            trial_res = _pair_residual(op1, op2, eff, trial_u, trial_v)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm <= (1.0 - _ARMIJO_SLOPE * s) * res_norm:
-                u, v, res, res_norm = trial_u, trial_v, trial_res, trial_norm
-                break
-            s *= 0.5
-        else:
-            raise SolverError(
-                f"coexistence Newton stalled at residual {res_norm:.3e} (target {tol:.3e})"
-            )
-    else:
-        raise SolverError(
-            f"coexistence Newton hit the iteration cap at residual {res_norm:.3e}"
-        )
+        return lu.solve(-res)
 
+    x, res_norm, updates = _damped_newton(
+        lambda x: _pair_residual(op1, op2, eff, x), step, x, tol, max_iter, "coexistence"
+    )
+    u, v = x[:n], x[n:]
     floor = positivity_floor(eff)
     if float(np.min(u)) <= floor or float(np.min(v)) <= floor:
         return None
@@ -384,7 +392,7 @@ def solve_coexistence(
         u=u,
         v=v,
         residual=res_norm,
-        iterations=it,
+        iterations=updates,
         jacobian_near_singular=_near_singular(jacobian(u, v)),
     )
 
@@ -595,39 +603,4 @@ def coexistence_identity_residuals(
         lhs_second=lhs_second,
         rhs_second=rhs_second,
         window=(x_lo, x_hi),
-    )
-
-
-@dataclass
-class FluxDiagnostics:
-    flux_u: np.ndarray  # at the n+1 faces
-    flux_v: np.ndarray
-    runs_u: list[tuple[int, int]]  # run-length encoded sign pattern
-    runs_v: list[tuple[int, int]]
-
-
-def _sign_runs(values: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    signs = np.where(values > tol, 1, np.where(values < -tol, -1, 0))
-    runs: list[tuple[int, int]] = []
-    for s in signs:
-        if runs and runs[-1][0] == int(s):
-            runs[-1] = (int(s), runs[-1][1] + 1)
-        else:
-            runs.append((int(s), 1))
-    return runs
-
-
-def flux_diagnostics(
-    u: np.ndarray, v: np.ndarray, op1: TransportOperator, op2: TransportOperator
-) -> FluxDiagnostics:
-    """Face fluxes of both species with their sign run-length patterns."""
-    fu = face_fluxes(op1, u)
-    fv = face_fluxes(op2, v)
-    scale = max(float(np.max(np.abs(fu))), float(np.max(np.abs(fv))), 1e-300)
-    tol = 1e-10 * scale
-    return FluxDiagnostics(
-        flux_u=fu,
-        flux_v=fv,
-        runs_u=_sign_runs(fu, tol),
-        runs_v=_sign_runs(fv, tol),
     )

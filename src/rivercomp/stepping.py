@@ -92,13 +92,6 @@ class Trajectory:
     clamp_events: int = 0
     implicit_solve: str | None = None  # the stepper's ``implicit_solve``
 
-    @property
-    def final_state(self) -> tuple[np.ndarray, np.ndarray]:
-        key = max(self.snapshots) if self.snapshots else None
-        if key is not None and key == self.times[-1]:
-            return self.snapshots[key]
-        raise ConfigError("no snapshot was recorded at the final time")
-
 
 def max_stable_dt(eff_or_params: EffectiveParams | ModelParams, r_values: np.ndarray | None = None) -> float:
     """Largest dt the explicit growth half tolerates with headroom 0.9.
@@ -203,19 +196,13 @@ class Stepper:
 
     # -- stepping --------------------------------------------------------
 
-    def step(
-        self, u: np.ndarray, v: np.ndarray | None = None
-    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Advance both species by dt; clamps and counts negative output.
+    def step(self, w: np.ndarray) -> np.ndarray:
+        """Advance the stacked (2, n) state by dt; clamps and counts negative output.
 
-        ``step(w)`` takes the stacked (2, n) state and returns the new
-        one; ``step(u, v)`` takes the species apart and returns views of
-        one new stacked array.  Neither aliases the reused buffers.
+        The new state does not alias the reused buffers.
         """
-        if v is None:
-            return self._advance(u)
-        w = self._advance(np.stack((u, v)))
-        return w[0], w[1]
+        x = self._solve.solve(self.explicit_rhs(w).ravel())
+        return self._clamp(x).reshape(w.shape)
 
     def explicit_rhs(self, w: np.ndarray) -> np.ndarray:
         """The stacked right-hand side w + dt·R(w), in the reused buffer."""
@@ -230,10 +217,6 @@ class Stepper:
         np.multiply(self.dt, rhs, out=rhs)
         np.add(w, rhs, out=rhs)
         return rhs
-
-    def _advance(self, w: np.ndarray) -> np.ndarray:
-        x = self._solve.solve(self.explicit_rhs(w).ravel())
-        return self._clamp(x).reshape(w.shape)
 
     def _clamp(self, w: np.ndarray) -> np.ndarray:
         """Zero negative entries of ``w`` in place, counting those below tolerance."""

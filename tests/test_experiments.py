@@ -10,6 +10,8 @@ previous point's Perron vectors; a copy that starts every one cold is
 the oracle for that.
 """
 
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,6 +207,22 @@ def test_verification_parses_its_halved_grid_once(monkeypatch):
     assert checks["coexistence_identities"]["skipped"] is False
     assert "ratios" in checks["coexistence_identities"]
     assert parsed == [32]
+
+
+# The fast-contrast family of the benchmark's verify menu: at n >= 512 its
+# cold pair Newton stalls at the rounding floor of L·u, and the note that
+# says so is compared as exact text by the benchmark reference.
+FAST = dict(d1=3.0, d2=0.8, alpha1=0.7, alpha2=0.03, mu=0.1)
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("n", [512, 1024])
+def test_fast_family_stall_note_matches_the_benchmark_reference(n):
+    want = json.loads(REFERENCE.read_text())["verify"][f"fast/n={n}"]["checks"]
+    report = run_verification(parse_config(overrides=dict(FAST, mode="verify", n=n)))
+    got = report["checks"]["coexistence_identities"]
+    assert got["note"] == want["coexistence_identities"]["note"]
+    assert got["note"].startswith("no pair: coexistence Newton stalled at residual ")
 
 
 # ---------------------------------------------------------------------

@@ -51,14 +51,9 @@ def test_2d_layout_x_fastest():
     np.testing.assert_allclose(x[:3], g.centers)
     np.testing.assert_allclose(y[:3], g.centers[0])
     f = sample_expression(g, "x")
-    np.testing.assert_allclose(f.as_2d()[0], g.centers)
-    np.testing.assert_allclose(f.as_2d()[:, 1], g.centers[1])
-
-
-def test_as_2d_rejected_in_1d():
-    g = make_grid(1, 0.0, 1.0, 4)
-    with pytest.raises(ConfigError):
-        Field(g, np.zeros(4)).as_2d()
+    rows = f.values.reshape(g.n, g.n)  # y is the slow axis
+    np.testing.assert_allclose(rows[0], g.centers)
+    np.testing.assert_allclose(rows[:, 1], g.centers[1])
 
 
 def test_sample_expression_positivity_range():

@@ -13,12 +13,12 @@ from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError, SolverError
 from rivercomp.model import ModelParams, build_effective_params
 from rivercomp.grid import make_grid
+from rivercomp import steady
 from rivercomp.operators import transport_for
 from rivercomp.steady import (
     capacity_gap_integral,
     coexistence_identity_residuals,
     constant_capacity_companion,
-    flux_diagnostics,
     log_slope,
     log_slope_report,
     per_capita_balance_residual,
@@ -152,7 +152,7 @@ class TestSymmetricFamily:
         single = solve_single_steady(op, eff)
         pair = solve_coexistence(op, op, eff, guess=(0.25 * single.u, 0.75 * single.u))
         assert pair is not None
-        assert pair.iterations == 1
+        assert pair.iterations == 0
         assert pair.residual < 1e-10
 
     def test_identity_residuals_vanish_exactly_on_the_full_window(self):
@@ -220,16 +220,30 @@ def test_narrow_coexistence_sliver_regression():
     assert pair.v.min() > 1e-3
 
 
-def test_flux_diagnostics_boundary_zeros_and_run_lengths():
+def test_converged_starts_take_no_newton_update():
+    cfg, grid, eff, op1, _ = weak_setup()
+    single = solve_single_steady(op1, eff)
+    assert single.method == "hybrid" and single.residual < 1e-10
+    again = solve_single_steady(op1, eff, method="newton", u0=single.u)
+    assert again.iterations == 0
+    np.testing.assert_array_equal(again.u, single.u)
+
     cfg, grid, eff, op = symmetric_setup()
-    single = solve_single_steady(op, eff)
-    pair = solve_coexistence(op, op, eff, guess=(0.5 * single.u, 0.5 * single.u))
-    diag = flux_diagnostics(pair.u, pair.v, op, op)
-    assert diag.flux_u[0] == 0.0
-    assert diag.flux_u[-1] == 0.0
-    assert diag.flux_v[0] == 0.0
-    assert diag.flux_v[-1] == 0.0
-    assert sum(length for _, length in diag.runs_u) == grid.n + 1
+    pair = solve_coexistence(op, op, eff)
+    assert pair.iterations > 0
+    again = solve_coexistence(op, op, eff, guess=(pair.u, pair.v))
+    assert again.iterations == 0
+    np.testing.assert_array_equal(again.u, pair.u)
+    np.testing.assert_array_equal(again.v, pair.v)
+
+
+def test_newton_iteration_cap_names_the_system():
+    cfg, grid, eff, op = symmetric_setup()
+    with pytest.raises(SolverError, match=r"^coexistence Newton hit the iteration cap at residual "):
+        solve_coexistence(op, op, eff, max_iter=1)
+    start = np.full(grid.size, float(np.mean(eff.K1.values)))
+    with pytest.raises(SolverError, match=r"^steady-state Newton hit the iteration cap at residual "):
+        steady._newton_single(op, eff, start, 1e-10, max_iter=1)
 
 
 def test_unknown_steady_method_rejected():

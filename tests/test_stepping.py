@@ -43,7 +43,7 @@ def make_stepper(n=64, mu=0.009, dt=None, form="folded", dim=1, mu2=None, **kw):
 def test_zero_state_is_absorbing():
     stepper, grid, _ = make_stepper()
     z = np.zeros(grid.size)
-    u, v = stepper.step(z, z)
+    u, v = stepper.step(np.stack((z, z)))
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(v, 0.0)
 
@@ -56,7 +56,7 @@ def test_mass_identity_single_step():
     v = np.full(grid.size, 0.5)
     ru = stepper.reaction_u(u, v)
     rv = stepper.reaction_v(u, v)
-    un, vn = stepper.step(u, v)
+    un, vn = stepper.step(np.stack((u, v)))
     h = grid.cell_volume
     assert abs(h * (un - u).sum() - 0.1 * h * ru.sum()) < 1e-12
     assert abs(h * (vn - v).sum() - 0.1 * h * rv.sum()) < 1e-12
@@ -79,7 +79,7 @@ def _assert_mass_identity_along_trajectory(stepper, grid):
     v = 0.3 + 0.2 * np.linspace(0.0, 1.0, grid.size)
     for _ in range(50):
         ru, rv = stepper.reaction_u(u, v), stepper.reaction_v(u, v)
-        un, vn = stepper.step(u, v)
+        un, vn = stepper.step(np.stack((u, v)))
         assert abs(h * (un - u).sum() - stepper.dt * h * ru.sum()) < 1e-11
         assert abs(h * (vn - v).sum() - stepper.dt * h * rv.sum()) < 1e-11
         u, v = un, vn
@@ -92,7 +92,7 @@ def test_spatially_homogeneous_reduction():
     stepper, grid, eff = make_stepper(alpha1=0.0, alpha2=0.0, K_expr="2.5", dt=0.1)
     u = np.full(grid.size, 0.8)
     v = np.zeros(grid.size)
-    un, _ = stepper.step(u, v)
+    un, _ = stepper.step(np.stack((u, v)))
     rr1 = eff.rr1.values[0]
     K1 = eff.K1.values[0]
     expected = 0.8 + 0.1 * rr1 * 0.8 * (1.0 - 0.8 / K1)
@@ -133,7 +133,7 @@ def _assert_positive_step(data, **kw):
     _, _, eff = make_stepper(**kw)
     stepper, grid, _ = make_stepper(dt=max_stable_dt(eff), **kw)
     u, v = data[0], data[1]
-    un, vn = stepper.step(u, v)
+    un, vn = stepper.step(np.stack((u, v)))
     assert un.min() >= 0.0 and vn.min() >= 0.0
     assert stepper.clamp_events == 0
 
@@ -142,9 +142,9 @@ def _assert_positive_step(data, **kw):
 def test_returned_states_do_not_alias_reused_buffers(dim):
     stepper, grid, _ = make_stepper(n=12, dim=dim, dt=0.1)
     x = np.linspace(0.0, 1.0, grid.size)
-    u, v = stepper.step(0.2 + x, 0.8 - 0.5 * x)
+    u, v = stepper.step(np.stack((0.2 + x, 0.8 - 0.5 * x)))
     kept = u.copy(), v.copy()
-    stepper.step(u, v)
+    stepper.step(np.stack((u, v)))
     np.testing.assert_array_equal(u, kept[0])
     np.testing.assert_array_equal(v, kept[1])
 
@@ -155,7 +155,7 @@ def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", refuse)
     stepper, grid, _ = make_stepper(n=12, dim=2, form="raw")
-    u, v = stepper.step(np.full(grid.size, 0.5), np.full(grid.size, 0.5))
+    u, v = stepper.step(np.full((2, grid.size), 0.5))
     assert u.min() > 0.0 and v.min() > 0.0
 
 
@@ -194,7 +194,7 @@ def test_integrate_zero_horizon_returns_initial_sample():
     traj = integrate(stepper, u0, v0, 0.0)
     assert list(traj.times) == [0.0]
     assert traj.norm_u_inf[0] == 0.2
-    np.testing.assert_array_equal(traj.final_state[1], v0)
+    np.testing.assert_array_equal(traj.snapshots[traj.times[-1]][1], v0)
 
 
 def test_integrate_validates_inputs():
@@ -214,7 +214,7 @@ def test_snapshots_and_final_state():
     traj = integrate(stepper, u0, u0, 1.0, snapshot_times=(0.0, 0.5))
     assert 0.0 in traj.snapshots
     assert any(abs(t - 0.5) < 0.1 + 1e-9 for t in traj.snapshots)
-    u_end, v_end = traj.final_state
+    u_end, v_end = traj.snapshots[traj.times[-1]]
     assert u_end.shape == (grid.size,)
 
 
@@ -266,7 +266,7 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
     v = rv = np.full(grid.size, 0.5)
     events = [0]
     for _ in range(300):
-        u, v = stepper.step(u, v)
+        u, v = stepper.step(np.stack((u, v)))
         ru, rv = (
             _two_scan_clamp(solve_u(ru + dt * stepper.reaction_u(ru, rv)), events),
             _two_scan_clamp(solve_v(rv + dt * stepper.reaction_v(ru, rv)), events),
@@ -308,7 +308,7 @@ def test_stepper_run_calls_no_reaction_oracle(monkeypatch, form, dim):
     u0 = np.full(grid.size, 0.5)
     traj = integrate(stepper, u0, u0, 20 * stepper.dt, n_samples=5)
     assert traj.times[-1] == pytest.approx(20 * stepper.dt)
-    stepper.step(u0, u0)
+    stepper.step(np.stack((u0, u0)))
 
 
 def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance():
