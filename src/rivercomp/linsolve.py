@@ -11,30 +11,42 @@ bitwise equal to ``scipy.linalg.solve_banded``.
 
 ``implicit_solver`` builds the time stepper's solve of
 I - dt·blockdiag(L_1, ..., L_S), the species' fields stacked, with one of
-three strategies (its ``name``):
+four strategies (its ``name``):
 
+- ``"symmetrized"`` (1-D, ``SymmetrizedSolve``): a diagonal scaling S
+  makes each block symmetric, S⁻¹·(I - dt·L)·S, a symmetric positive
+  definite tridiagonal matrix; the stack is factored once as LDLᵀ
+  (``pttrf``) and a solve is x = S·``pttrs``(S⁻¹·b) over S·n rows.  The
+  LDLᵀ sweeps carry no chain of dependent divides (two species on 256
+  cells: 5–7.5 µs with both scalings, against 9–10 µs for ``gttrs``,
+  on a 2-core VM).
 - ``"banded"`` (1-D): the species' tridiagonal systems stacked into one
   with zero coupling entries, one ``Factorization``; a solve is one
   ``gttrs`` over S·n rows.
 - ``"diagonal"`` (2-D, ``DiagonalSolve``): fast diagonalization (Lynch,
-  Rice & Thomas 1964) along both axes.  The DCT diagonalizes Ly; a
-  diagonal scaling S makes Lx symmetric, S⁻¹·Lx·S = Q·diag(θ)·Qᵀ, so
+  Rice & Thomas 1964) along both axes.  The DCT diagonalizes Ly; the
+  scaling S makes Lx symmetric, S⁻¹·Lx·S = Q·diag(θ)·Qᵀ, so
   Lx = V·diag(θ)·W with V = S·Q, W = Qᵀ·S⁻¹.  A solve is four batched
-  n×n matrix products and one elementwise divide: about 8·S·n³ flops and
-  no dependent chain (two species on 64×64: about 120 µs, against
-  230 µs for the modal-banded solve, on a 2-core VM).
+  n×n matrix products and one elementwise product with the precomputed
+  reciprocal denominators: about 8·S·n³ flops and no dependent chain
+  (two species on 64×64: about 120 µs, against 230 µs for the
+  modal-banded solve, on a 2-core VM).
 - ``"modal-banded"`` (2-D, ``SeparableSolve``): the DCT along y, then the
   tridiagonal block I - dt·Lx - dt·λ_j·I of every y-mode stacked and
   factored like the 1-D systems.  A solve is two DCT products and one
   ``gttrs`` over S·n² rows, a chain of dependent row operations.
 
-S carries Lx's off-diagonal ratios, s_{i+1}/s_i = √(l_i/u_i), so its
-spread max(s)/min(s) grows like exp(|α|·(b - a)/(2d)); it is the
+S carries the off-diagonal ratios of L (1-D) or Lx (2-D),
+s_{i+1}/s_i = √(l_i/u_i) (``_symmetrizer``), so its spread
+max(s)/min(s) grows like exp(|α|·(b - a)/(2d)).  In 2-D it is the
 condition number of V and W, and the diagonal solve's rounding error
-grows with it.  The diagonal solve is used only while the spread of
-every species stays within ``MAX_SYMMETRIZER_SPREAD``; drift-dominated
-input goes to the modal-banded one.  Both agree with sparse LU to
-rounding.
+grows with it.  In 1-D the matrix the symmetrized solve inverts,
+S·B·S⁻¹ with B rounded, differs from I - dt·L by a few ε relative to each
+entry (about (2 + ln(spread))·ε/2 from the rounding of s), so it agrees
+with ``solve_banded`` componentwise to rounding, not bitwise.  The
+symmetric strategies are used only while the spread of every species
+stays within ``MAX_SYMMETRIZER_SPREAD``; drift-dominated input goes to
+the banded ones.  The 2-D solves agree with sparse LU to rounding.
 
 The 2-D steady and eigen systems, and tridiagonal systems of fewer than
 three rows, go to ``sparse_lu``.  A singular matrix raises
@@ -56,6 +68,7 @@ __all__ = [
     "Factorization",
     "MAX_SYMMETRIZER_SPREAD",
     "SeparableSolve",
+    "SymmetrizedSolve",
     "factor_shifted",
     "implicit_solver",
     "sparse_lu",
@@ -64,13 +77,16 @@ __all__ = [
 # scipy's gttrf wrapper rejects systems of fewer rows; they go to sparse LU.
 _MIN_TRIDIAGONAL_ROWS = 3
 
-# Largest symmetrizer spread the diagonal solve accepts.  Against the
+# Largest symmetrizer spread the symmetric solves accept.  Against the
 # bounds of tests/test_linsolve.py::test_separable_solve_matches_splu, the
 # diagonal solve's worst residual over 200 random draws grew with the
 # spread: 0.12 of the bound up to spread 10, 0.41 up to 100, over 1 near
 # 300; the modal-banded solve stayed at 0.07 at any spread.  At 10 the
 # forward error (0.02 of its bound) matches the modal-banded solve's, and
-# |α|/d up to about 4.6 on a unit domain still qualifies.
+# |α|/d up to about 4.6 on a unit domain still qualifies.  The 1-D
+# symmetrized solve takes the same limit: within it, its worst over 3,000
+# random draws was 2.0ε of the componentwise bound A⁻¹(|A||x|), a quarter
+# of the bound in tests/test_linsolve.py.
 MAX_SYMMETRIZER_SPREAD = 10.0
 
 
@@ -177,15 +193,52 @@ class SeparableSolve:
         return np.matmul(self._basis.T, x.reshape(self._shape)).ravel()
 
 
-def _log_symmetrizer(bands) -> np.ndarray:
-    """log s for the diagonal s that makes diag(s)⁻¹·T·diag(s) symmetric.
+def _symmetrizer(bands) -> np.ndarray:
+    """The diagonal s that makes diag(s)⁻¹·T·diag(s) symmetric, centred.
 
-    T is the tridiagonal matrix with ``bands``; s_0 = 1 and
+    T is the tridiagonal matrix with ``bands``:
     s_{i+1} = s_i·√(lower_i/upper_i), real because assembly keeps both
-    off-diagonals positive.  The spread max(s)/min(s) is exp(ptp(log s)).
+    off-diagonals positive, and scaled so that max(s)·min(s) = 1.  Its
+    spread is max(s)/min(s); a spread beyond the float range (above about
+    e^1400) reads as inf.
     """
     lower, _, upper = bands
-    return np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
+    log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(lower / upper))))
+    with np.errstate(over="ignore"):
+        return np.exp(log_s - 0.5 * (log_s.max() + log_s.min()))
+
+
+class SymmetrizedSolve:
+    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for 1-D operators.
+
+    With S = diag(s) from ``_symmetrizer``, B = S⁻¹·(I - dt·L)·S has the
+    diagonal 1 - dt·diag and both off-diagonals -dt·√(lower·upper).  It
+    is similar to the M-matrix I - dt·L, so it is a symmetric positive
+    definite M-matrix.  The species' blocks are stacked with zero
+    coupling entries and factored once as LDLᵀ; a solve is
+    x = S·``pttrs``(S⁻¹·b) in a new array.  L's factors are nonpositive
+    and D's pivots positive, so on a nonnegative right-hand side every
+    operation adds a nonnegative term or divides by a pivot: the solution
+    is nonnegative in floating point, as with ``gttrs``.
+    """
+
+    name = "symmetrized"
+
+    def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
+        s, diag, off = [], [], []
+        for op in ops:
+            lower, d, upper = op.bands
+            s.append(_symmetrizer(op.bands))
+            diag.append(1.0 - dt * d)
+            off.append(np.append(-dt * np.sqrt(lower * upper), 0.0))
+        self._s = np.concatenate(s)
+        *self._factors, info = lapack.dpttrf(np.concatenate(diag), np.concatenate(off)[:-1])
+        if info > 0:
+            raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dpttrs(*self._factors, rhs / self._s, overwrite_b=1)
+        return np.multiply(x, self._s, out=x)
 
 
 class DiagonalSolve:
@@ -194,12 +247,12 @@ class DiagonalSolve:
     Each L_s = I⊗Lx_s + Ly_s⊗I; with Ly_s = Cᵀ·diag(λ_s)·C and
     Lx_s = V_s·diag(θ_s)·W_s (see the module docstring),
 
-        X_s = Cᵀ·[(C·R_s·W_sᵀ) / (1 - dt·(λ_sj + θ_si))]·V_sᵀ
+        X_s = Cᵀ·[(C·R_s·W_sᵀ) · 1/(1 - dt·(λ_sj + θ_si))]·V_sᵀ
 
     on the (species, y, x) view of the stacked flat x-fastest fields,
-    with s scaled so that max(s)·min(s) = 1.  The intermediate products
-    go to two work arrays reused across solves; the solution is a new
-    array.
+    with the centred s of ``_symmetrizer``; the reciprocals are formed
+    once here.  The intermediate products go to two work arrays reused
+    across solves; the solution is a new array.
     """
 
     name = "diagonal"
@@ -211,40 +264,43 @@ class DiagonalSolve:
         v_t, w_t, den = [], [], []
         for op in ops:
             bands, lam = separable_parts(op)
-            log_s = _log_symmetrizer(bands)
-            s = np.exp(log_s - 0.5 * (log_s.max() + log_s.min()))
+            s = _symmetrizer(bands)
             lower, diag, upper = bands
             theta, q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
             v_t.append((s[:, None] * q).T)
             w_t.append(q / s[:, None])
             den.append(1.0 - dt * (lam[:, None] + theta[None, :]))
-        self._v_t, self._w_t, self._den = np.stack(v_t), np.stack(w_t), np.stack(den)
+        self._v_t, self._w_t, self._inv_den = np.stack(v_t), np.stack(w_t), 1.0 / np.stack(den)
         self._work = np.empty((2, *self._shape))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         left, modal = self._work
         np.matmul(self._basis, rhs.reshape(self._shape), out=left)
         np.matmul(left, self._w_t, out=modal)
-        np.divide(modal, self._den, out=modal)
+        np.multiply(modal, self._inv_den, out=modal)
         np.matmul(self._basis.T, modal, out=left)
         return np.matmul(left, self._v_t).ravel()
 
 
 def implicit_solver(
     ops: tuple[TransportOperator, ...], dt: float
-) -> Factorization | DiagonalSolve | SeparableSolve:
+) -> SymmetrizedSolve | Factorization | DiagonalSolve | SeparableSolve:
     """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for operators on one grid.
 
-    The right-hand side stacks the species' fields.  In 1-D the stack is
-    one tridiagonal system whose coupling entries are zero, so it is
-    bitwise equal to solving the species apart.  In 2-D it is
-    ``DiagonalSolve`` when every species' symmetrizer spread is at most
-    ``MAX_SYMMETRIZER_SPREAD``, else ``SeparableSolve``.
+    The right-hand side stacks the species' fields.  When every species'
+    symmetrizer spread (of L in 1-D, of Lx in 2-D) is at most
+    ``MAX_SYMMETRIZER_SPREAD`` it is ``SymmetrizedSolve`` in 1-D and
+    ``DiagonalSolve`` in 2-D.  Otherwise it is, in 1-D, one stacked
+    tridiagonal ``Factorization`` whose coupling entries are zero, so it
+    is bitwise equal to solving the species apart, and in 2-D
+    ``SeparableSolve``.
     """
-    if ops[0].bands is None:
-        limit = np.log(MAX_SYMMETRIZER_SPREAD)
-        if all(np.ptp(_log_symmetrizer(separable_parts(op)[0])) <= limit for op in ops):
-            return DiagonalSolve(ops, dt)
-        return SeparableSolve(ops, dt)
+    planar = ops[0].bands is None
+    symmetrizers = (_symmetrizer(separable_parts(op)[0] if planar else op.bands) for op in ops)
+    symmetric = all(s.max() / s.min() <= MAX_SYMMETRIZER_SPREAD for s in symmetrizers)
+    if planar:
+        return DiagonalSolve(ops, dt) if symmetric else SeparableSolve(ops, dt)
+    if symmetric:
+        return SymmetrizedSolve(ops, dt)
     blocks = [_implicit_blocks(op.bands, np.zeros(1), dt) for op in ops]
     return _stack(*(np.concatenate(band) for band in zip(*blocks)))

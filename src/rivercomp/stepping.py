@@ -15,12 +15,12 @@ exactly dt times the integrated reaction (the transport columns sum to
 zero).
 
 The stepper carries both species as one stacked (2, n) state.  Its
-explicit half evaluates both reactions in one fused pass, sharing
-u + v and 1 - (u + v)/K, and writes u + dt R_u and v + dt R_v straight
-into one stacked right-hand side; the implicit half is one solve of the
-stacked system (see ``linsolve.implicit_solver``).  ``model.reaction``
-and ``model.raw_reaction`` stay as the oracles the fused pass matches
-bitwise.
+explicit half writes u + dt R_u and v + dt R_v for both species into one
+stacked right-hand side in four passes, from coefficients formed once
+(see ``Stepper``); the implicit half is one solve of the stacked system
+(see ``linsolve.implicit_solver``).  ``model.reaction`` and
+``model.raw_reaction`` stay as the oracles the fused pass matches to
+rounding.
 
 Trajectories record sup-norms and masses at a fixed sample cadence, plus
 full snapshots at requested times; the classifier turns the recorded
@@ -123,24 +123,25 @@ class Stepper:
     unequal fractions.
 
     The state is the stacked (2, n) array w = [u; v].  The explicit half
-    evaluates both species' reactions in one pass over w, straight into
-    one right-hand-side buffer reused across steps:
+    evaluates both species' reactions together, straight into one
+    right-hand-side buffer reused across steps:
 
-        g = 1 - (u + v)/cap,   rhs = w + dt·((rate·w)·g - loss·w),
+        rhs = w·(a - b·(u + v)),   a = 1 + dt·rate·(1 - mu_s),   b = dt·rate/cap,
 
-    with rate = r·r1, cap = K1 and no loss term in the folded form, and
-    rate = r, cap = K, loss = [mu1·r; mu2·r] in the raw form.  Each
-    species keeps the operation order of ``model.reaction`` and
-    ``model.raw_reaction`` (u + v and v + u are the same IEEE sum), so
-    the right-hand side is bitwise what those oracles give.
+    which is w + dt·((rate·w)·(1 - (u + v)/cap) - mu_s·rate·w) regrouped:
+    four passes over w.  The folded form has rate = r·r1, cap = K1 and no
+    harvest term (a is one (n,) row for both species); the raw form has
+    rate = r, cap = K and a = [1 + dt·r·(1 - mu1); 1 + dt·r·(1 - mu2)].
+    The regrouping rounds differently from ``model.reaction`` and
+    ``model.raw_reaction``, which stay as its oracles: the two agree to
+    a few ε relative to each term (see the tests).
 
     The implicit half of both species is one block-diagonal system,
     I - dt·blockdiag(L1, L2), factored once here
     (``linsolve.implicit_solver``; its strategy is ``implicit_solve``):
-    one solve and one clamp pass per step.  In 1-D the stack is still
-    tridiagonal (the coupling entries are zero, so no row is
-    interchanged) and the result is bitwise equal to solving the two
-    species apart.  In 2-D the solve agrees with sparse LU to rounding.
+    one solve and one clamp pass per step.  It agrees with solving the
+    two species apart to rounding; the drift-dominated 1-D fallback, one
+    stacked tridiagonal system, is bitwise equal to solving them apart.
     """
 
     def __init__(
@@ -169,16 +170,15 @@ class Stepper:
         self.dt = float(dt)
         self.clamp_events = 0
 
-        n = self.grid.size
         if form == "folded":
-            self._rate, self._cap, self._loss = eff.rr1.values, eff.K1.values, None
+            rate, cap, keep = eff.rr1.values, eff.K1.values, 1.0
         else:
-            r = eff.r.values
-            self._rate, self._cap = r, eff.K.values
-            self._loss = np.stack((params.mu1 * r, params.mu2 * r))
-        self._rhs = np.empty((2, n))
-        self._crowding = np.empty(n)
-        self._harvest = np.empty((2, n))
+            rate, cap = eff.r.values, eff.K.values
+            keep = np.array([[1.0 - params.mu1], [1.0 - params.mu2]])
+        self._growth = 1.0 + self.dt * rate * keep
+        self._crowding = self.dt * rate / cap
+        self._rhs = np.empty((2, self.grid.size))
+        self._sum = np.empty(self.grid.size)
         self._solve = implicit_solver((op1, op2), self.dt)
         self.implicit_solve = self._solve.name
 
@@ -205,17 +205,12 @@ class Stepper:
         return self._clamp(x).reshape(w.shape)
 
     def explicit_rhs(self, w: np.ndarray) -> np.ndarray:
-        """The stacked right-hand side w + dt·R(w), in the reused buffer."""
-        rhs, g = self._rhs, self._crowding
+        """The stacked right-hand side w·(a - b·(u + v)) = w + dt·R(w), in the reused buffer."""
+        rhs, g = self._rhs, self._sum
         np.add(w[0], w[1], out=g)
-        np.divide(g, self._cap, out=g)
-        np.subtract(1.0, g, out=g)
-        np.multiply(self._rate, w, out=rhs)
-        np.multiply(rhs, g, out=rhs)
-        if self._loss is not None:
-            np.subtract(rhs, np.multiply(self._loss, w, out=self._harvest), out=rhs)
-        np.multiply(self.dt, rhs, out=rhs)
-        np.add(w, rhs, out=rhs)
+        np.multiply(self._crowding, g, out=g)
+        np.subtract(self._growth, g, out=rhs)
+        np.multiply(rhs, w, out=rhs)
         return rhs
 
     def _clamp(self, w: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ def test_simulate_writes_bundle_and_exits_zero(tmp_path, capsys):
     assert (out / "norms.csv").exists()
     report = json.loads((out / "report.json").read_text())
     assert report["outcome"] == "Undecided"
-    assert report["implicit_solve"] == "banded"
+    assert report["implicit_solve"] == "symmetrized"
     assert "-> " + str(out) in capsys.readouterr().out
 
 

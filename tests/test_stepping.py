@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rivercomp import stepping
+from rivercomp import experiments, stepping
 from rivercomp.errors import ConfigError
 from rivercomp.grid import make_grid
 from rivercomp.model import ModelParams, build_effective_params, raw_reaction, reaction
@@ -218,14 +218,17 @@ def test_snapshots_and_final_state():
     assert u_end.shape == (grid.size,)
 
 
-def _reference_solver(grid, d, alpha, dt):
-    """One species' implicit solve the way the two-solve stepper did it.
+def _implicit_matrix(grid, d, alpha, dt):
+    return sparse.identity(grid.size, format="csr") - dt * transport_for(grid, d, alpha).matrix
+
+
+def _reference_solver(m, dim):
+    """One species' implicit solve of ``m`` the way the two-solve stepper did it.
 
     1-D uses the banded solver (splu differs from any tridiagonal
     elimination at rounding level), 2-D a sparse LU of its own.
     """
-    m = sparse.identity(grid.size, format="csr") - dt * transport_for(grid, d, alpha).matrix
-    if grid.dim == 1:
+    if dim == 1:
         ab = np.array([np.insert(m.diagonal(1), 0, 0.0), m.diagonal(), np.append(m.diagonal(-1), 0.0)])
         return lambda b: scipy.linalg.solve_banded((1, 1), ab, b)
     return spla.splu(m.tocsc()).solve
@@ -239,61 +242,157 @@ def _two_scan_clamp(w, events):
     return w
 
 
+class _TwoSolveStepper:
+    """The old path, as an oracle with the stepper's interface.
+
+    Each species' right-hand side comes from the model's reaction
+    oracles (``Stepper.reaction_u``/``reaction_v``), is solved by its own
+    ``_reference_solver`` and clamped by the two-scan clamp.
+    """
+
+    implicit_solve = "two-solve"
+
+    def __init__(self, stepper):
+        p, self.stepper = stepper.params, stepper
+        self.grid, self.dt, self.clamp_events = stepper.grid, stepper.dt, 0
+        self.matrices = [_implicit_matrix(self.grid, d, a, self.dt) for d, a in ((p.d1, p.alpha1), (p.d2, p.alpha2))]
+        self.solves = [_reference_solver(m, self.grid.dim) for m in self.matrices]
+
+    def unclamped(self, w):
+        u, v = w
+        dt, st = self.dt, self.stepper
+        rhs = u + dt * st.reaction_u(u, v), v + dt * st.reaction_v(u, v)
+        return [solve(b) for solve, b in zip(self.solves, rhs)]
+
+    def step(self, w):
+        events = [0]
+        x = np.stack([_two_scan_clamp(xs, events) for xs in self.unclamped(w)])
+        self.clamp_events += events[0]
+        return x
+
+
+def _rhs_magnitude(stepper, w):
+    """Componentwise sum of the magnitudes of the explicit half's terms:
+    w + dt·rate·w·(1 + mu_s + (u + v)/cap) for the stacked state w >= 0."""
+    eff, dt, total = stepper.eff, stepper.dt, w[0] + w[1]
+    if stepper.form == "folded":
+        return w + dt * eff.rr1.values * w * (1.0 + total / eff.K1.values)
+    mu = np.array([[stepper.params.mu1], [stepper.params.mu2]])
+    return w + dt * eff.r.values * w * (1.0 + mu + total / eff.K.values)
+
+
+# The fused right-hand side and the oracle's each round at most seven times
+# along any term's path (the fused one counting the rounding of its
+# precomputed coefficients), each time by at most eps/2 of a quantity no
+# larger than that term, so the two differ by at most 7*eps times the sum
+# of the terms' magnitudes; 8*eps leaves room.  The worst over 12,000
+# random states (1-D n=64 and 256, 2-D 8x8, both forms) was 1.8*eps.
+_RHS_ULPS = 8
+
+
+def _one_step_bound(oracle, w):
+    """Componentwise bound on |stacked step - oracle step| from the state w.
+
+    The right-hand sides differ by at most _RHS_ULPS*eps*M (M from
+    ``_rhs_magnitude``); A^-1 >= 0 carries that through the solve.  On
+    the same right-hand side the symmetrized and banded solves differ by
+    at most 8*eps*A^-1(|A||x|) (see tests/test_linsolve.py), x being the
+    oracle's unclamped solution.  The clamp only shrinks differences.
+    """
+    eps = np.finfo(float).eps
+    magnitude = [abs(m) @ np.abs(x) for m, x in zip(oracle.matrices, oracle.unclamped(w))]
+    carried = _RHS_ULPS * _rhs_magnitude(oracle.stepper, w) + 8 * np.stack(magnitude)
+    return eps * np.stack([solve(c) for solve, c in zip(oracle.solves, carried)])
+
+
 @pytest.mark.parametrize(
     "kw,rtol",
     [
-        (dict(n=64, mu=0.3), 0.0),
-        (dict(n=64, mu=0.1, mu2=0.25, form="raw"), 0.0),
+        (dict(n=64, mu=0.3), None),
+        (dict(n=64, mu=0.1, mu2=0.25, form="raw"), None),
         (dict(n=12, mu=0.1, dim=2, form="raw"), 1e-12),
     ],
     ids=["1d-folded", "1d-raw-unequal-harvest", "2d-raw"],
 )
 def test_stacked_step_matches_two_solve_reference(kw, rtol):
     # Each species solved on its own with its own factorization and the
-    # two-scan clamp: the stacked solve must give the same states and the
-    # same clamp count.  The initial hump sits far outside the positivity
-    # envelope, so the first steps clamp.  States must agree within
-    # ``rtol`` of their sup-norm: bitwise in 1-D (rtol 0); the 2-D modal
-    # solve agrees with splu to rounding only.
+    # two-scan clamp: the stacked stepper must make the same clamp count.
+    # The initial hump sits far outside the positivity envelope, so the
+    # first steps clamp.  2-D: the stepper runs its own trajectory and
+    # must stay within ``rtol`` of the oracle's sup-norm; the diagonal
+    # solve agrees with splu to rounding only.  1-D (rtol None): every
+    # step starts from the oracle's state and must land within one step's
+    # rounding bound (``_one_step_bound``); along its own trajectory the
+    # difference grows with the steps (up to 4.4e2*eps of the sup-norm
+    # over these 300 steps), which the fig1 run below bounds.
     stepper, _, eff = make_stepper(**kw)
     cap = max_stable_dt(eff) if stepper.form == "folded" else max_stable_dt(stepper.params, eff.r.values)
     stepper, grid, eff = make_stepper(dt=cap, **kw)
-    dt, p = stepper.dt, stepper.params
-    solve_u = _reference_solver(grid, p.d1, p.alpha1, dt)
-    solve_v = _reference_solver(grid, p.d2, p.alpha2, dt)
+    oracle = _TwoSolveStepper(stepper)
     hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
-    u = ru = hump
-    v = rv = np.full(grid.size, 0.5)
-    events = [0]
+    w = ref = np.stack((hump, np.full(grid.size, 0.5)))
     for _ in range(300):
-        u, v = stepper.step(np.stack((u, v)))
-        ru, rv = (
-            _two_scan_clamp(solve_u(ru + dt * stepper.reaction_u(ru, rv)), events),
-            _two_scan_clamp(solve_v(rv + dt * stepper.reaction_v(ru, rv)), events),
-        )
-        assert np.max(np.abs(u - ru)) <= rtol * np.max(np.abs(ru))
-        assert np.max(np.abs(v - rv)) <= rtol * np.max(np.abs(rv))
-    assert stepper.clamp_events == events[0] > 0
+        if rtol is None:
+            w, bound = stepper.step(ref), _one_step_bound(oracle, ref)
+            ref = oracle.step(ref)
+            assert np.all(np.abs(w - ref) <= bound)
+        else:
+            w, ref = stepper.step(w), oracle.step(ref)
+            assert np.all(np.max(np.abs(w - ref), axis=1) <= rtol * np.max(np.abs(ref), axis=1))
+    assert stepper.clamp_events == oracle.clamp_events > 0
+
+
+def test_fig1_run_matches_the_two_solve_oracle():
+    # The 20,000-step fig1 run against the old path: same verdict and
+    # clamp count, and norm and mass histories within the sum of the
+    # per-step bounds.  Each step differs from the oracle's by at most
+    # about 8*eps*cond(A) of the state's scale (``_one_step_bound``; the
+    # explicit half's share is far smaller), and while the step map does
+    # not amplify differences, as on the way to the stable v-lone state
+    # here, those add up to at most steps*8*eps*cond(A) of the scale
+    # (7.9e-8 here; measured 7e-12).
+    cfg = experiments.preset_config("fig1")
+    problem = experiments.Problem(cfg)
+    stepper = Stepper(problem.op1, problem.op2, cfg.params, problem.eff, dt=cfg.dt, form=cfg.reaction_form)
+    oracle = _TwoSolveStepper(stepper)
+    u0, v0 = cfg.initial_fields(problem.grid)
+    runs = [integrate(s, u0, v0, cfg.t_end, n_samples=cfg.samples) for s in (stepper, oracle)]
+    steps = round(cfg.t_end / cfg.dt)
+    assert steps == 20_000 and stepper.implicit_solve == "symmetrized"
+    verdicts = [classify_outcome(r, cfg.tolerances.extinct, cfg.tolerances.settle).verdict for r in runs]
+    assert verdicts == [experiments.PRESETS["fig1"].expected] * 2
+    assert runs[0].clamp_events == runs[1].clamp_events
+    cond = max(abs(m).sum(axis=1).max() * np.max(solve(np.ones(m.shape[0])))
+               for m, solve in zip(oracle.matrices, oracle.solves))
+    tol = steps * 8 * np.finfo(float).eps * cond
+    new, old = runs
+    for group in (("norm_u_inf", "norm_v_inf"), ("mass_u", "mass_v")):
+        scale = max(np.max(getattr(old, key)) for key in group)
+        for key in group:
+            assert np.max(np.abs(getattr(new, key) - getattr(old, key))) <= tol * scale
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
-def test_fused_rhs_is_bitwise_the_oracle_reactions(dim, n):
+def test_fused_rhs_matches_the_oracle_reactions(dim, n):
     # Folded form against model.reaction, raw form with mu1 != mu2 against
-    # model.raw_reaction: u + dt*R(u, v) and v + dt*R(v, u), bitwise.
+    # model.raw_reaction: u + dt*R(u, v) and v + dt*R(v, u), within
+    # _RHS_ULPS*eps of the magnitudes of their terms.
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(dim)
     folded, grid, eff = make_stepper(n=n, dim=dim, mu=0.3)
     raw, _, _ = make_stepper(n=n, dim=dim, mu=0.1, mu2=0.25, form="raw")
     r, K = raw.eff.r.values, raw.eff.K.values
     for _ in range(5):
-        u, v = 2.0 * rng.random((2, grid.size))
-        rhs = folded.explicit_rhs(np.stack((u, v)))
+        w = 2.0 * rng.random((2, grid.size))
+        u, v = w
         dt = folded.dt
-        np.testing.assert_array_equal(rhs[0], u + dt * reaction(u, v, eff))
-        np.testing.assert_array_equal(rhs[1], v + dt * reaction(v, u, eff))
-        rhs = raw.explicit_rhs(np.stack((u, v)))
+        oracle = np.stack((u + dt * reaction(u, v, eff), v + dt * reaction(v, u, eff)))
+        bound = _RHS_ULPS * eps * _rhs_magnitude(folded, w)
+        assert np.all(np.abs(folded.explicit_rhs(w) - oracle) <= bound)
         dt = raw.dt
-        np.testing.assert_array_equal(rhs[0], u + dt * raw_reaction(u, v, r, K, 0.1))
-        np.testing.assert_array_equal(rhs[1], v + dt * raw_reaction(v, u, r, K, 0.25))
+        oracle = np.stack((u + dt * raw_reaction(u, v, r, K, 0.1), v + dt * raw_reaction(v, u, r, K, 0.25)))
+        bound = _RHS_ULPS * eps * _rhs_magnitude(raw, w)
+        assert np.all(np.abs(raw.explicit_rhs(w) - oracle) <= bound)
 
 
 @pytest.mark.parametrize("form", ["folded", "raw"])
