@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 One command with subcommands: simulate, steady, eigen, sweep, figure,
-verify.  Every scalar config key has a flag; flags override config-file
-values.
+verify.  Every config key has a flag (``--tol-<name>`` sets
+``tolerances.<name>``); flags override config-file values.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including verification runs with failing checks), 4 anomaly gate.
@@ -14,9 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .config import parse_config
+from .config import Tolerances, parse_config
 from .errors import AnomalyError, ConfigError, RiverCompError, SolverError
 from .experiments import (
     eigen_report,
@@ -77,50 +78,27 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     d.add_argument("--points", type=int, help="sweep resolution")
     d.add_argument("--out-dir", dest="out_dir", help="output directory")
     t = sub.add_argument_group("tolerances")
-    t.add_argument("--tol-steady", dest="tol_steady", type=float)
-    t.add_argument("--tol-eigen", dest="tol_eigen", type=float)
-    t.add_argument("--tol-marginal", dest="tol_marginal", type=float)
-    t.add_argument("--tol-extinct", dest="tol_extinct", type=float)
-    t.add_argument("--tol-settle", dest="tol_settle", type=float)
+    for f in fields(Tolerances):
+        t.add_argument(
+            f"--tol-{f.name}", dest=f"tol_{f.name}", type=float, help=f"sets tolerances.{f.name}"
+        )
 
 
-_CONFIG_FLAGS = (
-    "d1",
-    "d2",
-    "alpha1",
-    "alpha2",
-    "mu",
-    "mu1",
-    "mu2",
-    "r",
-    "K",
-    "a",
-    "b",
-    "dim",
-    "reaction_form",
-    "n",
-    "dt",
-    "t_end",
-    "u0",
-    "v0",
-    "snapshot_times",
-    "samples",
-    "points",
-    "out_dir",
-)
+# Dests that name the run, not a config key; every other dest is one.
+_NOT_CONFIG = ("command", "config", "figure")
 
 
 def _overrides_from(args: argparse.Namespace) -> dict:
+    """Config overrides from the flags given; ``tol_<name>`` goes to ``tolerances``."""
     overrides: dict = {}
-    for key in _CONFIG_FLAGS:
-        value = getattr(args, key, None)
-        if value is not None:
+    tol: dict = {}
+    for key, value in vars(args).items():
+        if value is None or key in _NOT_CONFIG:
+            continue
+        if key.startswith("tol_"):
+            tol[key.removeprefix("tol_")] = value
+        else:
             overrides[key] = value
-    tol = {
-        name: getattr(args, f"tol_{name}")
-        for name in ("steady", "eigen", "marginal", "extinct", "settle")
-        if getattr(args, f"tol_{name}", None) is not None
-    }
     if tol:
         overrides["tolerances"] = tol
     return overrides

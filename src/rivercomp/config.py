@@ -11,13 +11,19 @@ in the "_defaulted" list, and the canonical echo written next to run
 outputs materializes all values (including derived defaults such as dt
 and the initial densities), so re-running from an echo reproduces the
 run and re-echoes byte-identically.
+
+Both reaction forms share one harvest fold (``_fold_harvest``, with
+mu = min(mu1, mu2)) and so one dt cap: a given dt must lie in
+(0, 0.9 / max r·(1 - min(mu1, mu2))], and the default is that cap or
+0.1, whichever is smaller (``stepping.max_stable_dt``/``default_dt``).
+The keys of the "tolerances" object are the fields of ``Tolerances``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -41,7 +47,6 @@ _TOL_DEFAULTS = {
     "settle": 1e-4,
     # "extinct" is derived from the folded capacity when not given.
 }
-_TOL_KEYS = ("steady", "eigen", "marginal", "extinct", "settle")
 
 # Canonical echo order; also the closed set of accepted top-level keys
 # ("mu" is accepted as shorthand on input but echoed as mu1/mu2).
@@ -83,6 +88,9 @@ class Tolerances:
     settle: float
 
 
+_TOL_KEYS = tuple(f.name for f in fields(Tolerances))
+
+
 @dataclass
 class RunConfig:
     mode: str
@@ -105,9 +113,7 @@ class RunConfig:
         return make_grid(self.params.dim, self.params.a, self.params.b, self.n)
 
     def effective(self, grid: Grid | None = None) -> EffectiveParams:
-        grid = grid if grid is not None else self.grid()
-        mu = min(self.params.mu1, self.params.mu2)
-        return build_effective_params(self.params, grid, mu=mu)
+        return _fold_harvest(self.params, grid if grid is not None else self.grid())
 
     def initial_fields(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         return _initial_values(self.u0, "u0", grid), _initial_values(self.v0, "v0", grid)
@@ -136,13 +142,7 @@ class RunConfig:
             "samples": self.samples,
             "points": self.points,
             "out_dir": self.out_dir,
-            "tolerances": {
-                "steady": self.tolerances.steady,
-                "eigen": self.tolerances.eigen,
-                "marginal": self.tolerances.marginal,
-                "extinct": self.tolerances.extinct,
-                "settle": self.tolerances.settle,
-            },
+            "tolerances": asdict(self.tolerances),
         }
         if self.figure is not None:
             d["figure"] = self.figure
@@ -152,6 +152,17 @@ class RunConfig:
 
     def echo_json(self) -> str:
         return json.dumps(self.echo_dict(), indent=2) + "\n"
+
+
+def _fold_harvest(params: ModelParams, grid: Grid) -> EffectiveParams:
+    """Sample r and K on ``grid`` and fold the smaller harvest fraction in.
+
+    With equal fractions this is the model's harvest fold; with unequal
+    ones (raw form) it still gives the binding net growth rate
+    rr1 = r·(1 - min(mu1, mu2)) behind the dt cap, and the capacities
+    behind the default densities and extinction threshold.
+    """
+    return build_effective_params(params, grid, mu=min(params.mu1, params.mu2))
 
 
 # ---------------------------------------------------------------------
@@ -317,14 +328,13 @@ def parse_config(
     check_peclet(grid, d1, alpha1)
     check_peclet(grid, d2, alpha2)
 
-    eff = build_effective_params(params, grid, mu=min(mu1, mu2))
+    eff = _fold_harvest(params, grid)
 
     t_end = _as_float("t_end", take("t_end", 100.0))
     if t_end <= 0.0:
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
 
-    cap_args = (eff,) if reaction_form == "folded" else (params, eff.r.values)
-    dt_cap = max_stable_dt(*cap_args)
+    dt_cap = max_stable_dt(eff.rr1.values)
     if "dt" in merged:
         dt = _as_float("dt", merged["dt"])
         if not 0.0 < dt <= dt_cap:
@@ -333,7 +343,7 @@ def parse_config(
                 f"positivity-safe, got {dt!r}"
             )
     else:
-        dt = default_dt(*cap_args)
+        dt = default_dt(eff.rr1.values)
         defaulted.add("dt")
 
     default_density = 0.5 * float(np.min(eff.K1.values))

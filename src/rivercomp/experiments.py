@@ -104,21 +104,23 @@ class Problem:
         """The second species' lone state."""
         return solve_single_steady(self.op2, self.eff, tol=self.cfg.tolerances.steady)
 
-    def _invasion(self, invader_op, resident: SteadyState) -> StabilityVerdict:
+    def _invasion(self, invader_op, resident: np.ndarray, x0=None) -> StabilityVerdict:
+        """Stability of a lone ``resident`` profile against the species moving
+        with ``invader_op``; ``x0`` starts the eigen solve."""
         tol = self.cfg.tolerances
         return semitrivial_stability(
-            invader_op, resident.u, self.eff, tol_marginal=tol.marginal, eigen_tol=tol.eigen
+            invader_op, resident, self.eff, tol_marginal=tol.marginal, eigen_tol=tol.eigen, x0=x0
         )
 
     @cached_property
     def kappa(self) -> StabilityVerdict:
         """Stability of u_hat against invasion by the second species."""
-        return self._invasion(self.op2, self.u_hat)
+        return self._invasion(self.op2, self.u_hat.u)
 
     @cached_property
     def tau(self) -> StabilityVerdict:
         """Stability of v_hat against invasion by the first species."""
-        return self._invasion(self.op1, self.v_hat)
+        return self._invasion(self.op1, self.v_hat.u)
 
     @cached_property
     def coarse(self) -> Problem | None:
@@ -503,15 +505,7 @@ def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
     op2 = transport_for(problem.grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
     marginal = cfg.tolerances.marginal
-    eigen_tol = cfg.tolerances.eigen
-    warm["kappa"] = semitrivial_stability(
-        op2,
-        problem.u_hat.u,
-        eff,
-        tol_marginal=marginal,
-        eigen_tol=eigen_tol,
-        x0=_warm_phi(warm, "kappa"),
-    ).report
+    warm["kappa"] = problem._invasion(op2, problem.u_hat.u, _warm_phi(warm, "kappa")).report
     kappa = warm["kappa"].stability_index
 
     v_warm = warm.get("v_hat")
@@ -523,9 +517,7 @@ def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
     else:
         v_state = solve_single_steady(op2, eff, tol=tol)
     warm["v_hat"] = v_state.u
-    warm["tau"] = semitrivial_stability(
-        op1, v_state.u, eff, tol_marginal=marginal, eigen_tol=eigen_tol, x0=_warm_phi(warm, "tau")
-    ).report
+    warm["tau"] = problem._invasion(op1, v_state.u, _warm_phi(warm, "tau")).report
     tau = warm["tau"].stability_index
 
     # The pair search runs only where its answer can change the verdict:

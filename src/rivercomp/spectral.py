@@ -47,6 +47,7 @@ from .grid import Grid
 from .linsolve import factor_shifted
 from .model import EffectiveParams
 from .operators import TransportOperator, band_matvec
+from .steady import log_slope
 
 __all__ = [
     "EigenReport",
@@ -368,12 +369,5 @@ def drift_band_excess(phi: np.ndarray, d: float, alpha: float, grid: Grid) -> Dr
     d*(phi_x/phi) stays at or below alpha; the excess is measured on
     interior cells against a 10 h^2 allowance for discretization error.
     """
-    if grid.dim != 1:
-        raise ConfigError("the drift band is a 1-D diagnostic")
-    phi = np.asarray(phi, dtype=float)
-    if np.any(phi <= 0.0):
-        raise SolverError("drift band needs a strictly positive eigenvector")
-    h = grid.h
-    slope = (phi[2:] - phi[:-2]) / (2.0 * h) / phi[1:-1]
-    excess = float(np.max(d * slope - alpha))
-    return DriftBandExcess(max_excess=excess, band=10.0 * h * h)
+    excess = float(np.max(d * log_slope(phi, grid)[1:-1] - alpha))
+    return DriftBandExcess(max_excess=excess, band=10.0 * grid.h * grid.h)

@@ -161,7 +161,7 @@ def _march(
     # march can take the full reaction-stability step rather than the small
     # trajectory-accuracy step; convergence then needs O(10) steps per
     # relaxation time regardless of how hard the harvest squeezes r*r1.
-    dt = max_stable_dt(eff)
+    dt = max_stable_dt(eff.rr1.values)
     solve = factor_shifted(op, shift=1.0, scale=-dt)
     u = u0.copy()
     for k in range(1, max_steps + 1):
@@ -474,17 +474,11 @@ def log_slope_report(u: np.ndarray, d: float, alpha: float, grid: Grid) -> LogSl
     negative).  Interior central differences only; the band widens by
     10 h^2 to absorb discretization error.
     """
-    if grid.dim != 1:
-        raise ConfigError("log-slope bands are a 1-D diagnostic")
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0):
-        raise SolverError("log-slope band needs a strictly positive profile")
-    h = grid.h
-    interior = (u[2:] - u[:-2]) / (2.0 * h) / u[1:-1]
+    interior = log_slope(u, grid)[1:-1]
     ratio = alpha / d
     lower = min(0.0, ratio)
     upper = max(0.0, ratio)
-    band = 10.0 * h * h
+    band = 10.0 * grid.h * grid.h
     violations = int(np.sum(interior < lower - band) + np.sum(interior > upper + band))
     return LogSlopeReport(slope=interior, lower=lower, upper=upper, band=band, violations=violations)
 

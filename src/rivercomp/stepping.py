@@ -9,7 +9,10 @@ I - dt L has unit column sums and nonpositive off-diagonals, so its
 inverse is entrywise nonnegative at any dt: the implicit half preserves
 positivity unconditionally.  The explicit half keeps u + dt R_u >= 0 as
 long as dt stays below 1/max(growth rate) on states of realistic size,
-which is where the dt cap comes from.  Within that envelope every step
+which is where the dt cap comes from: ``max_stable_dt`` is 0.9 over the
+largest net per-capita growth rate r·(1 - mu), the same number in the
+folded and the raw form, and a run given no dt takes the cap or 0.1,
+whichever is smaller (``default_dt``).  Within that envelope every step
 maps nonnegative states to nonnegative states and changes total mass by
 exactly dt times the integrated reaction (the transport columns sum to
 zero).
@@ -88,30 +91,27 @@ class Trajectory:
     mass_u: np.ndarray
     mass_v: np.ndarray
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    sampled_fields: list[tuple[np.ndarray, np.ndarray]] | None = None
     clamp_events: int = 0
     implicit_solve: str | None = None  # the stepper's ``implicit_solve``
 
 
-def max_stable_dt(eff_or_params: EffectiveParams | ModelParams, r_values: np.ndarray | None = None) -> float:
+def max_stable_dt(growth: np.ndarray) -> float:
     """Largest dt the explicit growth half tolerates with headroom 0.9.
 
-    For the harvest-folded form the rate is max r·r1; for the raw form the
-    binding rate is max r·(1 - min(mu1, mu2)).
+    ``growth`` holds net per-capita growth rates, of any shape; the cap is
+    0.9 / max(growth).  Folding equal harvest into the growth law gives
+    the same equations as the raw form, so both forms pass r·(1 - mu) and
+    the binding rate is max r·(1 - min(mu1, mu2)) either way.
     """
-    if isinstance(eff_or_params, EffectiveParams):
-        rate = float(np.max(eff_or_params.rr1.values))
-    else:
-        if r_values is None:
-            raise ConfigError("raw-form dt cap needs the sampled growth rate")
-        rate = float(np.max(r_values)) * (1.0 - min(eff_or_params.mu1, eff_or_params.mu2))
+    rate = float(np.max(growth))
     if rate <= 0.0:
         raise ConfigError("growth rate must be positive")
     return 0.9 / rate
 
 
-def default_dt(eff_or_params, r_values: np.ndarray | None = None) -> float:
-    return min(max_stable_dt(eff_or_params, r_values), 0.1)
+def default_dt(growth: np.ndarray) -> float:
+    """The step a run takes when none is given: the cap, at most 0.1."""
+    return min(max_stable_dt(growth), 0.1)
 
 
 class Stepper:
@@ -163,18 +163,17 @@ class Stepper:
         self.params = params
         self.eff = eff
         self.form = form
-        if dt is None:
-            dt = default_dt(eff) if form == "folded" else default_dt(params, eff.r.values)
-        if dt <= 0.0:
-            raise ConfigError(f"dt must be positive, got {dt}")
-        self.dt = float(dt)
-        self.clamp_events = 0
-
         if form == "folded":
             rate, cap, keep = eff.rr1.values, eff.K1.values, 1.0
         else:
             rate, cap = eff.r.values, eff.K.values
             keep = np.array([[1.0 - params.mu1], [1.0 - params.mu2]])
+        if dt is None:
+            dt = default_dt(rate * keep)
+        if dt <= 0.0:
+            raise ConfigError(f"dt must be positive, got {dt}")
+        self.dt = float(dt)
+        self.clamp_events = 0
         self._growth = 1.0 + self.dt * rate * keep
         self._crowding = self.dt * rate / cap
         self._rhs = np.empty((2, self.grid.size))
@@ -228,14 +227,11 @@ def integrate(
     t_end: float,
     n_samples: int = 100,
     snapshot_times: tuple[float, ...] = (),
-    record_fields: bool = False,
 ) -> Trajectory:
     """Step from t=0 until t >= t_end, sampling norms and masses evenly.
 
     Snapshots are taken at the first step time reaching each requested
-    value and always at the final step.  With ``record_fields`` the full
-    state at every sample is kept (memory permitting); useful for
-    trajectory-level comparisons.  ``t_end=0`` returns a trajectory
+    value and always at the final step.  ``t_end=0`` returns a trajectory
     holding only the initial sample.
     """
     if t_end < 0.0:
@@ -253,13 +249,10 @@ def integrate(
     sample_every = max(1, total_steps // max(1, n_samples))
     vol = grid.cell_volume
     samples: list[tuple[float, ...]] = []  # (t, |u|, |v|, mass u, mass v)
-    fields: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_fields else None
 
     def sample(t: float, w: np.ndarray) -> None:
         norms = (float(np.max(np.abs(x))) for x in w)
         samples.append((t, *norms, *(vol * float(x.sum()) for x in w)))
-        if fields is not None:
-            fields.append((w[0].copy(), w[1].copy()))
 
     pending = sorted(set(float(t) for t in snapshot_times))
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
@@ -293,7 +286,6 @@ def integrate(
         mass_u=mass_u,
         mass_v=mass_v,
         snapshots=snapshots,
-        sampled_fields=fields,
         clamp_events=stepper.clamp_events,
         implicit_solve=stepper.implicit_solve,
     )

@@ -96,10 +96,14 @@ def test_criterion_2_transform_equivalence():
     u0, v0 = cfg.initial_fields(grid)
     folded = Stepper(op1, op2, cfg.params, eff, dt=cfg.dt, form="folded")
     raw = Stepper(op1, op2, cfg.params, eff, dt=cfg.dt, form="raw")
-    traj_f = integrate(folded, u0, v0, 50.0, n_samples=100, record_fields=True)
-    traj_r = integrate(raw, u0, v0, 50.0, n_samples=100, record_fields=True)
+    # 500 steps of dt 0.1, sampled every fifth: full fields at each sample.
+    times = tuple(k * cfg.dt for k in range(0, 501, 5))
+    traj_f = integrate(folded, u0, v0, 50.0, n_samples=100, snapshot_times=times)
+    traj_r = integrate(raw, u0, v0, 50.0, n_samples=100, snapshot_times=times)
+    assert sorted(traj_f.snapshots) == sorted(traj_r.snapshots) == list(traj_f.times)
     worst = 0.0
-    for (uf, vf), (ur, vr) in zip(traj_f.sampled_fields, traj_r.sampled_fields):
+    for t in traj_f.times:
+        (uf, vf), (ur, vr) = traj_f.snapshots[t], traj_r.snapshots[t]
         worst = max(worst, float(np.max(np.abs(uf - ur))), float(np.max(np.abs(vf - vr))))
     elapsed = time.time() - t0
     ok = worst <= 1e-10 and elapsed < 30.0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rivercomp.cli import main
+from rivercomp.cli import _parser, main
 
 WEAK_FLAGS = [
     "--d1", "0.08", "--d2", "0.07", "--alpha1", "0.05", "--alpha2", "0.04",
@@ -96,3 +96,42 @@ def test_eigen_subcommand_prints_verdicts(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "(unstable)" in text and "(stable)" in text
 
+
+
+def test_every_flag_reaches_the_echo(tmp_path):
+    # Each flag, every --tol-* included, sets its config key: the echo
+    # holds every value given and defaults nothing.  --mu is the
+    # shorthand for equal mu1 and mu2, so it runs second in their place.
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text("{}")
+    out = tmp_path / "run"
+    flags = {
+        "--d1": "0.08", "--d2": "0.07", "--alpha1": "0.05", "--alpha2": "0.04",
+        "--mu1": "0.01", "--mu2": "0.02", "--r": "1 + 0.5*x", "--K": "2 - x",
+        "--a": "0.25", "--b": "1.5", "--dim": "1", "--reaction-form": "raw",
+        "--n": "24", "--dt": "0.05", "--t-end": "0.5", "--u0": "0.3",
+        "--v0": "0.2 + 0.1*x", "--snapshot-times": "0.1,0.2", "--samples": "5",
+        "--points": "9", "--out-dir": str(out), "--tol-steady": "1e-9",
+        "--tol-eigen": "1e-11", "--tol-marginal": "1e-6", "--tol-extinct": "1e-5",
+        "--tol-settle": "0.001",
+    }
+    expected = {
+        "mode": "simulate", "reaction_form": "raw", "d1": 0.08, "d2": 0.07,
+        "alpha1": 0.05, "alpha2": 0.04, "mu1": 0.01, "mu2": 0.02, "r": "1 + 0.5*x",
+        "K": "2 - x", "a": 0.25, "b": 1.5, "dim": 1, "n": 24, "dt": 0.05, "t_end": 0.5,
+        "u0": "0.3", "v0": "0.2 + 0.1*x", "snapshot_times": [0.1, 0.2], "samples": 5,
+        "points": 9, "out_dir": str(out),
+        "tolerances": {
+            "steady": 1e-9, "eigen": 1e-11, "marginal": 1e-6, "extinct": 1e-5, "settle": 0.001,
+        },
+        "_defaulted": [],
+    }
+    argv = ["simulate", "--config", str(cfg_file), *(x for kv in flags.items() for x in kv)]
+    flags_only_mu = {k: v for k, v in flags.items() if k not in ("--mu1", "--mu2")}
+    argv_mu = ["simulate", *(x for kv in flags_only_mu.items() for x in kv), "--mu", "0.01"]
+    given = vars(_parser().parse_args(argv))
+    assert [k for k, v in given.items() if v is None] == ["mu"]
+    assert main(argv) == 0
+    assert json.loads((out / "config.echo.json").read_text()) == expected
+    assert main(argv_mu) == 0
+    assert json.loads((out / "config.echo.json").read_text()) == dict(expected, mu2=0.01)

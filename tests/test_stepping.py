@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rivercomp import experiments, stepping
+from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError
 from rivercomp.grid import make_grid
 from rivercomp.model import ModelParams, build_effective_params, raw_reaction, reaction
@@ -131,7 +132,7 @@ def test_positivity_random_states_2d(data):
 
 def _assert_positive_step(data, **kw):
     _, _, eff = make_stepper(**kw)
-    stepper, grid, _ = make_stepper(dt=max_stable_dt(eff), **kw)
+    stepper, grid, _ = make_stepper(dt=max_stable_dt(eff.rr1.values), **kw)
     u, v = data[0], data[1]
     un, vn = stepper.step(np.stack((u, v)))
     assert un.min() >= 0.0 and vn.min() >= 0.0
@@ -159,15 +160,23 @@ def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
     assert u.min() > 0.0 and v.min() > 0.0
 
 
+def _sample_times(dt, steps, every):
+    """The step times ``integrate`` samples at: every ``every``-th of ``steps`` steps."""
+    return tuple(k * dt for k in range(0, steps + 1, every))
+
+
 def test_transform_equivalence_short_run():
     # folded vs raw growth law from identical data, trajectory-level
     sf, grid, eff = make_stepper(n=64, mu=0.3, dt=0.1, form="folded")
     sr, _, _ = make_stepper(n=64, mu=0.3, dt=0.1, form="raw")
     u0 = np.full(grid.size, 0.5)
     v0 = np.full(grid.size, 0.5)
-    tf = integrate(sf, u0, v0, 10.0, n_samples=20, record_fields=True)
-    tr = integrate(sr, u0, v0, 10.0, n_samples=20, record_fields=True)
-    for (uf, vf), (ur, vr) in zip(tf.sampled_fields, tr.sampled_fields):
+    times = _sample_times(sf.dt, steps=100, every=5)
+    tf = integrate(sf, u0, v0, 10.0, n_samples=20, snapshot_times=times)
+    tr = integrate(sr, u0, v0, 10.0, n_samples=20, snapshot_times=times)
+    assert sorted(tf.snapshots) == sorted(tr.snapshots) == list(tf.times)
+    for t in tf.times:
+        (uf, vf), (ur, vr) = tf.snapshots[t], tr.snapshots[t]
         assert np.max(np.abs(uf - ur)) < 1e-10
         assert np.max(np.abs(vf - vr)) < 1e-10
 
@@ -180,9 +189,12 @@ def test_competitive_order_preserved():
     x = np.linspace(0.0, 1.0, grid.size)
     ua, va = np.full(grid.size, 0.55), 0.25 + 0.05 * x
     ub, vb = 0.40 + 0.05 * x, np.full(grid.size, 0.45)
-    ta = integrate(stepper_a, ua, va, 20.0, n_samples=40, record_fields=True)
-    tb = integrate(stepper_b, ub, vb, 20.0, n_samples=40, record_fields=True)
-    for (u1, v1), (u2, v2) in zip(ta.sampled_fields, tb.sampled_fields):
+    times = _sample_times(stepper_a.dt, steps=200, every=5)
+    ta = integrate(stepper_a, ua, va, 20.0, n_samples=40, snapshot_times=times)
+    tb = integrate(stepper_b, ub, vb, 20.0, n_samples=40, snapshot_times=times)
+    assert sorted(ta.snapshots) == sorted(tb.snapshots) == list(ta.times)
+    for t in ta.times:
+        (u1, v1), (u2, v2) = ta.snapshots[t], tb.snapshots[t]
         assert np.all(u1 >= u2 - 1e-12)
         assert np.all(v1 <= v2 + 1e-12)
 
@@ -326,8 +338,7 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
     # difference grows with the steps (up to 4.4e2*eps of the sup-norm
     # over these 300 steps), which the fig1 run below bounds.
     stepper, _, eff = make_stepper(**kw)
-    cap = max_stable_dt(eff) if stepper.form == "folded" else max_stable_dt(stepper.params, eff.r.values)
-    stepper, grid, eff = make_stepper(dt=cap, **kw)
+    stepper, grid, eff = make_stepper(dt=max_stable_dt(eff.rr1.values), **kw)
     oracle = _TwoSolveStepper(stepper)
     hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
     w = ref = np.stack((hump, np.full(grid.size, 0.5)))
@@ -422,10 +433,53 @@ def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance():
 
 def test_dt_cap_formula():
     _, grid, eff = make_stepper(n=16, mu=0.5)
-    assert max_stable_dt(eff) == pytest.approx(0.9 / eff.rr1.values.max())
+    assert max_stable_dt(eff.rr1.values) == pytest.approx(0.9 / eff.rr1.values.max())
     p = ModelParams(mu1=0.2, mu2=0.5, **WEAK_HARVEST)
     r = np.ones(grid.size)
-    assert max_stable_dt(p, r) == pytest.approx(0.9 / 0.8)
+    assert max_stable_dt(r * np.array([[1.0 - p.mu1], [1.0 - p.mu2]])) == pytest.approx(0.9 / 0.8)
+
+
+# Positive on [0, 1]; the scale below stretches the rates across the 0.1 default.
+_R_EXPRESSIONS = ("1", "1 + x", "2 + sin(3*x)", "0.5 + x*x", "1.5 - cos(2*x)*x")
+
+
+def _two_form_cap(eff, params, form):
+    """The dt cap as two call forms gave it: 0.9/max(r·r1) folded, and
+    0.9/(max(r)·(1 - min(mu1, mu2))) raw."""
+    if form == "folded":
+        rate = float(np.max(eff.rr1.values))
+    else:
+        rate = float(np.max(eff.r.values)) * (1.0 - min(params.mu1, params.mu2))
+    return 0.9 / rate
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    expr=st.sampled_from(_R_EXPRESSIONS),
+    scale=st.floats(0.01, 100.0),
+    mu1=st.floats(0.0, 0.99, exclude_max=True),
+    mu2=st.floats(0.0, 0.99, exclude_max=True),
+    n=st.integers(3, 300),
+    form=st.sampled_from(("folded", "raw")),
+)
+def test_dt_cap_is_bitwise_the_two_form_formula(expr, scale, mu1, mu2, n, form):
+    # The cap from the net growth rates equals the two-form cap bit for
+    # bit wherever it is taken: the config's cap and default, the
+    # stepper's default, and the march's cap.
+    if form == "folded":
+        mu2 = mu1
+    keys = dict(r=f"{scale!r}*({expr})", mu1=mu1, mu2=mu2, n=n, reaction_form=form)
+    cfg = parse_config(overrides=keys)
+    grid = cfg.grid()
+    eff = cfg.effective(grid)
+    cap = _two_form_cap(eff, cfg.params, form)
+    assert max_stable_dt(eff.rr1.values) == cap
+    assert cfg.dt == min(cap, 0.1)
+    op = transport_for(grid, 1.0, 0.0)
+    assert Stepper(op, op, cfg.params, eff, form=form).dt == min(cap, 0.1)
+    assert parse_config(overrides=dict(keys, dt=cap)).dt == cap
+    with pytest.raises(ConfigError, match="dt must lie in"):
+        parse_config(overrides=dict(keys, dt=float(np.nextafter(cap, np.inf))))
 
 
 def test_mismatched_harvest_needs_raw_form():
