@@ -2,7 +2,8 @@
 
 One command with subcommands: simulate, steady, eigen, sweep, figure,
 verify.  Every config key has a flag (``--tol-<name>`` sets
-``tolerances.<name>``); flags override config-file values.
+``tolerances.<name>``); flags override config-file values key by key, so
+a ``--tol-<name>`` keeps the file's other tolerances.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including verification runs with failing checks), 4 anomaly gate.
@@ -41,6 +42,14 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _number_or_expression(text: str) -> float | str:
+    """A float when ``text`` parses as one, else the expression text itself."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None, help="JSON config file")
     m = sub.add_argument_group("model parameters")
@@ -66,8 +75,12 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     d.add_argument("--n", type=int, help="cells per axis")
     d.add_argument("--dt", type=float, help="time step")
     d.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    d.add_argument("--u0", help="initial density of species 1 (number or expression)")
-    d.add_argument("--v0", help="initial density of species 2 (number or expression)")
+    d.add_argument(
+        "--u0", type=_number_or_expression, help="initial density of species 1 (number or expression)"
+    )
+    d.add_argument(
+        "--v0", type=_number_or_expression, help="initial density of species 2 (number or expression)"
+    )
     d.add_argument(
         "--snapshot-times",
         dest="snapshot_times",

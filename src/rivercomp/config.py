@@ -4,7 +4,10 @@ A run is described by a flat JSON object (plus one nested "tolerances"
 object).  Parsing is strict: unknown keys are errors, every value is
 type- and range-checked with a message naming the key, and every module
 precondition that can be checked before compute (harvest range, grid
-Peclet, positivity of sampled fields) is checked here.
+Peclet, positivity of sampled fields) is checked here.  The steady,
+eigen, sweep and verify modes analyse the folded model, so they need
+mu1 == mu2.  Overrides go on top of file or preset values through
+``merge_config``, one tolerance at a time.
 
 Nothing defaults silently.  Every value the parser fills in is recorded
 in the "_defaulted" list, and the canonical echo written next to run
@@ -35,9 +38,11 @@ from .model import EffectiveParams, ModelParams, build_effective_params
 from .operators import check_peclet
 from .stepping import default_dt, default_eps_extinct, max_stable_dt
 
-__all__ = ["Tolerances", "RunConfig", "parse_config", "MODES"]
+__all__ = ["Tolerances", "RunConfig", "merge_config", "parse_config", "MODES"]
 
 MODES = ("simulate", "steady", "eigen", "sweep", "figure", "verify")
+# The modes whose steady and invasion analysis is of the folded model.
+_FOLDED_MODES = ("steady", "eigen", "sweep", "verify")
 REACTION_FORMS = ("folded", "raw")
 
 _TOL_DEFAULTS = {
@@ -229,16 +234,33 @@ def _load_file(path: str | Path) -> dict:
     return data
 
 
+def merge_config(base: Mapping[str, object], overrides: Mapping[str, object] | None) -> dict:
+    """``base`` with every non-None value of ``overrides`` on top.
+
+    A "tolerances" object is merged key by key, so overriding one
+    tolerance keeps the others ``base`` gives.
+    """
+    merged = dict(base)
+    for key, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if key == "tolerances" and isinstance(value, dict) and isinstance(merged.get(key), dict):
+            value = {**merged[key], **value}
+        merged[key] = value
+    return merged
+
+
 def parse_config(
     path: str | Path | None = None,
     overrides: Mapping[str, object] | None = None,
 ) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    ``overrides`` (typically CLI flags) take precedence over file values.
-    Returns a RunConfig with every default materialized and listed in its
-    ``defaulted`` tuple; defaults carried in from a previous echo's
-    "_defaulted" entry stay marked, so echoes are stable under re-parse.
+    ``overrides`` (typically CLI flags) take precedence over file values
+    (``merge_config``).  Returns a RunConfig with every default
+    materialized and listed in its ``defaulted`` tuple; defaults carried in
+    from a previous echo's "_defaulted" entry stay marked unless an
+    override sets them, so echoes are stable under re-parse.
     """
     file_data = _load_file(path) if path is not None else {}
     unknown = sorted(set(file_data) - _TOP_KEYS)
@@ -248,19 +270,16 @@ def parse_config(
     if not isinstance(carried, list) or not all(isinstance(k, str) for k in carried):
         raise ConfigError("_defaulted must be a list of key names")
 
-    merged = {k: v for k, v in file_data.items() if k != "_defaulted"}
-    if overrides:
-        unknown = sorted(set(overrides) - (_TOP_KEYS - {"_defaulted"}))
-        if unknown:
-            raise ConfigError(f"unknown config key {unknown[0]!r}")
-        for k, v in overrides.items():
-            if v is not None:
-                merged[k] = v
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    unknown = sorted(set(overrides) - (_TOP_KEYS - {"_defaulted"}))
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
+    merged = merge_config({k: v for k, v in file_data.items() if k != "_defaulted"}, overrides)
 
-    defaulted: set[str] = set()
-    for k in carried:
-        if overrides is None or overrides.get(k) is None:
-            defaulted.add(k)
+    given = set(overrides)
+    if isinstance(overrides.get("tolerances"), dict):
+        given.update(f"tolerances.{k}" for k in overrides["tolerances"])
+    defaulted = set(carried) - given
 
     def take(key: str, default):
         if key in merged:
@@ -317,6 +336,11 @@ def parse_config(
         b=b,
         dim=dim,
     )
+    if mode in _FOLDED_MODES and not params.equal_harvest:
+        raise ConfigError(
+            f"mode {mode!r} analyses the folded model and needs equal harvest "
+            "fractions; use simulate for mu1 != mu2"
+        )
     if reaction_form == "folded" and not params.equal_harvest:
         raise ConfigError(
             "reaction_form 'folded' needs equal harvest fractions; "

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import RunConfig, parse_config
+from .config import RunConfig, merge_config, parse_config
 from .errors import ConfigError, SolverError
 from .model import classify_regime
 from .operators import transport_for
@@ -289,16 +289,9 @@ def preset_config(figure: str, overrides: dict | None = None) -> RunConfig:
     if figure not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown figure preset {figure!r}; known presets: {known}")
-    merged = dict(PRESETS[figure].overrides)
-    merged.setdefault("out_dir", figure)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "tolerances" and "tolerances" in merged:
-            merged[key] = {**merged[key], **value}
-        else:
-            merged[key] = value
-    return parse_config(overrides=merged)
+    preset = dict(PRESETS[figure].overrides)
+    preset.setdefault("out_dir", figure)
+    return parse_config(overrides=merge_config(preset, overrides))
 
 
 # ---------------------------------------------------------------------

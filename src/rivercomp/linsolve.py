@@ -48,9 +48,10 @@ symmetric strategies are used only while the spread of every species
 stays within ``MAX_SYMMETRIZER_SPREAD``; drift-dominated input goes to
 the banded ones.  The 2-D solves agree with sparse LU to rounding.
 
-The 2-D steady and eigen systems, and tridiagonal systems of fewer than
-three rows, go to ``sparse_lu``.  A singular matrix raises
-``SolverError`` when it is factored.
+Every solver reads an operator's bands, and in 2-D its ``y_modes``; the
+2-D steady and eigen systems alone read its sparse matrix and go to
+``sparse_lu``.  A singular matrix raises ``SolverError`` when it is
+factored.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import SolverError
-from .operators import TransportOperator, dct_basis, separable_parts
+from .operators import TransportOperator, dct_basis
 
 __all__ = [
     "DiagonalSolve",
@@ -73,9 +74,6 @@ __all__ = [
     "implicit_solver",
     "sparse_lu",
 ]
-
-# scipy's gttrf wrapper rejects systems of fewer rows; they go to sparse LU.
-_MIN_TRIDIAGONAL_ROWS = 3
 
 # Largest symmetrizer spread the symmetric solves accept.  Against the
 # bounds of tests/test_linsolve.py::test_separable_solve_matches_splu, the
@@ -103,23 +101,18 @@ class Factorization:
 
     ``lower[i]`` is the entry at row i + 1, column i; ``upper[i]`` the
     entry at row i, column i + 1.  The bands are copied, never written.
+    The system has at least three rows (scipy's ``gttrf`` wrapper rejects
+    fewer); every grid has n ≥ 3 cells.
     """
 
     name = "banded"
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-        n = len(diag)
-        self._lu = None
-        if n < _MIN_TRIDIAGONAL_ROWS:
-            self._lu = sparse_lu(sparse.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n)))
-            return
         *self._factors, info = lapack.dgttrf(lower, diag, upper)
         if info > 0:
             raise SolverError(f"tridiagonal matrix is singular (zero pivot in row {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self._lu is not None:
-            return self._lu.solve(rhs)
         x, _ = lapack.dgttrs(*self._factors, rhs)
         return x
 
@@ -140,7 +133,7 @@ def factor_shifted(
     def shifted(diag: np.ndarray) -> np.ndarray:
         return shift + scale * (diag if potential is None else diag + potential)
 
-    if op.bands is not None:
+    if op.grid.dim == 1:
         lower, diag, upper = op.bands
         return Factorization(shifted(diag), scale * lower, scale * upper)
     diag = op.matrix.diagonal()
@@ -184,7 +177,7 @@ class SeparableSolve:
         n = ops[0].grid.n
         self._shape = (len(ops), n, n)
         self._basis = dct_basis(n)
-        blocks = [_implicit_blocks(*separable_parts(op), dt) for op in ops]
+        blocks = [_implicit_blocks(op.bands, op.y_modes, dt) for op in ops]
         self._modal = _stack(*(np.stack(band) for band in zip(*blocks)))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -263,13 +256,12 @@ class DiagonalSolve:
         self._basis = dct_basis(n)
         v_t, w_t, den = [], [], []
         for op in ops:
-            bands, lam = separable_parts(op)
-            s = _symmetrizer(bands)
-            lower, diag, upper = bands
+            s = _symmetrizer(op.bands)
+            lower, diag, upper = op.bands
             theta, q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
             v_t.append((s[:, None] * q).T)
             w_t.append(q / s[:, None])
-            den.append(1.0 - dt * (lam[:, None] + theta[None, :]))
+            den.append(1.0 - dt * (op.y_modes[:, None] + theta[None, :]))
         self._v_t, self._w_t, self._inv_den = np.stack(v_t), np.stack(w_t), 1.0 / np.stack(den)
         self._work = np.empty((2, *self._shape))
 
@@ -295,10 +287,9 @@ def implicit_solver(
     is bitwise equal to solving the species apart, and in 2-D
     ``SeparableSolve``.
     """
-    planar = ops[0].bands is None
-    symmetrizers = (_symmetrizer(separable_parts(op)[0] if planar else op.bands) for op in ops)
+    symmetrizers = (_symmetrizer(op.bands) for op in ops)
     symmetric = all(s.max() / s.min() <= MAX_SYMMETRIZER_SPREAD for s in symmetrizers)
-    if planar:
+    if ops[0].grid.dim == 2:
         return DiagonalSolve(ops, dt) if symmetric else SeparableSolve(ops, dt)
     if symmetric:
         return SymmetrizedSolve(ops, dt)

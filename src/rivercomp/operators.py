@@ -23,23 +23,22 @@ the orthonormal DCT-II diagonalizes exactly:
     Ly = Cᵀ diag(λ) C,   C[j, k] = s_j cos(π j (k + 1/2) / n),
     λ_j = -(4d/h²) sin²(π j / 2n),
 
-with s_0 = √(1/n) and s_j = √(2/n) otherwise.  ``separable_parts`` and
-``dct_basis`` expose Lx's bands, λ and C, so I - dt·L can be solved as n
-independent tridiagonal systems along x, one per y-mode.
+with s_0 = √(1/n) and s_j = √(2/n) otherwise.  ``dct_basis`` gives C.
 
-A 1-D operator is its three bands (lower, diag, upper): the steady,
-eigen and time stepping layers factor shifted and scaled copies of them as
-plain tridiagonal systems, and ``band_matvec`` applies them, so no
-scipy.sparse object is built.  The bands are shared by every caller, so
-they are read-only.  A 1-D operator's sparse ``matrix`` is built from its
-bands on first read, for the oracles that want one.  A 2-D operator
-carries its sparse matrix from assembly on (``bands`` is None).
+Every operator is its three bands (lower, diag, upper): L's in 1-D,
+Lx's in 2-D, where ``y_modes`` adds λ.  The steady, eigen and time
+stepping layers factor shifted and scaled copies of the 1-D bands as plain
+tridiagonal systems, and ``band_matvec`` applies them; the 2-D step
+solves work from Lx's bands and λ alone.  Bands and λ are shared by every
+caller, so they are read-only.  The sparse ``matrix`` is built on first
+read, in either dimension, for the 2-D steady and eigen systems and for
+the oracles that want one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,12 +50,9 @@ from .grid import Grid
 __all__ = [
     "check_peclet",
     "TransportOperator",
-    "assemble_transport",
-    "assemble_transport_2d",
     "transport_for",
     "band_matvec",
     "face_fluxes",
-    "separable_parts",
     "dct_basis",
 ]
 
@@ -84,17 +80,29 @@ class TransportOperator:
     d: float
     alpha: float
     peclet: float
-    bands: Bands | None = None  # (lower, diag, upper) of a 1-D operator
-    kron_sum: sparse.csr_matrix | None = field(default=None, repr=False)  # a 2-D operator
+    bands: Bands  # (lower, diag, upper) of L in 1-D, of Lx in 2-D
+
+    @cached_property
+    def y_modes(self) -> np.ndarray:
+        """The eigenvalues λ of Ly, one per DCT mode, of a 2-D operator."""
+        n, h = self.grid.n, self.grid.h
+        lam = -(4.0 * self.d / (h * h)) * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+        lam.setflags(write=False)
+        return lam
 
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
-        """L as a CSR matrix; a 1-D operator builds it from its bands on first read."""
-        return self.kron_sum if self.bands is None else _matrix(self.bands)
+        """L as a CSR matrix, built on first read: I⊗Lx + Ly⊗I in 2-D."""
+        if self.grid.dim == 1:
+            return _matrix(self.bands)
+        n = self.grid.n
+        ly = _matrix(_tridiagonal(n, self.grid.h, self.d, 0.0))
+        eye = sparse.identity(n, format="csr")
+        return (sparse.kron(eye, _matrix(self.bands)) + sparse.kron(ly, eye)).tocsr()
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         x = np.asarray(values, dtype=float)
-        return self.matrix @ x if self.bands is None else band_matvec(self.bands, x)
+        return band_matvec(self.bands, x) if self.grid.dim == 1 else self.matrix @ x
 
 
 def check_peclet(grid: Grid, d: float, alpha: float) -> float:
@@ -126,42 +134,11 @@ def _matrix(bands: Bands) -> sparse.csr_matrix:
     return sparse.diags(list(bands), offsets=[-1, 0, 1], format="csr")
 
 
-def assemble_transport(grid: Grid, d: float, alpha: float) -> TransportOperator:
-    """Assemble the 1-D drift-diffusion operator on ``grid``."""
-    if grid.dim != 1:
-        raise ConfigError("assemble_transport expects a 1-D grid; use assemble_transport_2d")
+def transport_for(grid: Grid, d: float, alpha: float) -> TransportOperator:
+    """The drift-diffusion operator on ``grid``: drift along x, diffusion along both axes."""
     peclet = check_peclet(grid, d, alpha)
     bands = _tridiagonal(grid.n, grid.h, d, alpha)
     return TransportOperator(grid=grid, d=d, alpha=alpha, peclet=peclet, bands=bands)
-
-
-def assemble_transport_2d(grid: Grid, d: float, alpha: float) -> TransportOperator:
-    """Assemble the 2-D operator: drift-diffusion along x, diffusion along y."""
-    if grid.dim != 2:
-        raise ConfigError("assemble_transport_2d expects a 2-D grid")
-    peclet = check_peclet(grid, d, alpha)
-    n, h = grid.n, grid.h
-    lx = _matrix(_tridiagonal(n, h, d, alpha))
-    ly = _matrix(_tridiagonal(n, h, d, 0.0))
-    eye = sparse.identity(n, format="csr")
-    matrix = (sparse.kron(eye, lx) + sparse.kron(ly, eye)).tocsr()
-    return TransportOperator(grid=grid, d=d, alpha=alpha, peclet=peclet, kron_sum=matrix)
-
-
-def transport_for(grid: Grid, d: float, alpha: float) -> TransportOperator:
-    """Dimension-dispatching convenience used throughout the package."""
-    if grid.dim == 1:
-        return assemble_transport(grid, d, alpha)
-    return assemble_transport_2d(grid, d, alpha)
-
-
-def separable_parts(op: TransportOperator) -> tuple[Bands, np.ndarray]:
-    """Lx's bands and the eigenvalues λ of Ly for a 2-D operator L = I⊗Lx + Ly⊗I."""
-    if op.grid.dim != 2:
-        raise ConfigError("separable_parts expects a 2-D operator")
-    n, h = op.grid.n, op.grid.h
-    lam = -(4.0 * op.d / (h * h)) * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
-    return _tridiagonal(n, h, op.d, op.alpha), lam
 
 
 def dct_basis(n: int) -> np.ndarray:

@@ -96,7 +96,7 @@ def _shifted_matvec(op: TransportOperator, p: np.ndarray):
     A 1-D operator works on its bands; a 2-D one on its CSR matrix.  Both
     give the products and row sums the CSR matrix of L + diag(p) gives.
     """
-    if op.bands is None:
+    if op.grid.dim == 2:
         matrix = (op.matrix + sparse.diags(p)).tocsr()
         return matrix.__matmul__, np.abs(matrix).sum(axis=1)
     lower, diag, upper = op.bands

@@ -271,7 +271,7 @@ def _split(op: TransportOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
     A 1-D operator reads them off its bands; a 2-D one off its CSR matrix.
     """
-    if op.bands is None:
+    if op.grid.dim == 2:
         m = op.matrix.tocoo()
         off = m.row != m.col
         return m.row[off], m.col[off], m.data[off], op.matrix.diagonal()

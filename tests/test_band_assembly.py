@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from rivercomp import linsolve, spectral, steady
 from rivercomp.config import parse_config
 from rivercomp.grid import make_grid
-from rivercomp.operators import assemble_transport, transport_for
+from rivercomp.operators import transport_for
 from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
 
 SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, alpha2=0.0006, mu=0.3)
@@ -44,7 +44,7 @@ def setup(n=64, dim=1, **params):
 )
 def test_band_products_equal_csr_products(n, d, peclet, seed):
     grid = make_grid(1, 0.0, 1.0, n)
-    op = assemble_transport(grid, d, peclet * d / grid.h)
+    op = transport_for(grid, d, peclet * d / grid.h)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
     x[rng.random(n) < 0.1] = 0.0

@@ -119,7 +119,7 @@ def test_every_flag_reaches_the_echo(tmp_path):
         "mode": "simulate", "reaction_form": "raw", "d1": 0.08, "d2": 0.07,
         "alpha1": 0.05, "alpha2": 0.04, "mu1": 0.01, "mu2": 0.02, "r": "1 + 0.5*x",
         "K": "2 - x", "a": 0.25, "b": 1.5, "dim": 1, "n": 24, "dt": 0.05, "t_end": 0.5,
-        "u0": "0.3", "v0": "0.2 + 0.1*x", "snapshot_times": [0.1, 0.2], "samples": 5,
+        "u0": 0.3, "v0": "0.2 + 0.1*x", "snapshot_times": [0.1, 0.2], "samples": 5,
         "points": 9, "out_dir": str(out),
         "tolerances": {
             "steady": 1e-9, "eigen": 1e-11, "marginal": 1e-6, "extinct": 1e-5, "settle": 0.001,
@@ -135,3 +135,32 @@ def test_every_flag_reaches_the_echo(tmp_path):
     assert json.loads((out / "config.echo.json").read_text()) == expected
     assert main(argv_mu) == 0
     assert json.loads((out / "config.echo.json").read_text()) == dict(expected, mu2=0.01)
+
+
+def test_tol_flag_overrides_one_tolerance_of_the_file(tmp_path):
+    # fig2 sets tolerances.settle to 0.01; re-running its echo with one
+    # --tol-* flag overrides that key alone, and the flag's key is no
+    # longer listed as defaulted.
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["figure", "fig2", "--t-end", "5", "--out-dir", str(first)]) == 0
+    echo = json.loads((first / "config.echo.json").read_text())
+    assert echo["tolerances"]["settle"] == 0.01
+    assert "tolerances.steady" in echo["_defaulted"]
+    argv = ["simulate", "--config", str(first / "config.echo.json"), "--tol-steady", "1e-9"]
+    assert main([*argv, "--out-dir", str(second)]) == 0
+    again = json.loads((second / "config.echo.json").read_text())
+    assert again["tolerances"] == dict(echo["tolerances"], steady=1e-9)
+    assert again["_defaulted"] == [k for k in echo["_defaulted"] if k != "tolerances.steady"]
+
+
+@pytest.mark.parametrize("mode", ["steady", "eigen", "sweep", "verify"])
+def test_analyses_refuse_unequal_harvest(tmp_path, capsys, mode):
+    # The steady and invasion analysis is of the folded model, so unequal
+    # harvest fractions are refused rather than analysed at min(mu1, mu2).
+    flags = ["--d1", "0.08", "--d2", "0.07", "--alpha1", "0.05", "--alpha2", "0.04",
+             "--mu1", "0.01", "--mu2", "0.5", "--reaction-form", "raw", "--n", "64"]
+    assert main([mode, *flags, "--out-dir", str(tmp_path / "run")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert "equal harvest" in record["message"] and "simulate" in record["message"]
+    assert not (tmp_path / "run").exists()

@@ -97,6 +97,19 @@ def test_explicit_tolerance_not_marked_defaulted():
     assert "tolerances.eigen" in cfg.defaulted
 
 
+def test_file_tolerances_merge_with_overrides_key_by_key(tmp_path):
+    # An override of one tolerance keeps the file's others, and takes its
+    # key off the file's carried "_defaulted" list.
+    path = tmp_path / "cfg.json"
+    carried = ["tolerances.eigen", "tolerances.steady"]
+    path.write_text(json.dumps(dict(WEAK, tolerances={"settle": 0.01}, _defaulted=carried)))
+    cfg = parse_config(path, {"tolerances": {"steady": 1e-9}, "n": None})
+    assert (cfg.tolerances.steady, cfg.tolerances.settle) == (1e-9, 0.01)
+    assert "tolerances.steady" not in cfg.defaulted
+    assert "tolerances.settle" not in cfg.defaulted
+    assert {"tolerances.eigen", "n"} <= set(cfg.defaulted)
+
+
 def test_negative_initial_density_rejected():
     with pytest.raises(ConfigError, match="u0 must be nonnegative"):
         parse_config(overrides=dict(WEAK, u0=-0.5))

@@ -64,29 +64,20 @@ def test_wider_bandwidth_takes_sparse_path():
 
 
 # ---------------------------------------------------------------------
-# singular matrices, small systems, and the tridiagonal path's oracles
+# singular matrices and the tridiagonal path's oracles
 # ---------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "bands",
     [
-        ([1.0, 1.0], [1.0], [1.0]),  # [[1, 1], [1, 1]]
         ([1.0, 0.0, 1.0], [0.0, 0.0], [0.0, 0.0]),
     ],
-    ids=["2x2", "diag(1,0,1)"],
+    ids=["diag(1,0,1)"],
 )
 def test_singular_matrix_raises_solver_error(bands):
     with pytest.raises(SolverError, match="singular"):
         Factorization(*(np.array(band) for band in bands))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_small_tridiagonal_systems(n):
-    lower, diag, upper = np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -0.5)
-    m = sparse.diags([lower, diag, upper], [-1, 0, 1], format="csr")
-    b = np.arange(1.0, n + 1.0)
-    np.testing.assert_allclose(m @ Factorization(diag, lower, upper).solve(b), b, rtol=1e-15)
 
 
 def _tridiagonal(dl, d, du):
@@ -113,9 +104,7 @@ def _assert_matches_splu(m, b, x):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-@example(n=1, seed=0)
-@example(n=2, seed=0)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**32 - 1))
 @example(n=3, seed=0)
 def test_tridiagonal_path_with_row_pivoting_matches_splu(n, seed):
     # |dl| exceeds |d| on about 40% of the rows, so gttrf interchanges rows;
@@ -132,12 +121,10 @@ def test_tridiagonal_path_with_row_pivoting_matches_splu(n, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(
-    n=st.integers(1, 300),
+    n=st.integers(3, 300),
     seed=st.integers(0, 2**32 - 1),
     dt=st.floats(1e-3, 1e3),
 )
-@example(n=1, seed=0, dt=1.0)
-@example(n=2, seed=0, dt=1.0)
 @example(n=3, seed=0, dt=1.0)
 def test_tridiagonal_path_on_stepper_m_matrices(n, seed, dt):
     # I - dt L with L's off-diagonals nonnegative and its columns summing
@@ -150,12 +137,11 @@ def test_tridiagonal_path_on_stepper_m_matrices(n, seed, dt):
     b = rng.uniform(0.0, 1.0, n)
     x = Factorization(d, -dt * below, -dt * above).solve(b)
     _assert_matches_splu(m, b, x)
-    if n >= 3:
-        # The tridiagonal path performs gtsv's operations: bitwise equal to
-        # the banded solver it replaces.  Smaller systems go through splu.
-        ab = np.zeros((3, n))
-        ab[0, 1:], ab[1], ab[2, :-1] = -dt * above, d, -dt * below
-        np.testing.assert_array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+    # The tridiagonal path performs gtsv's operations: bitwise equal to
+    # the banded solver it replaces.
+    ab = np.zeros((3, n))
+    ab[0, 1:], ab[1], ab[2, :-1] = -dt * above, d, -dt * below
+    np.testing.assert_array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
 
 
 # ---------------------------------------------------------------------

@@ -8,18 +8,12 @@ from hypothesis import strategies as st
 
 from rivercomp.errors import ConfigError, GridResolutionError
 from rivercomp.grid import make_grid
-from rivercomp.operators import (
-    assemble_transport,
-    assemble_transport_2d,
-    check_peclet,
-    face_fluxes,
-    transport_for,
-)
+from rivercomp.operators import check_peclet, dct_basis, face_fluxes, transport_for
 
 
 def test_hand_assembled_3x3():
     # n=3 on [0,1] with d=1, alpha=0: diff = d/h^2 = 9.
-    op = assemble_transport(make_grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
+    op = transport_for(make_grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
     m = op.matrix.toarray()
     np.testing.assert_array_equal(m[0], [-9.0, 9.0, 0.0])
     np.testing.assert_array_equal(m[1], [9.0, -18.0, 9.0])
@@ -27,17 +21,17 @@ def test_hand_assembled_3x3():
 
 
 def test_hand_apply_3x3():
-    op = assemble_transport(make_grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
+    op = transport_for(make_grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
     np.testing.assert_array_equal(op.apply(np.array([1.0, 2.0, 4.0])), [9.0, 9.0, -18.0])
 
 
 def test_constants_annihilated_without_drift():
-    op = assemble_transport(make_grid(1, 0.0, 1.0, 17), d=0.3, alpha=0.0)
+    op = transport_for(make_grid(1, 0.0, 1.0, 17), d=0.3, alpha=0.0)
     np.testing.assert_array_equal(op.apply(np.full(17, 2.5)), 0.0)
 
 
 def test_column_sums_zero_with_drift():
-    op = assemble_transport(make_grid(1, 0.0, 1.0, 4), d=0.08, alpha=0.05)
+    op = transport_for(make_grid(1, 0.0, 1.0, 4), d=0.08, alpha=0.05)
     assert op.peclet == pytest.approx(0.15625)
     sums = np.asarray(op.matrix.sum(axis=0)).ravel()
     assert np.max(np.abs(sums)) < 1e-14
@@ -49,7 +43,7 @@ def test_column_sums_zero_with_drift():
 def test_mass_conservation_random_fields():
     rng = np.random.default_rng(5)
     g = make_grid(1, 0.0, 2.0, 37)
-    op = assemble_transport(g, d=0.11, alpha=0.09)
+    op = transport_for(g, d=0.11, alpha=0.09)
     for _ in range(20):
         f = rng.random(37) * 10.0
         assert abs(op.apply(f).sum()) <= 1e-12 * 37 * np.abs(f).max()
@@ -58,7 +52,7 @@ def test_mass_conservation_random_fields():
 def test_peclet_guard_names_minimum_n():
     g = make_grid(1, 0.0, 1.0, 4)
     with pytest.raises(GridResolutionError) as err:
-        assemble_transport(g, d=0.001, alpha=0.05)
+        transport_for(g, d=0.001, alpha=0.05)
     n_min = err.value.n_min
     assert "n = %d" % n_min in str(err.value)
     # the smallest advertised n really does restore peclet < 2
@@ -80,7 +74,7 @@ def test_metzler_structure_under_guard():
         d = float(rng.uniform(0.01, 2.0))
         g = make_grid(1, 0.0, 1.0, n)
         alpha = float(rng.uniform(0.0, 1.99)) * d / g.h
-        op = assemble_transport(g, d, alpha)
+        op = transport_for(g, d, alpha)
         m = op.matrix.tocoo()
         off = m.data[m.row != m.col]
         assert np.all(off >= 0.0)
@@ -95,7 +89,7 @@ def test_exact_kernel_exp_profile():
     sup, interior, l1 = [], [], []
     for n in (32, 64, 128):
         g = make_grid(1, 0.0, 1.0, n)
-        op = assemble_transport(g, d, alpha)
+        op = transport_for(g, d, alpha)
         u = np.exp(alpha * g.centers / d)
         img = np.abs(op.apply(u))
         sup.append(img.max())
@@ -113,7 +107,7 @@ def test_interior_consistency_second_order():
     errs = []
     for n in (64, 128):
         g = make_grid(1, 0.0, 1.0, n)
-        op = assemble_transport(g, d, alpha)
+        op = transport_for(g, d, alpha)
         x = g.centers
         u = np.sin(x) + 2.0
         exact = d * -np.sin(x) - alpha * np.cos(x)
@@ -124,7 +118,7 @@ def test_interior_consistency_second_order():
 
 def test_face_fluxes_boundary_zero():
     g = make_grid(1, 0.0, 1.0, 12)
-    op = assemble_transport(g, d=0.08, alpha=0.05)
+    op = transport_for(g, d=0.08, alpha=0.05)
     f = face_fluxes(op, np.exp(g.centers))
     assert f[0] == 0.0 and f[-1] == 0.0
     assert f.shape == (13,)
@@ -132,13 +126,13 @@ def test_face_fluxes_boundary_zero():
 
 def test_2d_constant_annihilated_and_conservative():
     g = make_grid(2, 0.0, 1.0, 4)
-    pure_diffusion = assemble_transport_2d(g, d=0.005, alpha=0.0)
+    pure_diffusion = transport_for(g, d=0.005, alpha=0.0)
     # five summands per row, so cancellation is down to rounding rather
     # than exact as in the tridiagonal case
     np.testing.assert_allclose(pure_diffusion.apply(np.ones(16)), 0.0, atol=1e-15)
     # with drift, constants are no longer in the kernel (the no-flux wall
     # piles mass up), but conservation still holds column by column
-    op = assemble_transport_2d(g, d=0.005, alpha=0.002)
+    op = transport_for(g, d=0.005, alpha=0.002)
     sums = np.asarray(op.matrix.sum(axis=0)).ravel()
     assert np.max(np.abs(sums)) < 1e-14
 
@@ -147,8 +141,8 @@ def test_2d_separable_matches_1d():
     # a field depending on x only sees the 1-D operator row by row
     g2 = make_grid(2, 0.0, 1.0, 8)
     g1 = make_grid(1, 0.0, 1.0, 8)
-    op2 = assemble_transport_2d(g2, d=0.05, alpha=0.03)
-    op1 = assemble_transport(g1, d=0.05, alpha=0.03)
+    op2 = transport_for(g2, d=0.05, alpha=0.03)
+    op1 = transport_for(g1, d=0.05, alpha=0.03)
     gx = np.cos(g1.centers)
     f2 = np.tile(gx, 8)
     expect = np.tile(op1.apply(gx), 8)
@@ -158,10 +152,6 @@ def test_2d_separable_matches_1d():
 def test_dimension_dispatch():
     assert transport_for(make_grid(1, 0.0, 1.0, 8), 1.0, 0.0).grid.dim == 1
     assert transport_for(make_grid(2, 0.0, 1.0, 4), 1.0, 0.0).grid.dim == 2
-    with pytest.raises(ConfigError):
-        assemble_transport(make_grid(2, 0.0, 1.0, 4), 1.0, 0.0)
-    with pytest.raises(ConfigError):
-        assemble_transport_2d(make_grid(1, 0.0, 1.0, 8), 1.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,7 +165,7 @@ def test_bands_rebuild_the_matrix_array_for_array(n, d, peclet):
     # bands alone, so the bands must be exactly the matrix the rest of the
     # package applies, and must not be writable through the operator.
     grid = make_grid(1, 0.0, 1.0, n)
-    op = assemble_transport(grid, d, peclet * d / grid.h)
+    op = transport_for(grid, d, peclet * d / grid.h)
     rebuilt = sparse.diags(list(op.bands), offsets=[-1, 0, 1], format="csr")
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(rebuilt, name), getattr(op.matrix, name))
@@ -183,5 +173,34 @@ def test_bands_rebuild_the_matrix_array_for_array(n, d, peclet):
     assert not any(band.flags.writeable for band in op.bands)
 
 
-def test_2d_operator_carries_no_bands():
-    assert assemble_transport_2d(make_grid(2, 0.0, 1.0, 4), 1.0, 0.5).bands is None
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    d=st.floats(1e-3, 10.0),
+    peclet=st.floats(-1.99, 1.99),
+)
+def test_2d_bands_and_y_modes_rebuild_the_kronecker_sum(n, d, peclet):
+    # A 2-D operator is Lx's bands plus Ly's DCT eigenvalues; its CSR
+    # matrix, built on first read, is the Kronecker sum I⊗Lx + Ly⊗I
+    # assembled by hand from the 1-D operators along each axis.
+    grid = make_grid(2, 0.0, 1.0, n)
+    alpha = peclet * d / grid.h
+    op = transport_for(grid, d, alpha)
+    assert "matrix" not in op.__dict__
+    line = make_grid(1, 0.0, 1.0, n)
+    lx, ly = transport_for(line, d, alpha), transport_for(line, d, 0.0)
+    eye = sparse.identity(n, format="csr")
+    kron_sum = (sparse.kron(eye, lx.matrix) + sparse.kron(ly.matrix, eye)).tocsr()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(op.matrix, name), getattr(kron_sum, name))
+    for band, expected in zip(op.bands, lx.bands):
+        np.testing.assert_array_equal(band, expected)
+    assert not any(band.flags.writeable for band in op.bands)
+    # λ_j = -(4d/h²)·sin²(πj/2n), bit for bit, and C·Ly·Cᵀ = diag(λ) to rounding.
+    h = grid.h
+    lam = -(4.0 * d / (h * h)) * np.sin(0.5 * np.pi * np.arange(n) / n) ** 2
+    np.testing.assert_array_equal(op.y_modes, lam)
+    c = dct_basis(n)
+    modal = c @ ly.matrix.toarray() @ c.T
+    np.testing.assert_allclose(modal, np.diag(op.y_modes), rtol=0, atol=1e-12 * 4.0 * d / (h * h))
+    assert not op.y_modes.flags.writeable

@@ -155,9 +155,18 @@ def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
         raise AssertionError("the 2-D stepper must not call splu")
 
     monkeypatch.setattr(spla, "splu", refuse)
-    stepper, grid, _ = make_stepper(n=12, dim=2, form="raw")
-    u, v = stepper.step(np.full((2, grid.size), 0.5))
-    assert u.min() > 0.0 and v.min() > 0.0
+    # Neither 2-D step solve reads an operator's sparse matrix, so none is built.
+    drift_dominated = dict(d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0)
+    for n, pars, solve in ((12, WEAK_HARVEST, "diagonal"), (24, drift_dominated, "modal-banded")):
+        p = ModelParams(mu1=0.009, mu2=0.009, dim=2, **pars)
+        grid = make_grid(2, p.a, p.b, n)
+        eff = build_effective_params(p, grid, mu=0.009)
+        ops = transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
+        stepper = Stepper(*ops, p, eff, form="raw")
+        assert stepper.implicit_solve == solve
+        u, v = stepper.step(np.full((2, grid.size), 0.5))
+        assert u.min() > 0.0 and v.min() > 0.0
+        assert not any("matrix" in op.__dict__ for op in ops)
 
 
 def _sample_times(dt, steps, every):
