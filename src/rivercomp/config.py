@@ -94,6 +94,8 @@ class Tolerances:
 
 
 _TOL_KEYS = tuple(f.name for f in fields(Tolerances))
+# The names a "_defaulted" list may hold: every key the parser fills in.
+_DEFAULTABLE = set(_ECHO_ORDER) - {"figure", "tolerances"} | {f"tolerances.{k}" for k in _TOL_KEYS}
 
 
 @dataclass
@@ -258,9 +260,12 @@ def parse_config(
 
     ``overrides`` (typically CLI flags) take precedence over file values
     (``merge_config``).  Returns a RunConfig with every default
-    materialized and listed in its ``defaulted`` tuple; defaults carried in
-    from a previous echo's "_defaulted" entry stay marked unless an
-    override sets them, so echoes are stable under re-parse.
+    materialized and listed in its ``defaulted`` tuple.  Every key a
+    previous echo's "_defaulted" entry lists is derived again unless an
+    override sets it, so a derived default (dt, u0, v0,
+    tolerances.extinct) follows the overrides it derives from, and an
+    unchanged echo re-parses to the same echo.  An override's harvest
+    form, mu or the pair mu1/mu2, replaces the file's.
     """
     file_data = _load_file(path) if path is not None else {}
     unknown = sorted(set(file_data) - _TOP_KEYS)
@@ -269,17 +274,38 @@ def parse_config(
     carried = file_data.get("_defaulted", [])
     if not isinstance(carried, list) or not all(isinstance(k, str) for k in carried):
         raise ConfigError("_defaulted must be a list of key names")
+    unknown = sorted(set(carried) - _DEFAULTABLE)
+    if unknown:
+        raise ConfigError(f"_defaulted lists {unknown[0]!r}, which has no default")
 
     overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
     unknown = sorted(set(overrides) - (_TOP_KEYS - {"_defaulted"}))
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    merged = merge_config({k: v for k, v in file_data.items() if k != "_defaulted"}, overrides)
+    # Harvest fractions: a single "mu" is shorthand for equal fractions.
+    for source in (file_data, overrides):
+        if "mu" in source and ("mu1" in source or "mu2" in source):
+            raise ConfigError("give either mu or the pair mu1/mu2, not both")
 
     given = set(overrides)
     if isinstance(overrides.get("tolerances"), dict):
         given.update(f"tolerances.{k}" for k in overrides["tolerances"])
+    if "mu" in overrides:
+        given.update(("mu1", "mu2"))
     defaulted = set(carried) - given
+    # The file's defaults are derived again (mu1/mu2 default as a pair, so
+    # an override of one keeps the file's other), and an override's
+    # harvest form replaces the file's.
+    stale = defaulted - {"mu1", "mu2"}
+    if "mu" in overrides:
+        stale.update(("mu1", "mu2"))
+    if "mu1" in overrides or "mu2" in overrides:
+        stale.add("mu")
+    base = {k: v for k, v in file_data.items() if k not in stale and k != "_defaulted"}
+    if isinstance(base.get("tolerances"), dict):
+        tolerances = base["tolerances"].items()
+        base["tolerances"] = {k: v for k, v in tolerances if f"tolerances.{k}" not in stale}
+    merged = merge_config(base, overrides)
 
     def take(key: str, default):
         if key in merged:
@@ -297,9 +323,6 @@ def parse_config(
             f"reaction_form must be one of {', '.join(REACTION_FORMS)}; got {reaction_form!r}"
         )
 
-    # Harvest fractions: a single "mu" is shorthand for equal fractions.
-    if "mu" in merged and ("mu1" in merged or "mu2" in merged):
-        raise ConfigError("give either mu or the pair mu1/mu2, not both")
     if ("mu1" in merged) != ("mu2" in merged):
         raise ConfigError("mu1 and mu2 must be given together")
     if "mu" in merged:

@@ -11,15 +11,21 @@ bitwise equal to ``scipy.linalg.solve_banded``.
 
 ``implicit_solver`` builds the time stepper's solve of
 I - dt·blockdiag(L_1, ..., L_S), the species' fields stacked, with one of
-four strategies (its ``name``):
+four strategies (its ``name``).  Each exposes the positive diagonal it
+solves in as ``scale``: ``solve(c)`` returns z with
+S⁻¹·(I - dt·L)·S·z = c for S = diag(``scale``), so x = S·z solves the
+system for b = S·c.  ``scale`` is the symmetrizer for
+``"symmetrized"`` and 1.0 (S = I) for the others, which solve in field
+units.
 
 - ``"symmetrized"`` (1-D, ``SymmetrizedSolve``): a diagonal scaling S
   makes each block symmetric, S⁻¹·(I - dt·L)·S, a symmetric positive
   definite tridiagonal matrix; the stack is factored once as LDLᵀ
-  (``pttrf``) and a solve is x = S·``pttrs``(S⁻¹·b) over S·n rows.  The
-  LDLᵀ sweeps carry no chain of dependent divides (two species on 256
-  cells: 5–7.5 µs with both scalings, against 9–10 µs for ``gttrs``,
-  on a 2-core VM).
+  (``pttrf``) and a solve is one ``pttrs`` over S·n rows, in place.
+  The stepper keeps its state in these coordinates, so no scaling runs
+  per step.  The LDLᵀ sweeps carry no chain of dependent divides (two
+  species on 256 cells: about 5 µs, against 9–10 µs for ``gttrs``, on a
+  2-core VM).
 - ``"banded"`` (1-D): the species' tridiagonal systems stacked into one
   with zero coupling entries, one ``Factorization``; a solve is one
   ``gttrs`` over S·n rows.
@@ -42,11 +48,11 @@ max(s)/min(s) grows like exp(|α|·(b - a)/(2d)).  In 2-D it is the
 condition number of V and W, and the diagonal solve's rounding error
 grows with it.  In 1-D the matrix the symmetrized solve inverts,
 S·B·S⁻¹ with B rounded, differs from I - dt·L by a few ε relative to each
-entry (about (2 + ln(spread))·ε/2 from the rounding of s), so it agrees
-with ``solve_banded`` componentwise to rounding, not bitwise.  The
-symmetric strategies are used only while the spread of every species
-stays within ``MAX_SYMMETRIZER_SPREAD``; drift-dominated input goes to
-the banded ones.  The 2-D solves agree with sparse LU to rounding.
+entry (about (2 + ln(spread))·ε/2 from the rounding of s), so
+S·``solve``(S⁻¹·b) agrees with ``solve_banded`` componentwise to
+rounding, not bitwise.  The symmetric strategies are used only while the
+spread of every species stays within ``MAX_SYMMETRIZER_SPREAD``;
+drift-dominated input goes to the banded ones.  The 2-D solves agree with sparse LU to rounding.
 
 Every solver reads an operator's bands, and in 2-D its ``y_modes``; the
 2-D steady and eigen systems alone read its sparse matrix and go to
@@ -106,6 +112,7 @@ class Factorization:
     """
 
     name = "banded"
+    scale = 1.0  # as an ``implicit_solver`` strategy: it solves in field units
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         *self._factors, info = lapack.dgttrf(lower, diag, upper)
@@ -172,6 +179,7 @@ class SeparableSolve:
     """
 
     name = "modal-banded"
+    scale = 1.0
 
     def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
         n = ops[0].grid.n
@@ -208,11 +216,13 @@ class SymmetrizedSolve:
     diagonal 1 - dt·diag and both off-diagonals -dt·√(lower·upper).  It
     is similar to the M-matrix I - dt·L, so it is a symmetric positive
     definite M-matrix.  The species' blocks are stacked with zero
-    coupling entries and factored once as LDLᵀ; a solve is
-    x = S·``pttrs``(S⁻¹·b) in a new array.  L's factors are nonpositive
-    and D's pivots positive, so on a nonnegative right-hand side every
-    operation adds a nonnegative term or divides by a pivot: the solution
-    is nonnegative in floating point, as with ``gttrs``.
+    coupling entries and factored once as LDLᵀ.  The solve works in the
+    scaled coordinates: ``solve(c)`` is z = ``pttrs``(c), the solution of
+    B·z = c, so the solution of (I - dt·L)·x = b is x = s·z for c = b/s
+    (``scale`` is the stacked s).  L's factors are nonpositive and D's
+    pivots positive, so on a nonnegative right-hand side every operation
+    adds a nonnegative term or divides by a pivot: the solution is
+    nonnegative in floating point, as with ``gttrs``.
     """
 
     name = "symmetrized"
@@ -224,14 +234,15 @@ class SymmetrizedSolve:
             s.append(_symmetrizer(op.bands))
             diag.append(1.0 - dt * d)
             off.append(np.append(-dt * np.sqrt(lower * upper), 0.0))
-        self._s = np.concatenate(s)
+        self.scale = np.concatenate(s)
         *self._factors, info = lapack.dpttrf(np.concatenate(diag), np.concatenate(off)[:-1])
         if info > 0:
             raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, _ = lapack.dpttrs(*self._factors, rhs / self._s, overwrite_b=1)
-        return np.multiply(x, self._s, out=x)
+        """z with B·z = ``rhs``, written over ``rhs`` (a contiguous float array) and returned."""
+        z, _ = lapack.dpttrs(*self._factors, rhs, overwrite_b=1)
+        return z
 
 
 class DiagonalSolve:
@@ -249,6 +260,7 @@ class DiagonalSolve:
     """
 
     name = "diagonal"
+    scale = 1.0
 
     def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
         n = ops[0].grid.n
@@ -279,13 +291,14 @@ def implicit_solver(
 ) -> SymmetrizedSolve | Factorization | DiagonalSolve | SeparableSolve:
     """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for operators on one grid.
 
-    The right-hand side stacks the species' fields.  When every species'
-    symmetrizer spread (of L in 1-D, of Lx in 2-D) is at most
-    ``MAX_SYMMETRIZER_SPREAD`` it is ``SymmetrizedSolve`` in 1-D and
-    ``DiagonalSolve`` in 2-D.  Otherwise it is, in 1-D, one stacked
-    tridiagonal ``Factorization`` whose coupling entries are zero, so it
-    is bitwise equal to solving the species apart, and in 2-D
-    ``SeparableSolve``.
+    The right-hand side stacks the species' fields divided by the
+    strategy's ``scale`` (see the module docstring); the solve may write
+    over it and return it.  When every species' symmetrizer spread (of L
+    in 1-D, of Lx in 2-D) is at most ``MAX_SYMMETRIZER_SPREAD`` it is
+    ``SymmetrizedSolve`` in 1-D and ``DiagonalSolve`` in 2-D.  Otherwise
+    it is, in 1-D, one stacked tridiagonal ``Factorization`` whose
+    coupling entries are zero, so it is bitwise equal to solving the
+    species apart, and in 2-D ``SeparableSolve``.
     """
     symmetrizers = (_symmetrizer(op.bands) for op in ops)
     symmetric = all(s.max() / s.min() <= MAX_SYMMETRIZER_SPREAD for s in symmetrizers)

@@ -17,11 +17,13 @@ maps nonnegative states to nonnegative states and changes total mass by
 exactly dt times the integrated reaction (the transport columns sum to
 zero).
 
-The stepper carries both species as one stacked (2, n) state.  Its
-explicit half writes u + dt R_u and v + dt R_v for both species into one
-stacked right-hand side in four passes, from coefficients formed once
-(see ``Stepper``); the implicit half is one solve of the stacked system
-(see ``linsolve.implicit_solver``).  ``model.reaction`` and
+The stepper owns both species' state, one stacked (2, n) array kept in
+the coordinates its implicit solve works in: z = S⁻¹·[u; v] for the
+solve's positive diagonal S (the 1-D symmetrizer, or the identity; see
+``linsolve.implicit_solver``).  A step is four passes that write
+S⁻¹·(w + dt·R(w)) over the state (see ``Stepper``), one solve of the
+stacked system and one clamp check.  The fields, S·z, are formed only
+when ``integrate`` samples or snapshots them.  ``model.reaction`` and
 ``model.raw_reaction`` stay as the oracles the fused pass matches to
 rounding.
 
@@ -122,26 +124,33 @@ class Stepper:
     "raw" evaluates growth minus harvest literally and also covers
     unequal fractions.
 
-    The state is the stacked (2, n) array w = [u; v].  The explicit half
-    evaluates both species' reactions together, straight into one
-    right-hand-side buffer reused across steps:
+    The stepper owns its state: ``start(u0, v0)`` sets it, ``step()``
+    advances it by dt and ``fields()`` returns it as the fields (u, v).
+    It keeps the state as z = S⁻¹·w for the stacked fields w = [u; v] and
+    the diagonal S = diag(s) its implicit solve works in (the strategy's
+    ``scale``; see the module docstring).  The explicit half evaluates
+    both species' reactions together, straight into the state:
 
-        rhs = w·(a - b·(u + v)),   a = 1 + dt·rate·(1 - mu_s),   b = dt·rate/cap,
+        z·(a - g),   g = (b·s_u)·z_u + (b·s_v)·z_v,
+        a = 1 + dt·rate·(1 - mu_s),   b = dt·rate/cap,
 
-    which is w + dt·((rate·w)·(1 - (u + v)/cap) - mu_s·rate·w) regrouped:
-    four passes over w.  The folded form has rate = r·r1, cap = K1 and no
-    harvest term (a is one (n,) row for both species); the raw form has
-    rate = r, cap = K and a = [1 + dt·r·(1 - mu1); 1 + dt·r·(1 - mu2)].
-    The regrouping rounds differently from ``model.reaction`` and
-    ``model.raw_reaction``, which stay as its oracles: the two agree to
-    a few ε relative to each term (see the tests).
+    which is S⁻¹·(w + dt·((rate·w)·(1 - (u + v)/cap) - mu_s·rate·w))
+    regrouped: four passes, with b·s formed once.  The folded form has
+    rate = r·r1, cap = K1 and no harvest term (a, and so a - g, is one
+    (n,) row for both species); the raw form has rate = r, cap = K and
+    a = [1 + dt·r·(1 - mu1); 1 + dt·r·(1 - mu2)].  The regrouping rounds
+    differently from ``model.reaction`` and ``model.raw_reaction``, which
+    stay as its oracles: the two agree to a few ε relative to each term
+    (see the tests).
 
     The implicit half of both species is one block-diagonal system,
-    I - dt·blockdiag(L1, L2), factored once here
-    (``linsolve.implicit_solver``; its strategy is ``implicit_solve``):
-    one solve and one clamp pass per step.  It agrees with solving the
-    two species apart to rounding; the drift-dominated 1-D fallback, one
-    stacked tridiagonal system, is bitwise equal to solving them apart.
+    I - dt·blockdiag(L1, L2), factored once here (its strategy is
+    ``implicit_solve``) and solved in z.  Since s > 0, z ≥ 0 exactly
+    where w ≥ 0: the clamp zeroes negative z and counts the entries below
+    -``CLAMP_TOLERANCE`` in field units, z < -``CLAMP_TOLERANCE``/s.  The
+    step agrees with solving the two species apart to rounding; the
+    drift-dominated 1-D fallback, one stacked tridiagonal system, solves
+    each species bitwise as solving them apart would.
     """
 
     def __init__(
@@ -174,12 +183,19 @@ class Stepper:
             raise ConfigError(f"dt must be positive, got {dt}")
         self.dt = float(dt)
         self.clamp_events = 0
-        self._growth = 1.0 + self.dt * rate * keep
-        self._crowding = self.dt * rate / cap
-        self._rhs = np.empty((2, self.grid.size))
-        self._sum = np.empty(self.grid.size)
         self._solve = implicit_solver((op1, op2), self.dt)
         self.implicit_solve = self._solve.name
+        n = self.grid.size
+        self._scale = np.broadcast_to(self._solve.scale, (2 * n,)).reshape(2, n)
+        self._growth = 1.0 + self.dt * rate * keep
+        self._crowding = (self.dt * rate / cap) * self._scale
+        self._floor = (-CLAMP_TOLERANCE / self._scale).ravel()
+        self._z = np.zeros(2 * n)
+        self._rows = self._z.reshape(2, n)
+        self._work = np.empty((2, n))
+        self._work_rows = tuple(self._work)
+        self._sum = np.empty(n)
+        self._diff = np.empty(np.broadcast_shapes(self._growth.shape, (n,)))  # a - g
 
     # -- reaction terms (the oracles of the fused pass) -------------------
 
@@ -193,31 +209,35 @@ class Stepper:
             return reaction(v, u, self.eff)
         return raw_reaction(v, u, self.eff.r.values, self.eff.K.values, self.params.mu2)
 
-    # -- stepping --------------------------------------------------------
+    # -- the state ---------------------------------------------------------
 
-    def step(self, w: np.ndarray) -> np.ndarray:
-        """Advance the stacked (2, n) state by dt; clamps and counts negative output.
+    def start(self, u0: np.ndarray, v0: np.ndarray) -> None:
+        """Take the nonnegative fields (u0, v0) on the grid as the state."""
+        w = [np.asarray(x, dtype=float) for x in (u0, v0)]
+        if any(x.shape != (self.grid.size,) for x in w):
+            raise ConfigError("initial data does not match the grid")
+        if any((x < 0.0).any() for x in w):
+            raise ConfigError("initial data must be nonnegative")
+        np.divide(w, self._scale, out=self._rows)
 
-        The new state does not alias the reused buffers.
-        """
-        x = self._solve.solve(self.explicit_rhs(w).ravel())
-        return self._clamp(x).reshape(w.shape)
+    def step(self) -> None:
+        """Advance the state by dt; clamps and counts negative output."""
+        rows, (g_u, g_v), g, diff = self._rows, self._work_rows, self._sum, self._diff
+        np.multiply(self._crowding, rows, out=self._work)
+        np.add(g_u, g_v, out=g)
+        np.subtract(self._growth, g, out=diff)
+        np.multiply(rows, diff, out=rows)
+        z = self._solve.solve(self._z)
+        if z is not self._z:  # a solve that returns a new array: it becomes the state
+            self._z, self._rows = z, z.reshape(rows.shape)
+        if np.minimum.reduce(z) < 0.0:
+            self.clamp_events += int(np.count_nonzero(z < self._floor))
+            np.maximum(z, 0.0, out=z)
 
-    def explicit_rhs(self, w: np.ndarray) -> np.ndarray:
-        """The stacked right-hand side w·(a - b·(u + v)) = w + dt·R(w), in the reused buffer."""
-        rhs, g = self._rhs, self._sum
-        np.add(w[0], w[1], out=g)
-        np.multiply(self._crowding, g, out=g)
-        np.subtract(self._growth, g, out=rhs)
-        np.multiply(rhs, w, out=rhs)
-        return rhs
-
-    def _clamp(self, w: np.ndarray) -> np.ndarray:
-        """Zero negative entries of ``w`` in place, counting those below tolerance."""
-        if w.min() < 0.0:
-            self.clamp_events += int(np.count_nonzero(w < -CLAMP_TOLERANCE))
-            np.maximum(w, 0.0, out=w)
-        return w
+    def fields(self) -> tuple[np.ndarray, np.ndarray]:
+        """The state as the fields (u, v), in new arrays."""
+        u, v = self._rows * self._scale
+        return u, v
 
 
 def integrate(
@@ -232,47 +252,49 @@ def integrate(
 
     Snapshots are taken at the first step time reaching each requested
     value and always at the final step.  ``t_end=0`` returns a trajectory
-    holding only the initial sample.
+    holding only the initial sample.  Sampling reads the stepper's fields
+    and never changes its state.  The trajectory counts the clamps of
+    this run alone.
     """
     if t_end < 0.0:
         raise ConfigError(f"t_end must be nonnegative, got {t_end}")
+    stepper.start(u0, v0)
+    clamps_before = stepper.clamp_events
     grid = stepper.grid
-    u0, v0 = np.asarray(u0, dtype=float), np.asarray(v0, dtype=float)
-    if u0.shape != (grid.size,) or v0.shape != (grid.size,):
-        raise ConfigError("initial data does not match the grid")
-    w = np.stack((u0, v0))
-    if (w < 0.0).any():
-        raise ConfigError("initial data must be nonnegative")
-
     dt = stepper.dt
     total_steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0.0 else 0
     sample_every = max(1, total_steps // max(1, n_samples))
     vol = grid.cell_volume
     samples: list[tuple[float, ...]] = []  # (t, |u|, |v|, mass u, mass v)
 
-    def sample(t: float, w: np.ndarray) -> None:
+    def sample(t: float, w: tuple[np.ndarray, np.ndarray]) -> None:
         norms = (float(np.max(np.abs(x))) for x in w)
         samples.append((t, *norms, *(vol * float(x.sum()) for x in w)))
 
     pending = sorted(set(float(t) for t in snapshot_times))
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    w = (np.array(u0, dtype=float), np.array(v0, dtype=float))
     sample(0.0, w)
     if pending and pending[0] <= 0.0:
-        snapshots[0.0] = (w[0].copy(), w[1].copy())
+        snapshots[0.0] = w
         pending = [t for t in pending if t > 0.0]
 
+    step = stepper.step
     for k in range(1, total_steps + 1):
-        w = stepper.step(w)
+        step()
         t = k * dt
-        if k % sample_every == 0 or k == total_steps:
-            sample(t, w)
-        while pending and t >= pending[0] - 1e-12:
-            snapshots[t] = (w[0].copy(), w[1].copy())
-            pending.pop(0)
+        due = k % sample_every == 0 or k == total_steps
+        if due or (pending and t >= pending[0] - 1e-12):
+            w = stepper.fields()
+            if due:
+                sample(t, w)
+            while pending and t >= pending[0] - 1e-12:
+                snapshots[t] = w
+                pending.pop(0)
 
     final_t = total_steps * dt
     if final_t not in snapshots:
-        snapshots[final_t] = (w[0].copy(), w[1].copy())
+        snapshots[final_t] = w
     if samples[-1][0] != final_t:
         sample(final_t, w)
 
@@ -286,7 +308,7 @@ def integrate(
         mass_u=mass_u,
         mass_v=mass_v,
         snapshots=snapshots,
-        clamp_events=stepper.clamp_events,
+        clamp_events=stepper.clamp_events - clamps_before,
         implicit_solve=stepper.implicit_solve,
     )
 

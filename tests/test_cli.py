@@ -153,6 +153,32 @@ def test_tol_flag_overrides_one_tolerance_of_the_file(tmp_path):
     assert again["_defaulted"] == [k for k in echo["_defaulted"] if k != "tolerances.steady"]
 
 
+def test_echo_reruns_with_derived_defaults_and_another_harvest(tmp_path):
+    # The fig2 echo lists dt, u0, v0 and tolerances.extinct as defaulted:
+    # re-run with another r, they are derived again (dt takes the new
+    # cap, not the echo's 0.1), and --mu replaces the echo's mu1/mu2.
+    # Re-running an echo unchanged writes it again byte for byte.
+    first = tmp_path / "a"
+    assert main(["figure", "fig2", "--t-end", "5", "--out-dir", str(first)]) == 0
+    echo_path = first / "config.echo.json"
+    echo = json.loads(echo_path.read_text())
+    assert {"dt", "u0", "v0", "tolerances.extinct"} <= set(echo["_defaulted"])
+    for name, flags in {"r": ["--r", "40 + x"], "mu": ["--mu", "0.2"]}.items():
+        argv = ["simulate", "--config", str(echo_path), *flags, "--out-dir", str(tmp_path / name)]
+        assert main(argv) == 0
+    again = json.loads((tmp_path / "r" / "config.echo.json").read_text())
+    assert again["dt"] == pytest.approx(0.9 / (41.0 * (1.0 - 0.009)), rel=1e-3)
+    assert again["_defaulted"] == [k for k in echo["_defaulted"] if k != "r"]
+    again = json.loads((tmp_path / "mu" / "config.echo.json").read_text())
+    assert (again["mu1"], again["mu2"]) == (0.2, 0.2)
+    assert again["u0"] < echo["u0"] and again["tolerances"]["extinct"] < echo["tolerances"]["extinct"]
+    for name in ("r", "mu"):
+        path = tmp_path / name / "config.echo.json"
+        written = path.read_bytes()
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert path.read_bytes() == written
+
+
 @pytest.mark.parametrize("mode", ["steady", "eigen", "sweep", "verify"])
 def test_analyses_refuse_unequal_harvest(tmp_path, capsys, mode):
     # The steady and invasion analysis is of the folded model, so unequal

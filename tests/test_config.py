@@ -51,6 +51,53 @@ def test_mu_shorthand_conflicts_with_pair():
         parse_config(overrides=dict(WEAK, mu=0.1, mu1=0.1, mu2=0.1))
 
 
+def test_override_harvest_form_replaces_the_file_s(tmp_path):
+    # In both directions: --mu over a file's mu1/mu2, and mu1/mu2 over a
+    # file's mu.  Both forms in one source stay an error.
+    pair, single, both = tmp_path / "pair.json", tmp_path / "single.json", tmp_path / "both.json"
+    pair.write_text(json.dumps(dict(WEAK, mu1=0.1, mu2=0.2, reaction_form="raw")))
+    single.write_text(json.dumps(dict(WEAK, mu=0.3)))
+    both.write_text(json.dumps(dict(WEAK, mu=0.3, mu1=0.3, mu2=0.3)))
+    cfg = parse_config(pair, {"mu": 0.25})
+    assert (cfg.params.mu1, cfg.params.mu2) == (0.25, 0.25)
+    assert not {"mu1", "mu2"} & set(cfg.defaulted)
+    cfg = parse_config(single, {"mu1": 0.1, "mu2": 0.2, "reaction_form": "raw"})
+    assert (cfg.params.mu1, cfg.params.mu2) == (0.1, 0.2)
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config(both, {"mu": 0.25})
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config(single, {"mu": 0.25, "mu1": 0.25})
+
+
+def test_carried_defaults_are_derived_again(tmp_path):
+    # An echo's _defaulted keys are derived anew from the overrides: dt
+    # from r, u0, v0 and tolerances.extinct from K and mu, n from dim.
+    # Given keys stay as the file has them.  The result is what a parse
+    # of the file's given keys plus the overrides makes.
+    echo = parse_config(overrides=dict(WEAK, mu=0.009, t_end=5.0, tolerances={"settle": 0.01}))
+    path = tmp_path / "config.echo.json"
+    path.write_text(echo.echo_json())
+    given = {k: v for k, v in json.loads(echo.echo_json()).items() if k not in echo.defaulted}
+    given["tolerances"] = {"settle": 0.01}
+    del given["_defaulted"]
+    for overrides in ({"r": "40 + x"}, {"K": "2 - x"}, {"mu": 0.2}, {"dim": 2}):
+        fresh = {k: v for k, v in given.items() if not ("mu" in overrides and k in ("mu1", "mu2"))}
+        cfg = parse_config(path, overrides)
+        assert cfg.echo_json() == parse_config(overrides=dict(fresh, **overrides)).echo_json()
+    cfg = parse_config(path, {"r": "40 + x"})
+    assert cfg.dt < echo.dt == 0.1 and "dt" in cfg.defaulted
+    cfg = parse_config(path, {"K": "2 - x"})
+    assert cfg.u0 != echo.u0 and cfg.tolerances.extinct != echo.tolerances.extinct
+    assert parse_config(path, {"dim": 2}).n == 64
+
+
+def test_defaulted_names_keys_with_defaults(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(WEAK, figure="fig2", _defaulted=["figure"])))
+    with pytest.raises(ConfigError, match="'figure', which has no default"):
+        parse_config(path)
+
+
 def test_mu_pair_must_be_complete():
     with pytest.raises(ConfigError, match="given together"):
         parse_config(overrides=dict(WEAK, mu1=0.1))

@@ -41,10 +41,17 @@ def make_stepper(n=64, mu=0.009, dt=None, form="folded", dim=1, mu2=None, **kw):
     return Stepper(op1, op2, p, eff, dt=dt, form=form), grid, eff
 
 
+def _step_from(stepper, u, v):
+    """One step of ``stepper`` from the fields (u, v); returns the new fields."""
+    stepper.start(u, v)
+    stepper.step()
+    return stepper.fields()
+
+
 def test_zero_state_is_absorbing():
     stepper, grid, _ = make_stepper()
     z = np.zeros(grid.size)
-    u, v = stepper.step(np.stack((z, z)))
+    u, v = _step_from(stepper, z, z)
     np.testing.assert_array_equal(u, 0.0)
     np.testing.assert_array_equal(v, 0.0)
 
@@ -57,7 +64,7 @@ def test_mass_identity_single_step():
     v = np.full(grid.size, 0.5)
     ru = stepper.reaction_u(u, v)
     rv = stepper.reaction_v(u, v)
-    un, vn = stepper.step(np.stack((u, v)))
+    un, vn = _step_from(stepper, u, v)
     h = grid.cell_volume
     assert abs(h * (un - u).sum() - 0.1 * h * ru.sum()) < 1e-12
     assert abs(h * (vn - v).sum() - 0.1 * h * rv.sum()) < 1e-12
@@ -80,7 +87,7 @@ def _assert_mass_identity_along_trajectory(stepper, grid):
     v = 0.3 + 0.2 * np.linspace(0.0, 1.0, grid.size)
     for _ in range(50):
         ru, rv = stepper.reaction_u(u, v), stepper.reaction_v(u, v)
-        un, vn = stepper.step(np.stack((u, v)))
+        un, vn = _step_from(stepper, u, v)
         assert abs(h * (un - u).sum() - stepper.dt * h * ru.sum()) < 1e-11
         assert abs(h * (vn - v).sum() - stepper.dt * h * rv.sum()) < 1e-11
         u, v = un, vn
@@ -93,7 +100,7 @@ def test_spatially_homogeneous_reduction():
     stepper, grid, eff = make_stepper(alpha1=0.0, alpha2=0.0, K_expr="2.5", dt=0.1)
     u = np.full(grid.size, 0.8)
     v = np.zeros(grid.size)
-    un, _ = stepper.step(np.stack((u, v)))
+    un, _ = _step_from(stepper, u, v)
     rr1 = eff.rr1.values[0]
     K1 = eff.K1.values[0]
     expected = 0.8 + 0.1 * rr1 * 0.8 * (1.0 - 0.8 / K1)
@@ -134,7 +141,7 @@ def _assert_positive_step(data, **kw):
     _, _, eff = make_stepper(**kw)
     stepper, grid, _ = make_stepper(dt=max_stable_dt(eff.rr1.values), **kw)
     u, v = data[0], data[1]
-    un, vn = stepper.step(np.stack((u, v)))
+    un, vn = _step_from(stepper, u, v)
     assert un.min() >= 0.0 and vn.min() >= 0.0
     assert stepper.clamp_events == 0
 
@@ -143,9 +150,10 @@ def _assert_positive_step(data, **kw):
 def test_returned_states_do_not_alias_reused_buffers(dim):
     stepper, grid, _ = make_stepper(n=12, dim=dim, dt=0.1)
     x = np.linspace(0.0, 1.0, grid.size)
-    u, v = stepper.step(np.stack((0.2 + x, 0.8 - 0.5 * x)))
+    u, v = _step_from(stepper, 0.2 + x, 0.8 - 0.5 * x)
     kept = u.copy(), v.copy()
-    stepper.step(np.stack((u, v)))
+    _step_from(stepper, u, v)
+    stepper.step()
     np.testing.assert_array_equal(u, kept[0])
     np.testing.assert_array_equal(v, kept[1])
 
@@ -164,7 +172,7 @@ def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
         ops = transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
         stepper = Stepper(*ops, p, eff, form="raw")
         assert stepper.implicit_solve == solve
-        u, v = stepper.step(np.full((2, grid.size), 0.5))
+        u, v = _step_from(stepper, *np.full((2, grid.size), 0.5))
         assert u.min() > 0.0 and v.min() > 0.0
         assert not any("matrix" in op.__dict__ for op in ops)
 
@@ -285,11 +293,16 @@ class _TwoSolveStepper:
         rhs = u + dt * st.reaction_u(u, v), v + dt * st.reaction_v(u, v)
         return [solve(b) for solve, b in zip(self.solves, rhs)]
 
-    def step(self, w):
+    def start(self, u0, v0):
+        self.w = np.stack((u0, v0)).astype(float)
+
+    def step(self):
         events = [0]
-        x = np.stack([_two_scan_clamp(xs, events) for xs in self.unclamped(w)])
+        self.w = np.stack([_two_scan_clamp(xs, events) for xs in self.unclamped(self.w)])
         self.clamp_events += events[0]
-        return x
+
+    def fields(self):
+        return self.w[0].copy(), self.w[1].copy()
 
 
 def _rhs_magnitude(stepper, w):
@@ -302,22 +315,29 @@ def _rhs_magnitude(stepper, w):
     return w + dt * eff.r.values * w * (1.0 + mu + total / eff.K.values)
 
 
-# The fused right-hand side and the oracle's each round at most seven times
-# along any term's path (the fused one counting the rounding of its
-# precomputed coefficients), each time by at most eps/2 of a quantity no
-# larger than that term, so the two differ by at most 7*eps times the sum
-# of the terms' magnitudes; 8*eps leaves room.  The worst over 12,000
-# random states (1-D n=64 and 256, 2-D 8x8, both forms) was 1.8*eps.
-_RHS_ULPS = 8
+# The stepper forms its right-hand side in the solve's coordinates,
+# z·(a - g) with z = w/s and g = (b·s_u)·z_u + (b·s_v)·z_v.  Taken back
+# to field units (s·(...)), it rounds at most ten times along any term's
+# path: b (two), b·s, z_u, (b·s_u)·z_u, the sum, a - g, z, the product
+# and s·(...); the growth term's path (a: three, then the last four) is
+# shorter.  The oracle's rounds at most seven times.  Each rounding is
+# at most eps/2 of a quantity no larger than the sum of the terms'
+# magnitudes, so the two differ by at most 17/2*eps times that sum;
+# 9*eps leaves room.  The worst over 6,000 random states (1-D n=64 and
+# 256, 2-D 8x8, both forms, s = 1 and symmetrizer spread 6.5) was
+# 2.0*eps.
+_RHS_ULPS = 9
 
 
 def _one_step_bound(oracle, w):
     """Componentwise bound on |stacked step - oracle step| from the state w.
 
     The right-hand sides differ by at most _RHS_ULPS*eps*M (M from
-    ``_rhs_magnitude``); A^-1 >= 0 carries that through the solve.  On
-    the same right-hand side the symmetrized and banded solves differ by
-    at most 8*eps*A^-1(|A||x|) (see tests/test_linsolve.py), x being the
+    ``_rhs_magnitude``; the stepper's in field units, which already
+    counts its division by s); A^-1 >= 0 carries that through the solve.
+    On the same right-hand side the symmetrized solve in field units,
+    s·pttrs(b/s), and the banded one differ by at most
+    8*eps*A^-1(|A||x|) (see tests/test_linsolve.py), x being the
     oracle's unclamped solution.  The clamp only shrinks differences.
     """
     eps = np.finfo(float).eps
@@ -351,13 +371,17 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
     oracle = _TwoSolveStepper(stepper)
     hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
     w = ref = np.stack((hump, np.full(grid.size, 0.5)))
+    stepper.start(*w)
+    oracle.start(*ref)
     for _ in range(300):
         if rtol is None:
-            w, bound = stepper.step(ref), _one_step_bound(oracle, ref)
-            ref = oracle.step(ref)
+            w, bound = np.stack(_step_from(stepper, *ref)), _one_step_bound(oracle, ref)
+            ref = np.stack(_step_from(oracle, *ref))
             assert np.all(np.abs(w - ref) <= bound)
         else:
-            w, ref = stepper.step(w), oracle.step(ref)
+            stepper.step()
+            oracle.step()
+            w, ref = np.stack(stepper.fields()), np.stack(oracle.fields())
             assert np.all(np.max(np.abs(w - ref), axis=1) <= rtol * np.max(np.abs(ref), axis=1))
     assert stepper.clamp_events == oracle.clamp_events > 0
 
@@ -392,8 +416,18 @@ def test_fig1_run_matches_the_two_solve_oracle():
             assert np.max(np.abs(getattr(new, key) - getattr(old, key))) <= tol * scale
 
 
+def _explicit_rhs(monkeypatch, stepper, w):
+    """The right-hand side a step from the fields w hands the implicit
+    solve, taken back to field units: s·(z·(a - g))."""
+    handed = []
+    monkeypatch.setattr(stepper._solve, "solve", lambda b: handed.append(b.copy()) or b)
+    _step_from(stepper, *w)
+    monkeypatch.undo()
+    return stepper._scale * handed[0].reshape(w.shape)
+
+
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 8)])
-def test_fused_rhs_matches_the_oracle_reactions(dim, n):
+def test_fused_rhs_matches_the_oracle_reactions(monkeypatch, dim, n):
     # Folded form against model.reaction, raw form with mu1 != mu2 against
     # model.raw_reaction: u + dt*R(u, v) and v + dt*R(v, u), within
     # _RHS_ULPS*eps of the magnitudes of their terms.
@@ -408,11 +442,11 @@ def test_fused_rhs_matches_the_oracle_reactions(dim, n):
         dt = folded.dt
         oracle = np.stack((u + dt * reaction(u, v, eff), v + dt * reaction(v, u, eff)))
         bound = _RHS_ULPS * eps * _rhs_magnitude(folded, w)
-        assert np.all(np.abs(folded.explicit_rhs(w) - oracle) <= bound)
+        assert np.all(np.abs(_explicit_rhs(monkeypatch, folded, w) - oracle) <= bound)
         dt = raw.dt
         oracle = np.stack((u + dt * raw_reaction(u, v, r, K, 0.1), v + dt * raw_reaction(v, u, r, K, 0.25)))
         bound = _RHS_ULPS * eps * _rhs_magnitude(raw, w)
-        assert np.all(np.abs(raw.explicit_rhs(w) - oracle) <= bound)
+        assert np.all(np.abs(_explicit_rhs(monkeypatch, raw, w) - oracle) <= bound)
 
 
 @pytest.mark.parametrize("form", ["folded", "raw"])
@@ -427,17 +461,65 @@ def test_stepper_run_calls_no_reaction_oracle(monkeypatch, form, dim):
     u0 = np.full(grid.size, 0.5)
     traj = integrate(stepper, u0, u0, 20 * stepper.dt, n_samples=5)
     assert traj.times[-1] == pytest.approx(20 * stepper.dt)
-    stepper.step(np.stack((u0, u0)))
+    _step_from(stepper, u0, u0)
 
 
-def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance():
-    stepper, _, _ = make_stepper(n=16)
-    w = np.array([0.5, -0.5 * CLAMP_TOLERANCE, -2.0 * CLAMP_TOLERANCE, 0.0, -1.0])
-    out = stepper._clamp(w)
-    np.testing.assert_array_equal(out, [0.5, 0.0, 0.0, 0.0, 0.0])
-    assert stepper.clamp_events == 2
-    stepper._clamp(np.array([0.0, -0.5 * CLAMP_TOLERANCE]))
-    assert stepper.clamp_events == 2
+def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance(monkeypatch):
+    # The solve hands back a state whose fields are w.  Where s != 1 the
+    # clamp judges the fields, not the solve's coordinates z = w/s: it
+    # counts exactly the entries below -CLAMP_TOLERANCE in field units
+    # and zeroes every negative one.
+    stepper, grid, _ = make_stepper(n=16, alpha1=0.3)
+    s = stepper._scale
+    assert stepper.implicit_solve == "symmetrized" and s.max() > 1.5 and s.min() < 0.5
+    w = np.full((2, grid.size), 0.5)
+    w[s > 1.5] = -1.5 * CLAMP_TOLERANCE  # counted, though z > -CLAMP_TOLERANCE there
+    w[s < 0.5] = -0.6 * CLAMP_TOLERANCE  # not counted, though z < -CLAMP_TOLERANCE there
+    w[1, :4] = 0.0, -CLAMP_TOLERANCE, -2.0 * CLAMP_TOLERANCE, -1.0
+    monkeypatch.setattr(stepper._solve, "solve", lambda b: (w / s).ravel())
+    stepper.start(*np.zeros_like(w))
+    stepper.step()
+    assert stepper.clamp_events == np.count_nonzero(w < -CLAMP_TOLERANCE) == np.count_nonzero(s > 1.5) + 2
+    u, v = stepper.fields()
+    np.testing.assert_array_equal(np.stack((u, v))[w <= 0.0], 0.0)
+    np.testing.assert_allclose(np.stack((u, v))[w > 0.0], 0.5, rtol=1e-15)
+    w = np.where(w < 0.0, -0.5 * CLAMP_TOLERANCE, 0.0)
+    stepper.step()
+    assert stepper.clamp_events == np.count_nonzero(s > 1.5) + 2
+    np.testing.assert_array_equal(stepper.fields(), 0.0)
+
+
+@pytest.mark.parametrize(
+    "kw,solve",
+    [
+        (dict(n=32), "symmetrized"),
+        (dict(n=32, d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0), "banded"),
+        (dict(n=6, dim=2), "diagonal"),
+    ],
+)
+def test_sampling_leaves_the_run_alone(kw, solve):
+    # Sampling and snapshots read the fields and never write the state:
+    # the final state and the clamp count are bitwise the same however
+    # often a run samples, with or without snapshots.  The hump sits far
+    # outside the positivity envelope at dt = cap, so the run clamps.  One
+    # stepper makes every run, and each trajectory counts its own clamps.
+    _, _, eff = make_stepper(**kw)
+    dt = max_stable_dt(eff.rr1.values)
+    stepper, grid, eff = make_stepper(dt=dt, **kw)
+    assert stepper.implicit_solve == solve
+    x = np.arange(grid.size) / grid.size
+    hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (x - 0.3) ** 2)
+    finals, clamps = [], []
+    for n_samples in (1, 100, 1000):
+        for times in ((), (0.0, 10 * dt, 333.3 * dt, 999.5 * dt)):
+            traj = integrate(stepper, hump, np.full(grid.size, 0.5), 1000 * dt, n_samples=n_samples,
+                             snapshot_times=times)
+            assert len(traj.times) == min(n_samples, 1000) + 1
+            finals.append(np.stack(traj.snapshots[traj.times[-1]]))
+            clamps.append(traj.clamp_events)
+    assert clamps[0] > 0 and clamps.count(clamps[0]) == len(clamps)
+    for final in finals[1:]:
+        np.testing.assert_array_equal(final, finals[0])
 
 
 def test_dt_cap_formula():

@@ -10,17 +10,30 @@ wrote, its stdout, its stderr and its exit code are compared between the
 two trees.  Each difference is printed; the exit code is 1 if there is
 any, 0 if there is none and 2 on a usage error.
 
+For a differing ``.json`` or ``.csv`` bundle file the drift is stated:
+the largest change of its numbers relative to the file's scale (the
+largest magnitude among the parent's numbers in it) and relative to the
+scale of the number's own quantity (its CSV column, or its JSON key with
+list positions dropped), naming that quantity.  Every non-numeric
+difference is printed as well: strings, flags, nulls, integers (counts
+and sizes compare exactly), keys, columns and lengths.
+
 The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``;
 ``simulate`` in raw form with mu1 != mu2 and a drift-dominated 2-D
 ``simulate`` (the modal-banded step solve); ``steady`` and ``eigen`` in
 1-D and 2-D; ``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
 ``K="1 + x"``; ``verify`` on the weak and fast families at n 128, 256,
-512 and 1024: 29 runs, about a minute on a 2-core machine.
+512 and 1024: 29 runs, a few minutes on a 2-core machine.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -100,6 +113,78 @@ def _run(src: Path, args: list[str], cwd: Path) -> dict[str, bytes | str | int]:
     return outcome
 
 
+def _leaves(value, path: str = ""):
+    """(path, value) of every leaf of a parsed JSON value; a leaf's path
+    keeps list positions as [i] and joins keys with dots."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _csv_leaves(data: bytes):
+    rows = list(csv.reader(io.StringIO(data.decode())))
+    header, body = (rows[0], rows[1:]) if rows else ([], [])
+    yield "columns", ",".join(header)
+    for i, row in enumerate(body):
+        for name, cell in zip(header, row):
+            try:
+                yield f"{name}[{i}]", float(cell)
+            except ValueError:
+                yield f"{name}[{i}]", cell
+        if len(row) != len(header):
+            yield f"row[{i}] length", len(row)
+
+
+def _numeric(value) -> bool:
+    return isinstance(value, float)
+
+
+def _drift(name: str, before: bytes, after: bytes) -> list[str]:
+    """The drift of a differing .json or .csv file, one line per finding."""
+    try:
+        if name.endswith(".json"):
+            old, new = (dict(_leaves(json.loads(x))) for x in (before, after))
+        elif name.endswith(".csv"):
+            old, new = (dict(_csv_leaves(x)) for x in (before, after))
+        else:
+            return []
+    except (ValueError, UnicodeDecodeError) as exc:
+        return [f"cannot read both sides: {exc}"]
+    lines = []
+    quantity_scale: dict[str, float] = {}
+    for path, value in old.items():
+        if _numeric(value):
+            quantity = re.sub(r"\[\d+\]", "", path)
+            quantity_scale[quantity] = max(quantity_scale.get(quantity, 0.0), abs(value))
+    file_scale = max(quantity_scale.values(), default=0.0)
+    worst = (0.0, 0.0, "")  # (relative to its quantity, relative to the file, quantity)
+    for path in sorted(old.keys() | new.keys()):
+        a, b = old.get(path), new.get(path)
+        if path not in old or path not in new:
+            lines.append(f"{path}: only in the {'change' if path in new else 'parent'}")
+        elif _numeric(a) and _numeric(b) and math.isfinite(a) and math.isfinite(b):
+            if a != b:
+                quantity = re.sub(r"\[\d+\]", "", path)
+                change = abs(a - b)
+                scale = quantity_scale[quantity] or abs(b)
+                rel = (change / scale, change / (file_scale or scale), quantity)
+                worst = max(worst, rel)
+        elif repr(a) != repr(b):
+            lines.append(f"{path}: {a!r} -> {b!r}")
+    if worst[2]:
+        lines.insert(
+            0,
+            f"largest change {worst[0]:.2e} of its quantity's scale ({worst[2]}), "
+            f"{worst[1]:.2e} of the file's",
+        )
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         _usage(__doc__)
@@ -115,6 +200,9 @@ def main(argv: list[str]) -> int:
             print(f"{'same' if not diffs else 'DIFF'}  {name} ({status}): {' '.join(args)}", flush=True)
             for key in diffs:
                 print(f"        {key} differs")
+                if isinstance(before.get(key), bytes) and isinstance(after.get(key), bytes):
+                    for line in _drift(key, before[key], after[key]):
+                        print(f"            {line}")
             differing += bool(diffs)
     print(f"{differing} of {len(runs)} runs differ")
     return 1 if differing else 0
