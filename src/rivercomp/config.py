@@ -407,6 +407,8 @@ def parse_config(
     snapshot_times = tuple(sorted(_as_float("snapshot_times entry", t) for t in snap_raw))
     if snapshot_times and snapshot_times[0] < 0.0:
         raise ConfigError("snapshot_times must be nonnegative")
+    if snapshot_times and snapshot_times[-1] > t_end:
+        raise ConfigError(f"snapshot time {snapshot_times[-1]!r} lies beyond t_end {t_end!r}")
 
     samples = _as_int("samples", take("samples", 100))
     if samples < 2:

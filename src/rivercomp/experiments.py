@@ -291,7 +291,12 @@ def preset_config(figure: str, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown figure preset {figure!r}; known presets: {known}")
     preset = dict(PRESETS[figure].overrides)
     preset.setdefault("out_dir", figure)
-    return parse_config(overrides=merge_config(preset, overrides))
+    merged = merge_config(preset, overrides)
+    t_end = merged["t_end"]
+    if (overrides or {}).get("snapshot_times") is None and isinstance(t_end, (int, float)):
+        # The preset's own snapshot times past an overridden t_end are never reached.
+        merged["snapshot_times"] = [t for t in preset["snapshot_times"] if t <= t_end]
+    return parse_config(overrides=merged)
 
 
 # ---------------------------------------------------------------------

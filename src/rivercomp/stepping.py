@@ -29,7 +29,14 @@ rounding.
 
 Trajectories record sup-norms and masses at a fixed sample cadence, plus
 full snapshots at requested times; the classifier turns the recorded
-norm histories into one of five qualitative outcomes.
+norm histories into one of five qualitative outcomes.  ``integrate``
+works out its events before it steps: every sample step, the last step,
+and for each snapshot time t the first step k with k·dt >= t - 1e-12.
+Between two events it calls ``Stepper.advance`` for the steps in
+between, one loop with everything a step reads bound to locals, and it
+reads the fields only at an event.  The steps run the same operations
+in the same order however they are grouped, so a run's output does not
+depend on its sample cadence or snapshot times.
 """
 
 from __future__ import annotations
@@ -124,8 +131,9 @@ class Stepper:
     "raw" evaluates growth minus harvest literally and also covers
     unequal fractions.
 
-    The stepper owns its state: ``start(u0, v0)`` sets it, ``step()``
-    advances it by dt and ``fields()`` returns it as the fields (u, v).
+    The stepper owns its state: ``start(u0, v0)`` sets it,
+    ``advance(steps)`` runs that many steps of dt in one loop (``step()``
+    is ``advance(1)``) and ``fields()`` returns it as the fields (u, v).
     It keeps the state as z = S⁻¹·w for the stacked fields w = [u; v] and
     the diagonal S = diag(s) its implicit solve works in (the strategy's
     ``scale``; see the module docstring).  The explicit half evaluates
@@ -221,18 +229,38 @@ class Stepper:
         np.divide(w, self._scale, out=self._rows)
 
     def step(self) -> None:
-        """Advance the state by dt; clamps and counts negative output."""
-        rows, (g_u, g_v), g, diff = self._rows, self._work_rows, self._sum, self._diff
-        np.multiply(self._crowding, rows, out=self._work)
-        np.add(g_u, g_v, out=g)
-        np.subtract(self._growth, g, out=diff)
-        np.multiply(rows, diff, out=rows)
-        z = self._solve.solve(self._z)
-        if z is not self._z:  # a solve that returns a new array: it becomes the state
-            self._z, self._rows = z, z.reshape(rows.shape)
-        if np.minimum.reduce(z) < 0.0:
-            self.clamp_events += int(np.count_nonzero(z < self._floor))
-            np.maximum(z, 0.0, out=z)
+        """Advance the state by dt: ``advance(1)``."""
+        self.advance(1)
+
+    def advance(self, steps: int) -> None:
+        """Advance the state by ``steps`` steps of dt; clamps and counts negative output.
+
+        Everything a step reads is bound to a local once per call, so the
+        loop reads no attribute; the state (rebound when the solve returns
+        a new array) and the clamp count are written back when it ends.
+        """
+        z, rows, work, g, diff = self._z, self._rows, self._work, self._sum, self._diff
+        g_u, g_v = self._work_rows
+        crowding, growth, floor, shape = self._crowding, self._growth, self._floor, rows.shape
+        solve = self._solve.solve
+        multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
+        smallest, count_nonzero = np.minimum.reduce, np.count_nonzero
+        clamps = 0
+        try:
+            for _ in range(steps):
+                multiply(crowding, rows, out=work)
+                add(g_u, g_v, out=g)
+                subtract(growth, g, out=diff)
+                multiply(rows, diff, out=rows)
+                x = solve(z)
+                if x is not z:  # a solve that returns a new array: it becomes the state
+                    z, rows = x, x.reshape(shape)
+                if smallest(z) < 0.0:
+                    clamps += int(count_nonzero(z < floor))
+                    maximum(z, 0.0, out=z)
+        finally:
+            self._z, self._rows = z, rows
+            self.clamp_events += clamps
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:
         """The state as the fields (u, v), in new arrays."""
@@ -251,10 +279,12 @@ def integrate(
     """Step from t=0 until t >= t_end, sampling norms and masses evenly.
 
     Snapshots are taken at the first step time reaching each requested
-    value and always at the final step.  ``t_end=0`` returns a trajectory
-    holding only the initial sample.  Sampling reads the stepper's fields
-    and never changes its state.  The trajectory counts the clamps of
-    this run alone.
+    value, k·dt >= t - 1e-12, and always at the final step; a time past
+    the final step is not taken.  ``t_end=0`` returns a trajectory
+    holding only the initial sample.  The steps between two of these
+    events run in one ``Stepper.advance``; sampling reads the stepper's
+    fields and never changes its state.  The trajectory counts the
+    clamps of this run alone.
     """
     if t_end < 0.0:
         raise ConfigError(f"t_end must be nonnegative, got {t_end}")
@@ -271,32 +301,29 @@ def integrate(
         norms = (float(np.max(np.abs(x))) for x in w)
         samples.append((t, *norms, *(vol * float(x.sum()) for x in w)))
 
-    pending = sorted(set(float(t) for t in snapshot_times))
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     w = (np.array(u0, dtype=float), np.array(v0, dtype=float))
     sample(0.0, w)
-    if pending and pending[0] <= 0.0:
-        snapshots[0.0] = w
-        pending = [t for t in pending if t > 0.0]
-
-    step = stepper.step
-    for k in range(1, total_steps + 1):
-        step()
-        t = k * dt
-        due = k % sample_every == 0 or k == total_steps
-        if due or (pending and t >= pending[0] - 1e-12):
-            w = stepper.fields()
-            if due:
-                sample(t, w)
-            while pending and t >= pending[0] - 1e-12:
-                snapshots[t] = w
-                pending.pop(0)
-
     final_t = total_steps * dt
-    if final_t not in snapshots:
-        snapshots[final_t] = w
-    if samples[-1][0] != final_t:
-        sample(final_t, w)
+    due = {*range(sample_every, total_steps + 1, sample_every), total_steps} - {0}  # sample steps
+    snap_steps = set()
+    for t_snap in set(float(t) for t in snapshot_times):
+        if t_snap <= 0.0:
+            snapshots[0.0] = w
+        elif total_steps and t_snap - 1e-12 <= final_t:  # some step of the run reaches it
+            snap_steps.add(_first_step_reaching(t_snap, dt))
+
+    done = 0
+    for k in sorted(due | snap_steps):
+        stepper.advance(k - done)
+        done = k
+        t = k * dt
+        w = stepper.fields()
+        if k in due:
+            sample(t, w)
+        if k in snap_steps:
+            snapshots[t] = w
+    snapshots.setdefault(final_t, w)
 
     times, norm_u, norm_v, mass_u, mass_v = (np.array(column) for column in zip(*samples))
     return Trajectory(
@@ -311,6 +338,17 @@ def integrate(
         clamp_events=stepper.clamp_events - clamps_before,
         implicit_solve=stepper.implicit_solve,
     )
+
+
+def _first_step_reaching(t: float, dt: float) -> int:
+    """The first step k >= 1 with k·dt >= t - 1e-12: the test a step-by-step scan makes."""
+    target = t - 1e-12
+    k = max(1, math.ceil(target / dt))
+    while k > 1 and (k - 1) * dt >= target:
+        k -= 1
+    while k * dt < target:
+        k += 1
+    return k
 
 
 def _settled(norms: np.ndarray, eps_settle: float, floor: float) -> bool:

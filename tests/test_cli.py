@@ -58,6 +58,28 @@ def test_figure_rejects_config_file(tmp_path, capsys):
     assert "presets carry their own parameters" in record["message"]
 
 
+def test_snapshot_time_past_t_end_exits_two(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", *WEAK_FLAGS, "--n", "16", "--t-end", "5", "--snapshot-times", "2,10"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "config"
+    assert "snapshot time 10.0 lies beyond t_end 5.0" in record["message"]
+    assert not out.exists()
+
+
+def test_preset_drops_its_snapshot_times_past_an_overridden_t_end(tmp_path):
+    # fig2 snapshots at 0 and at its own t_end, 80.  At --t-end 5 the echo
+    # lists only 0; the bundle holds that snapshot and the final one.  At
+    # its own t_end the echo keeps both.
+    short, full = tmp_path / "short", tmp_path / "full"
+    assert main(["figure", "fig2", "--t-end", "5", "--out-dir", str(short)]) == 0
+    assert json.loads((short / "config.echo.json").read_text())["snapshot_times"] == [0.0]
+    assert sorted(p.name for p in short.glob("snapshot_*")) == ["snapshot_0.0.csv", "snapshot_5.0.csv"]
+    assert main(["figure", "fig2", "--n", "16", "--out-dir", str(full)]) == 0
+    assert json.loads((full / "config.echo.json").read_text())["snapshot_times"] == [0.0, 80.0]
+
+
 def test_unknown_figure_exits_two(capsys):
     code = main(["figure", "fig99"])
     assert code == 2

@@ -171,6 +171,10 @@ def test_snapshot_times_validation():
         parse_config(overrides=dict(WEAK, snapshot_times=[-1.0]))
     cfg = parse_config(overrides=dict(WEAK, snapshot_times=[5.0, 1.0]))
     assert cfg.snapshot_times == (1.0, 5.0)
+    # A time past t_end would never be reached; t_end itself is.
+    with pytest.raises(ConfigError, match="snapshot time 10.0 lies beyond t_end 5.0"):
+        parse_config(overrides=dict(WEAK, t_end=5.0, snapshot_times=[2.0, 10.0]))
+    assert parse_config(overrides=dict(WEAK, t_end=5.0, snapshot_times=[5.0])).snapshot_times == (5.0,)
 
 
 def test_mode_must_be_known():

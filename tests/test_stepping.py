@@ -1,5 +1,7 @@
 """Semi-implicit stepping: mass balance, positivity, order, classification."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -301,6 +303,10 @@ class _TwoSolveStepper:
         self.w = np.stack([_two_scan_clamp(xs, events) for xs in self.unclamped(self.w)])
         self.clamp_events += events[0]
 
+    def advance(self, steps):
+        for _ in range(steps):
+            self.step()
+
     def fields(self):
         return self.w[0].copy(), self.w[1].copy()
 
@@ -520,6 +526,159 @@ def test_sampling_leaves_the_run_alone(kw, solve):
     assert clamps[0] > 0 and clamps.count(clamps[0]) == len(clamps)
     for final in finals[1:]:
         np.testing.assert_array_equal(final, finals[0])
+
+
+_STRATEGIES = [
+    (dict(n=32), "symmetrized"),
+    (dict(n=32, d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0), "banded"),
+    (dict(n=6, dim=2), "diagonal"),
+    (dict(n=24, dim=2, d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0), "modal-banded"),
+]
+
+
+def _clamping_start(kw, solve, over_cap=1.0):
+    """A stepper at dt = ``over_cap``·cap with ``solve`` as its implicit
+    strategy, and a start whose hump sits far outside the positivity
+    envelope, so the first step clamps."""
+    _, _, eff = make_stepper(**kw)
+    stepper, grid, eff = make_stepper(dt=over_cap * max_stable_dt(eff.rr1.values), **kw)
+    assert stepper.implicit_solve == solve
+    x = np.arange(grid.size) / grid.size
+    hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (x - 0.3) ** 2)
+    return stepper, (hump, np.full(grid.size, 0.5))
+
+
+def _reference_step(stepper):
+    """One step as a lone ``step()`` made it before ``advance``: the same
+    passes, the solve, the rebind of a returned new array and the clamp,
+    read from the stepper's attributes each time."""
+    rows, (g_u, g_v), g, diff = stepper._rows, stepper._work_rows, stepper._sum, stepper._diff
+    np.multiply(stepper._crowding, rows, out=stepper._work)
+    np.add(g_u, g_v, out=g)
+    np.subtract(stepper._growth, g, out=diff)
+    np.multiply(rows, diff, out=rows)
+    z = stepper._solve.solve(stepper._z)
+    if z is not stepper._z:
+        stepper._z, stepper._rows = z, z.reshape(rows.shape)
+    if np.minimum.reduce(z) < 0.0:
+        stepper.clamp_events += int(np.count_nonzero(z < stepper._floor))
+        np.maximum(z, 0.0, out=z)
+
+
+@pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=[solve for _, solve in _STRATEGIES])
+def test_advance_is_bitwise_the_per_step_loop(kw, solve):
+    # advance(k) against k lone steps and k steps of the reference body,
+    # chunk by chunk from a clamping start: the same state bit for bit
+    # and the same clamp count after every chunk, advance(0) included.
+    # At four times the cap the drift-dominated (banded, modal-banded)
+    # runs go on clamping now and then, several times within one chunk.
+    stepper, start = _clamping_start(kw, solve, over_cap=4.0)
+    chunks = (1, 7, 0, 42, 150)
+    runs = []
+    for advance in (stepper.advance,
+                    lambda k: [stepper.step() for _ in range(k)],
+                    lambda k: [_reference_step(stepper) for _ in range(k)]):
+        stepper.start(*start)
+        clamps_before, seen = stepper.clamp_events, []
+        for k in chunks:
+            advance(k)
+            seen.append((stepper._z.copy(), stepper.clamp_events - clamps_before))
+        runs.append(seen)
+    assert runs[0][-1][1] > 0
+    for other in runs[1:]:
+        for (z, clamps), (z_ref, clamps_ref) in zip(runs[0], other):
+            np.testing.assert_array_equal(z, z_ref)
+            assert clamps == clamps_ref
+
+
+def _reference_integrate(stepper, u0, v0, t_end, n_samples=100, snapshot_times=()):
+    """``integrate`` as a per-step loop: after every step, sample when the
+    step is due and snapshot while the next pending time is reached."""
+    stepper.start(u0, v0)
+    clamps_before, dt, vol = stepper.clamp_events, stepper.dt, stepper.grid.cell_volume
+    total_steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0.0 else 0
+    sample_every = max(1, total_steps // max(1, n_samples))
+    samples = []
+
+    def sample(t, w):
+        samples.append((t, *(float(np.max(np.abs(x))) for x in w), *(vol * float(x.sum()) for x in w)))
+
+    pending = sorted(set(float(t) for t in snapshot_times))
+    snapshots = {}
+    w = (np.array(u0, dtype=float), np.array(v0, dtype=float))
+    sample(0.0, w)
+    if pending and pending[0] <= 0.0:
+        snapshots[0.0] = w
+        pending = [t for t in pending if t > 0.0]
+    for k in range(1, total_steps + 1):
+        _reference_step(stepper)
+        t = k * dt
+        due = k % sample_every == 0 or k == total_steps
+        if due or (pending and t >= pending[0] - 1e-12):
+            w = stepper.fields()
+            if due:
+                sample(t, w)
+            while pending and t >= pending[0] - 1e-12:
+                snapshots[t] = w
+                pending.pop(0)
+    final_t = total_steps * dt
+    if final_t not in snapshots:
+        snapshots[final_t] = w
+    times, norm_u, norm_v, mass_u, mass_v = (np.array(column) for column in zip(*samples))
+    return Trajectory(stepper.grid, dt, times, norm_u, norm_v, mass_u, mass_v, snapshots,
+                      stepper.clamp_events - clamps_before, stepper.implicit_solve)
+
+
+# (t_end, n_samples, snapshot_times) in steps of dt; dt = cap is not a round number.
+_SCHEDULES = {
+    "snapshot-between-samples": (100, 10, (0.0, 33.5)),
+    "snapshot-at-zero": (100, 10, (0.0,)),
+    "two-snapshots-in-one-interval": (100, 10, (41.0, 44.2, 100.0)),
+    "t-end-off-the-step-grid": (99.4, 7, (50.0, 99.4)),
+    "more-samples-than-steps": (12, 40, (3.0, 3.0, 11.999)),
+    "zero-horizon": (0, 10, (0.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("schedule", list(_SCHEDULES))
+@pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=[solve for _, solve in _STRATEGIES])
+def test_integrate_is_bitwise_the_per_step_loop(kw, solve, schedule):
+    # integrate advances between its events; the per-step reference loop
+    # checks after every step.  Times, norms, masses, the snapshot keys
+    # in their order, the snapshot arrays and the clamp count agree bit
+    # for bit.
+    stepper, start = _clamping_start(kw, solve)
+    steps, n_samples, times = _SCHEDULES[schedule]
+    dt = stepper.dt
+    args = (*start, steps * dt, n_samples, tuple(t * dt for t in times))
+    new, old = integrate(stepper, *args), _reference_integrate(stepper, *args)
+    for key in ("times", "norm_u_inf", "norm_v_inf", "mass_u", "mass_v"):
+        np.testing.assert_array_equal(getattr(new, key), getattr(old, key))
+    assert list(new.snapshots) == list(old.snapshots)
+    for t, fields in old.snapshots.items():
+        np.testing.assert_array_equal(np.stack(new.snapshots[t]), np.stack(fields))
+    assert new.clamp_events == old.clamp_events
+    assert new.clamp_events > 0 or steps == 0
+
+
+def test_snapshot_step_is_the_first_step_a_scan_reaches():
+    # k·dt >= t - 1e-12 for the first k, as a per-step scan tests it.  Near
+    # a step time a rounded division misses by one (at 6.700000000001001
+    # with dt 0.1 it gives 67, at 187.60000000000102 it gives 1877).
+    def scan(t, dt):
+        k = 1
+        while k * dt < t - 1e-12:
+            k += 1
+        return k
+
+    assert stepping._first_step_reaching(6.700000000001001, 0.1) == scan(6.700000000001001, 0.1) == 68
+    assert stepping._first_step_reaching(187.60000000000102, 0.1) == scan(187.60000000000102, 0.1) == 1876
+    rng = np.random.default_rng(7)
+    for dt in (0.1, 0.02278327670812928, 0.9 / 41.0, 0.6760861354307653):
+        for k in rng.integers(1, 2000, size=40):
+            t = k * dt
+            for near in (t, np.nextafter(t, 0.0), t + 1e-12, np.nextafter(t + 1e-12, 0.0), t - 1e-12, 1e-13):
+                assert stepping._first_step_reaching(float(near), dt) == scan(float(near), dt)
 
 
 def test_dt_cap_formula():
