@@ -6,7 +6,9 @@ type- and range-checked with a message naming the key, and every module
 precondition that can be checked before compute (harvest range, grid
 Peclet, positivity of sampled fields) is checked here.  The steady,
 eigen, sweep and verify modes analyse the folded model, so they need
-mu1 == mu2.  Overrides go on top of file or preset values through
+mu1 == mu2.  The reaction form defaults to "folded" for equal harvest
+fractions and to "raw" otherwise; an explicit "folded" needs them equal.
+Overrides go on top of file or preset values through
 ``merge_config``, one tolerance at a time.
 
 Nothing defaults silently.  Every value the parser fills in is recorded
@@ -317,12 +319,6 @@ def parse_config(
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {mode!r}")
 
-    reaction_form = _as_str("reaction_form", take("reaction_form", "folded"))
-    if reaction_form not in REACTION_FORMS:
-        raise ConfigError(
-            f"reaction_form must be one of {', '.join(REACTION_FORMS)}; got {reaction_form!r}"
-        )
-
     if ("mu1" in merged) != ("mu2" in merged):
         raise ConfigError("mu1 and mu2 must be given together")
     if "mu" in merged:
@@ -359,6 +355,13 @@ def parse_config(
         b=b,
         dim=dim,
     )
+    # The folded form needs equal harvest fractions, so the default follows them.
+    default_form = "folded" if params.equal_harvest else "raw"
+    reaction_form = _as_str("reaction_form", take("reaction_form", default_form))
+    if reaction_form not in REACTION_FORMS:
+        raise ConfigError(
+            f"reaction_form must be one of {', '.join(REACTION_FORMS)}; got {reaction_form!r}"
+        )
     if mode in _FOLDED_MODES and not params.equal_harvest:
         raise ConfigError(
             f"mode {mode!r} analyses the folded model and needs equal harvest "

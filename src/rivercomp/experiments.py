@@ -12,7 +12,9 @@ full parameter set so runs are self-contained.  ``sweep_alpha2`` walks
 the second species' drift rate across the interval where the competition
 outcome is known to flip, classifying every point from the two invasion
 eigenvalues, and brackets the coexistence window with one bisection
-refinement per edge.  A coexistence Newton solve runs only at points
+refinement per edge.  Each point starts its lone-state Newton and its two
+eigen solves from the secant prediction of the last two points'
+solutions.  A coexistence Newton solve runs only at points
 whose two indices share a sign beyond the marginal band: by the
 competitive trichotomy (Hsu, Smith & Waltman 1996) these are the only
 points where finding a pair can change the verdict.  ``run_verification``
@@ -486,37 +488,54 @@ def point_outcome(
     return Verdict.UNDECIDED, False
 
 
-def _warm_phi(warm: dict, key: str):
-    """The Perron vector of the eigen report kept under ``key``, or None."""
-    report = warm.get(key)
-    return None if report is None else report.phi
+def _secant(last: np.ndarray | None, before: np.ndarray | None) -> np.ndarray | None:
+    """Start for the next sweep point from the last two points' solutions.
+
+    On the uniform drift grid the linear extrapolation 2*last - before is
+    exact to first order.  Where it is not finite and strictly positive
+    (inverse iteration refuses such a start, Newton wants a positive one)
+    or there is no ``before``, the start is ``last``.
+    """
+    if last is None or before is None:
+        return last
+    guess = 2.0 * last - before
+    return guess if np.all(np.isfinite(guess)) and guess.min() > 0.0 else last
+
+
+def _predicted_starts(warm: dict) -> tuple:
+    """The v_hat Newton start and the kappa and tau eigen starts of the next
+    point, each extrapolated from the (last, before) pair ``warm`` keeps."""
+    return tuple(_secant(*warm.get(key, (None, None))) for key in ("v_hat", "kappa", "tau"))
 
 
 def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
     """Classify one drift rate against the problem's first-species lone state.
 
-    ``warm`` carries the previous point's second-species lone state, pair,
-    and kappa and tau eigen reports; this point starts from them and
-    leaves its own in their place.
+    ``warm`` carries the last two points' second-species lone states and
+    kappa and tau Perron vectors, and the last point's pair; this point
+    starts from their secant prediction (``_predicted_starts``) and the
+    pair, and leaves its own solutions in their place.
     """
     cfg, eff, op1 = problem.cfg, problem.eff, problem.op1
     op2 = transport_for(problem.grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
     marginal = cfg.tolerances.marginal
-    warm["kappa"] = problem._invasion(op2, problem.u_hat.u, _warm_phi(warm, "kappa")).report
-    kappa = warm["kappa"].stability_index
+    v_start, kappa_start, tau_start = _predicted_starts(warm)
+    kappa_report = problem._invasion(op2, problem.u_hat.u, kappa_start).report
+    kappa = kappa_report.stability_index
 
-    v_warm = warm.get("v_hat")
-    if v_warm is not None:
+    if v_start is not None:
         try:
-            v_state = solve_single_steady(op2, eff, tol=tol, method="newton", u0=v_warm)
+            v_state = solve_single_steady(op2, eff, tol=tol, method="newton", u0=v_start)
         except SolverError:
             v_state = solve_single_steady(op2, eff, tol=tol)
     else:
         v_state = solve_single_steady(op2, eff, tol=tol)
-    warm["v_hat"] = v_state.u
-    warm["tau"] = problem._invasion(op1, v_state.u, _warm_phi(warm, "tau")).report
-    tau = warm["tau"].stability_index
+    tau_report = problem._invasion(op1, v_state.u, tau_start).report
+    tau = tau_report.stability_index
+    solutions = {"v_hat": v_state.u, "kappa": kappa_report.phi, "tau": tau_report.phi}
+    for key, solution in solutions.items():
+        warm[key] = (solution, warm.get(key, (None,))[0])
 
     # The pair search runs only where its answer can change the verdict:
     # both indices beyond the marginal band with the same sign.  Elsewhere
@@ -556,11 +575,13 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     The range is the open interval from omega1*alpha1 to alpha1, with
     omega1 = d2/d1; points sit on a uniform interior grid.  The resident
     profile of species 1 is solved once (it does not involve alpha2).
-    Points run in order, each warm-starting from the point before: the
-    second species' lone state (Newton from the previous profile), the
-    pair search (from the previous pair), and the kappa and tau eigen
-    solves (from the previous Perron vectors).  The first point and the
-    edge probes start cold.
+    Points run in order, each warm-starting from the points before: the
+    second species' lone state (Newton) and the kappa and tau eigen solves
+    start from the linear extrapolation of the last two points' profile and
+    Perron vectors (``_secant``; predictor-corrector continuation, Allgower
+    & Georg 1990), and the pair search from the previous pair.  The first
+    point and the edge probes start cold; the second starts from the first
+    point's solutions.
     """
     p = cfg.params
     if not (p.d1 > p.d2 > 0.0):

@@ -201,6 +201,31 @@ def test_echo_reruns_with_derived_defaults_and_another_harvest(tmp_path):
         assert path.read_bytes() == written
 
 
+UNEQUAL_FLAGS = [*WEAK_FLAGS[:-2], "--mu1", "0.009", "--mu2", "0.02", "--n", "16", "--t-end", "1.0"]
+
+
+def test_unequal_harvest_defaults_to_the_raw_form(tmp_path, capsys):
+    # Without --reaction-form, unequal fractions run in the raw form, listed
+    # as defaulted; re-run from the echo with --mu, the form is derived
+    # again and folds the now equal fractions.
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", *UNEQUAL_FLAGS, "--out-dir", str(first)]) == 0
+    echo = json.loads((first / "config.echo.json").read_text())
+    assert echo["reaction_form"] == "raw"
+    assert "reaction_form" in echo["_defaulted"]
+    argv = ["simulate", "--config", str(first / "config.echo.json"), "--mu", "0.009"]
+    assert main([*argv, "--out-dir", str(second)]) == 0
+    again = json.loads((second / "config.echo.json").read_text())
+    assert (again["reaction_form"], again["mu1"], again["mu2"]) == ("folded", 0.009, 0.009)
+    assert "reaction_form" in again["_defaulted"]
+    out = tmp_path / "folded"
+    assert main(["simulate", *UNEQUAL_FLAGS, "--reaction-form", "folded", "--out-dir", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "config"
+    assert "reaction_form 'folded' needs equal harvest" in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["steady", "eigen", "sweep", "verify"])
 def test_analyses_refuse_unequal_harvest(tmp_path, capsys, mode):
     # The steady and invasion analysis is of the folded model, so unequal

@@ -109,10 +109,16 @@ def test_harvest_fraction_at_or_above_one_rejected():
 
 
 def test_folded_form_requires_equal_harvest():
+    # Unequal fractions default to the raw form; an explicit folded one is refused.
+    cfg = parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2))
+    assert cfg.reaction_form == "raw"
+    assert "reaction_form" in cfg.defaulted
     with pytest.raises(ConfigError, match="equal harvest"):
-        parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2))
+        parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2, reaction_form="folded"))
     cfg = parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2, reaction_form="raw"))
     assert cfg.reaction_form == "raw"
+    assert "reaction_form" not in cfg.defaulted
+    assert parse_config(overrides=dict(WEAK, mu=0.1)).reaction_form == "folded"
 
 
 def test_peclet_guard_names_the_required_resolution():

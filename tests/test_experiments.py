@@ -6,8 +6,10 @@ every interior point must classify as a second-species win.  The sweep
 searches for a coexistence pair only where the answer can change the
 verdict; an ungated copy of its point evaluation, kept here as an oracle,
 searches at every point.  Its kappa and tau eigen solves start from the
-previous point's Perron vectors; a copy that starts every one cold is
-the oracle for that.
+previous points' Perron vectors; a copy that starts every one cold is
+the oracle for that.  Its lone-state Newton and eigen solves start from
+the secant prediction of the last two points; a sweep that starts each
+point from the last point's solutions is the oracle for that.
 """
 
 import json
@@ -237,25 +239,27 @@ def ungated_evaluate_point(problem, alpha2, warm):
     )
     op2 = transport_for(grid, cfg.params.d2, alpha2)
     tol = cfg.tolerances.steady
-    warm["kappa"] = semitrivial_stability(
+    v_start, kappa_start, tau_start = experiments._predicted_starts(warm)
+    kappa_report = semitrivial_stability(
         op2, resident_u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen,
-        x0=warm["kappa"].phi if "kappa" in warm else None,
+        x0=kappa_start,
     ).report
-    kappa = warm["kappa"].stability_index
-    v_warm = warm.get("v_hat")
-    if v_warm is not None:
+    warm["kappa"] = (kappa_report.phi, warm.get("kappa", (None,))[0])
+    kappa = kappa_report.stability_index
+    if v_start is not None:
         try:
-            v_state = solve_single_steady(op2, eff, tol=tol, method="newton", u0=v_warm)
+            v_state = solve_single_steady(op2, eff, tol=tol, method="newton", u0=v_start)
         except SolverError:
             v_state = solve_single_steady(op2, eff, tol=tol)
     else:
         v_state = solve_single_steady(op2, eff, tol=tol)
-    warm["v_hat"] = v_state.u
-    warm["tau"] = semitrivial_stability(
+    warm["v_hat"] = (v_state.u, warm.get("v_hat", (None,))[0])
+    tau_report = semitrivial_stability(
         op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen,
-        x0=warm["tau"].phi if "tau" in warm else None,
+        x0=tau_start,
     ).report
-    tau = warm["tau"].stability_index
+    warm["tau"] = (tau_report.phi, warm.get("tau", (None,))[0])
+    tau = tau_report.stability_index
 
     note = ""
     found = False
@@ -309,7 +313,9 @@ def spy_pair_searches(monkeypatch):
     ],
 )
 def test_pair_search_runs_where_the_indices_share_a_sign(monkeypatch, kappa, tau, searches):
-    reports = iter(SimpleNamespace(report=SimpleNamespace(stability_index=i)) for i in (kappa, tau))
+    reports = iter(
+        SimpleNamespace(report=SimpleNamespace(stability_index=i, phi=None)) for i in (kappa, tau)
+    )
     monkeypatch.setattr(experiments, "semitrivial_stability", lambda *args, **kwargs: next(reports))
     searched = spy_pair_searches(monkeypatch)
     cfg = parse_config(overrides=dict(SLOW, mode="sweep"))
@@ -390,14 +396,15 @@ def cold_eigen_evaluate_point(problem, alpha2, warm, evaluate=experiments._evalu
 
 
 def spy_eigen_solves(monkeypatch):
-    """Record (growth rate, residual target) of every invasion eigen solve."""
+    """Record (growth rate, residual target, potential) of every invasion eigen solve."""
     solves = []
 
     def spy(invader_op, resident, eff, **kwargs):
         verdict = semitrivial_stability(invader_op, resident, eff, **kwargs)
-        rows = spectral._shifted_matvec(invader_op, invasion_potential(resident, eff))[1]
+        potential = invasion_potential(resident, eff)
+        rows = spectral._shifted_matvec(invader_op, potential)[1]
         target = max(kwargs["eigen_tol"], 64.0 * np.finfo(float).eps) * float(rows.max())
-        solves.append((verdict.report.growth_rate, target))
+        solves.append((verdict.report.growth_rate, target, potential))
         return verdict
 
     monkeypatch.setattr(experiments, "semitrivial_stability", spy)
@@ -425,13 +432,15 @@ def test_warm_eigen_sweep_agrees_with_the_cold_oracle(monkeypatch, family):
     # The lone states do not depend on the eigen solves, so the n-th solve
     # of both sweeps is the same matrix; each eigenvalue meets its target.
     assert len(warm_solves) == len(cold_solves)
-    for (got, target), (want, _) in zip(warm_solves, cold_solves):
+    for (got, target, _), (want, _, _) in zip(warm_solves, cold_solves):
         assert abs(got - want) <= target
 
 
 def test_criterion_6_sweep_eigen_work(monkeypatch):
     # With every eigen solve started cold this sweep takes 644 iterations
-    # and 330 shift factorizations.
+    # and 330 shift factorizations; started from the previous point's
+    # solutions, 243 and 170, and 64 warm Newton updates for the 32
+    # second-species lone states.
     factored = []
 
     def spy(*args, **kwargs):
@@ -447,13 +456,72 @@ def test_criterion_6_sweep_eigen_work(monkeypatch):
         return verdict
 
     monkeypatch.setattr(experiments, "semitrivial_stability", record)
+    newton_updates = []
+
+    def count_updates(op, eff, **kwargs):
+        state = solve_single_steady(op, eff, **kwargs)
+        if kwargs.get("method") == "newton":
+            newton_updates.append(state.iterations)
+        return state
+
+    monkeypatch.setattr(experiments, "solve_single_steady", count_updates)
     cfg = parse_config(overrides=dict(SLOW, mode="sweep", n=256, points=33))
     result = sweep_alpha2(cfg)
     assert result.verdict_pattern() == ["VWins"] * 33
     assert len(reports) == 66
-    assert sum(r.iterations for r in reports) <= 322
-    assert len(factored) <= 200
+    assert sum(r.iterations for r in reports) <= 150
+    assert len(factored) <= 108
     assert len(factored) == sum(r.factorizations for r in reports)
+    assert len(newton_updates) == 32
+    assert sum(newton_updates) <= 33
+
+
+# ---------------------------------------------------------------------
+# starts predicted from the last two points
+# ---------------------------------------------------------------------
+
+
+def test_secant_extrapolates_a_positive_prediction():
+    last, before = np.array([2.0, 3.0]), np.array([1.0, 4.0])
+    np.testing.assert_array_equal(experiments._secant(last, before), [3.0, 2.0])
+    assert experiments._secant(last, None) is last
+    assert experiments._secant(None, None) is None
+
+
+@pytest.mark.parametrize("before", [[1.0, 6.0], [1.0, 3.0], [1.0, np.inf], [1.0, np.nan]])
+def test_secant_falls_back_to_the_last_solution(before):
+    # A zero, negative or non-finite entry would be refused as an eigen
+    # start and is no positive Newton start, so the last solution is used.
+    last = np.array([2.0, 1.5])
+    assert experiments._secant(last, np.array(before)) is last
+
+
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_predicted_sweep_agrees_with_the_unpredicted_one(monkeypatch, family):
+    cfg = parse_config(overrides=dict(_ORACLE_FAMILIES[family], mode="sweep"))
+    solves = spy_eigen_solves(monkeypatch)
+    predicted = sweep_alpha2(cfg)
+    predicted_solves = solves[:]
+    solves.clear()
+    monkeypatch.setattr(experiments, "_secant", lambda last, before: last)
+    plain = sweep_alpha2(cfg)
+
+    assert predicted.window == plain.window
+    assert predicted.anomalies == plain.anomalies
+    assert len(predicted.edge_points) == len(plain.edge_points)
+    for got, want in zip(predicted.points + predicted.edge_points, plain.points + plain.edge_points):
+        assert got.alpha2 == want.alpha2
+        assert (got.verdict, got.anomaly) == (want.verdict, want.anomaly)
+        assert (got.coexistence_found, got.note) == (want.coexistence_found, want.note)
+    # Both lone states meet the Newton tolerance, not bitwise agreement.  The
+    # Perron root of a Metzler matrix moves by at most the sup-norm of a
+    # diagonal change, so each growth rate may differ by the change its
+    # resident makes to the potential (zero for kappa, whose resident is
+    # u_hat), plus the two solves' residual targets.
+    assert len(predicted_solves) == len(solves)
+    for (got, got_target, got_p), (want, want_target, want_p) in zip(predicted_solves, solves):
+        shift = float(np.abs(got_p - want_p).max())
+        assert abs(got - want) <= shift + got_target + want_target
 
 
 def test_verification_solves_each_eigenpair_once(monkeypatch):

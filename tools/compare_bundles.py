@@ -22,8 +22,10 @@ The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``;
 ``simulate`` in raw form with mu1 != mu2 and a drift-dominated 2-D
 ``simulate`` (the modal-banded step solve); ``steady`` and ``eigen`` in
 1-D and 2-D; ``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
-``K="1 + x"``; ``verify`` on the weak and fast families at n 128, 256,
-512 and 1024: 29 runs, a few minutes on a 2-core machine.
+``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
+marginal tolerance 1e-9: the one sweep with a found window, edge probes
+and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
+and 1024: 30 runs, a few minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["sweep_03"] = ["sweep", *SWEEP, "--mu", "0.3"]
     runs["sweep_0997"] = ["sweep", *SWEEP, "--mu", "0.997"]
     runs["sweep_K"] = ["sweep", *SWEEP, "--mu", "0.3", "--K", "1 + x"]
+    runs["sweep_sliver"] = [
+        "sweep", *SWEEP[:6], "--n", "64", "--points", "120", "--mu", "0.997",
+        "--tol-marginal", "1e-9",
+    ]
     for family, flags in (("weak", WEAK), ("fast", FAST)):
         for n in (128, 256, 512, 1024):
             runs[f"verify_{family}_{n}"] = ["verify", *flags, "--n", str(n)]
