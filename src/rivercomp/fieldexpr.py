@@ -87,7 +87,7 @@ def _validate(node: ast.AST, names: tuple[str, ...], text: str) -> None:
                 f"(allowed: {allowed})"
             )
     elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric literal in field expression {text!r}")
     else:
         raise ConfigError(

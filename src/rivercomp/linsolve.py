@@ -10,49 +10,42 @@ interchanged, and the solve performs ``gtsv``'s operations, so it is
 bitwise equal to ``scipy.linalg.solve_banded``.
 
 ``implicit_solver`` builds the time stepper's solve of
-I - dt·blockdiag(L_1, ..., L_S), the species' fields stacked, with one of
-four strategies (its ``name``).  Each exposes the positive diagonal it
-solves in as ``scale``: ``solve(c)`` returns z with
-S⁻¹·(I - dt·L)·S·z = c for S = diag(``scale``), so x = S·z solves the
-system for b = S·c.  ``scale`` is the symmetrizer for
-``"symmetrized"`` and 1.0 (S = I) for the others, which solve in field
-units.
+I - dt·blockdiag(L_1, ..., L_S), the species' fields stacked, as one
+``StepSolve``; it works the same way in both dimensions.  In 1-D each
+species is one tridiagonal block I - dt·L_s.  In 2-D, L_s = I⊗Lx_s +
+Ly_s⊗I and the DCT C along y diagonalizes Ly_s, so each species splits
+into one tridiagonal block I - dt·Lx_s - dt·λ_sj·I per y-mode j.  The
+blocks are stacked with zero coupling entries and factored once, F.  A
+solve is F⁻¹·c in 1-D and Cᵀ·F⁻¹(C·c) in 2-D: two batched n×n products
+around one sweep over the stacked rows.
 
-- ``"symmetrized"`` (1-D, ``SymmetrizedSolve``): a diagonal scaling S
-  makes each block symmetric, S⁻¹·(I - dt·L)·S, a symmetric positive
-  definite tridiagonal matrix; the stack is factored once as LDLᵀ
-  (``pttrf``) and a solve is one ``pttrs`` over S·n rows, in place.
-  The stepper keeps its state in these coordinates, so no scaling runs
-  per step.  The LDLᵀ sweeps carry no chain of dependent divides (two
-  species on 256 cells: about 5 µs, against 9–10 µs for ``gttrs``, on a
-  2-core VM).
-- ``"banded"`` (1-D): the species' tridiagonal systems stacked into one
-  with zero coupling entries, one ``Factorization``; a solve is one
-  ``gttrs`` over S·n rows.
-- ``"diagonal"`` (2-D, ``DiagonalSolve``): fast diagonalization (Lynch,
-  Rice & Thomas 1964) along both axes.  The DCT diagonalizes Ly; the
-  scaling S makes Lx symmetric, S⁻¹·Lx·S = Q·diag(θ)·Qᵀ, so
-  Lx = V·diag(θ)·W with V = S·Q, W = Qᵀ·S⁻¹.  A solve is four batched
-  n×n matrix products and one elementwise product with the precomputed
-  reciprocal denominators: about 8·S·n³ flops and no dependent chain
-  (two species on 64×64: about 120 µs, against 230 µs for the
-  modal-banded solve, on a 2-core VM).
-- ``"modal-banded"`` (2-D, ``SeparableSolve``): the DCT along y, then the
-  tridiagonal block I - dt·Lx - dt·λ_j·I of every y-mode stacked and
-  factored like the 1-D systems.  A solve is two DCT products and one
-  ``gttrs`` over S·n² rows, a chain of dependent row operations.
+The factor comes in two kinds, and the stepper names it by
+``implicit_solve``:
+
+- ``"symmetrized"``: a diagonal scaling S makes each block symmetric,
+  S⁻¹·block·S, a symmetric positive definite tridiagonal M-matrix with
+  off-diagonals -dt·√(lᵢuᵢ).  The stack is factored as LDLᵀ (``pttrf``)
+  and solved by ``pttrs``, in place.  S acts along x and C along y, so
+  they commute: the solve works in scaled coordinates, ``solve(c)``
+  returning z with S⁻¹·(I - dt·L)·S·z = c, and x = S·z solves the system
+  for b = S·c.  ``scale`` is the stacked diagonal of S, each species'
+  symmetrizer tiled over its y-modes; the stepper keeps its state in
+  these coordinates, so no scaling runs per step.  The LDLᵀ sweeps carry
+  no chain of dependent divides (two species on 256 cells: about 5 µs,
+  against 9–10 µs for ``gttrs``, on a 2-core VM).
+- ``"banded"`` (1-D) and ``"modal-banded"`` (2-D): the blocks as they
+  are, in field units (``scale`` 1.0), to one ``Factorization``.
 
 S carries the off-diagonal ratios of L (1-D) or Lx (2-D),
 s_{i+1}/s_i = √(l_i/u_i) (``_symmetrizer``), so its spread
-max(s)/min(s) grows like exp(|α|·(b - a)/(2d)).  In 2-D it is the
-condition number of V and W, and the diagonal solve's rounding error
-grows with it.  In 1-D the matrix the symmetrized solve inverts,
-S·B·S⁻¹ with B rounded, differs from I - dt·L by a few ε relative to each
-entry (about (2 + ln(spread))·ε/2 from the rounding of s), so
-S·``solve``(S⁻¹·b) agrees with ``solve_banded`` componentwise to
-rounding, not bitwise.  The symmetric strategies are used only while the
-spread of every species stays within ``MAX_SYMMETRIZER_SPREAD``;
-drift-dominated input goes to the banded ones.  The 2-D solves agree with sparse LU to rounding.
+max(s)/min(s) grows like exp(|α|·(b - a)/(2d)).  The matrix the
+symmetrized solve inverts, S·B·S⁻¹ with B rounded, differs from each
+block by a few ε relative to each entry (about (2 + ln(spread))·ε/2 from
+the rounding of s), so S·``solve``(S⁻¹·b) agrees with the banded solve
+componentwise to rounding, not bitwise.  The symmetrized factor is used
+only while the spread of every species stays within
+``MAX_SYMMETRIZER_SPREAD``; drift-dominated input goes to the banded
+one.
 
 Every solver reads an operator's bands, and in 2-D its ``y_modes``; the
 2-D steady and eigen systems alone read its sparse matrix and go to
@@ -65,32 +58,28 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import lapack
 
 from .errors import SolverError
 from .operators import TransportOperator, dct_basis
 
 __all__ = [
-    "DiagonalSolve",
     "Factorization",
     "MAX_SYMMETRIZER_SPREAD",
-    "SeparableSolve",
-    "SymmetrizedSolve",
+    "StepSolve",
     "factor_shifted",
     "implicit_solver",
     "sparse_lu",
 ]
 
-# Largest symmetrizer spread the symmetric solves accept.  Against the
-# bounds of tests/test_linsolve.py::test_separable_solve_matches_splu, the
-# diagonal solve's worst residual over 200 random draws grew with the
-# spread: 0.12 of the bound up to spread 10, 0.41 up to 100, over 1 near
-# 300; the modal-banded solve stayed at 0.07 at any spread.  At 10 the
-# forward error (0.02 of its bound) matches the modal-banded solve's, and
-# |α|/d up to about 4.6 on a unit domain still qualifies.  The 1-D
-# symmetrized solve takes the same limit: within it, its worst over 3,000
-# random draws was 2.0ε of the componentwise bound A⁻¹(|A||x|), a quarter
-# of the bound in tests/test_linsolve.py.
+# Largest symmetrizer spread the symmetrized factor accepts.  It guards no
+# error that grows with the spread: within it the 1-D symmetrized solve's
+# worst over 3,000 random draws was 2.0ε of the componentwise bound
+# A⁻¹(|A||x|), a quarter of the bound in tests/test_linsolve.py, and the
+# 2-D one met that file's sparse-LU bounds on 300 random draws with spreads
+# up to 1e8.  The limit keeps every run on the solve it has; raising it
+# moves runs to the symmetrized solve and their output by rounding.  |α|/d
+# up to about 4.6 on a unit domain qualifies.
 MAX_SYMMETRIZER_SPREAD = 10.0
 
 
@@ -110,9 +99,6 @@ class Factorization:
     The system has at least three rows (scipy's ``gttrf`` wrapper rejects
     fewer); every grid has n ≥ 3 cells.
     """
-
-    name = "banded"
-    scale = 1.0  # as an ``implicit_solver`` strategy: it solves in field units
 
     def __init__(self, diag: np.ndarray, lower: np.ndarray, upper: np.ndarray):
         *self._factors, info = lapack.dgttrf(lower, diag, upper)
@@ -148,16 +134,6 @@ def factor_shifted(
     return sparse_lu(scale * off + sparse.diags(shifted(diag)))
 
 
-def _stack(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> Factorization:
-    """Factor row-aligned tridiagonal blocks (rows along the last axis) as one system.
-
-    ``lower[..., i]`` couples row i to row i - 1 of its block and
-    ``upper[..., i]`` to row i + 1; the entries that would couple
-    neighbouring blocks must be zero.
-    """
-    return Factorization(diag.ravel(), lower.ravel()[1:], upper.ravel()[:-1])
-
-
 def _implicit_blocks(bands, lam: np.ndarray, dt: float):
     """Row-aligned bands of the blocks I - dt·(T + λ_j·I), one per λ_j, of a tridiagonal T."""
     lower, diag, upper = bands
@@ -166,32 +142,6 @@ def _implicit_blocks(bands, lam: np.ndarray, dt: float):
     lo[:, 1:] = -dt * lower
     up[:, :-1] = -dt * upper
     return lo, 1.0 - dt * (diag[None, :] + lam[:, None]), up
-
-
-class SeparableSolve:
-    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for 2-D operators.
-
-    Each L_s = I⊗Lx_s + Ly_s⊗I (see ``operators``); the right-hand side
-    stacks the species' flat x-fastest fields.  After the DCT along y the
-    rows of species s, mode j form the block I - dt·Lx_s - dt·λ_sj·I, a
-    column-dominant M-matrix like the 1-D ones, so the stacked system goes
-    to the banded ``Factorization``.
-    """
-
-    name = "modal-banded"
-    scale = 1.0
-
-    def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
-        n = ops[0].grid.n
-        self._shape = (len(ops), n, n)
-        self._basis = dct_basis(n)
-        blocks = [_implicit_blocks(op.bands, op.y_modes, dt) for op in ops]
-        self._modal = _stack(*(np.stack(band) for band in zip(*blocks)))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        modal = np.matmul(self._basis, rhs.reshape(self._shape))
-        x = self._modal.solve(modal.ravel())
-        return np.matmul(self._basis.T, x.reshape(self._shape)).ravel()
 
 
 def _symmetrizer(bands) -> np.ndarray:
@@ -209,102 +159,74 @@ def _symmetrizer(bands) -> np.ndarray:
         return np.exp(log_s - 0.5 * (log_s.max() + log_s.min()))
 
 
-class SymmetrizedSolve:
-    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for 1-D operators.
+class StepSolve:
+    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for operators on one grid.
 
-    With S = diag(s) from ``_symmetrizer``, B = S⁻¹·(I - dt·L)·S has the
-    diagonal 1 - dt·diag and both off-diagonals -dt·√(lower·upper).  It
-    is similar to the M-matrix I - dt·L, so it is a symmetric positive
-    definite M-matrix.  The species' blocks are stacked with zero
-    coupling entries and factored once as LDLᵀ.  The solve works in the
-    scaled coordinates: ``solve(c)`` is z = ``pttrs``(c), the solution of
-    B·z = c, so the solution of (I - dt·L)·x = b is x = s·z for c = b/s
-    (``scale`` is the stacked s).  L's factors are nonpositive and D's
-    pivots positive, so on a nonnegative right-hand side every operation
-    adds a nonnegative term or divides by a pivot: the solution is
-    nonnegative in floating point, as with ``gttrs``.
+    The species' blocks, one per species in 1-D and one per species and
+    y-mode in 2-D, are stacked with zero coupling entries and factored
+    once (see the module docstring).  ``symmetric`` factors the
+    symmetrized blocks S⁻¹·block·S as LDLᵀ, ``scale`` being S's diagonal
+    (the stacked fields' symmetrizers, each tiled over the y-modes);
+    otherwise the blocks go to one ``Factorization`` and ``scale`` is 1.0.
+    ``solve(c)`` returns z with S⁻¹·(I - dt·L)·S·z = c, and may write over
+    c and return it; in 1-D it is the stacked solve itself, so a step
+    pays for no other call.  ``name`` is "symmetrized", "banded" (1-D) or
+    "modal-banded" (2-D).
     """
 
-    name = "symmetrized"
+    def __init__(self, ops: tuple[TransportOperator, ...], dt: float, symmetric: bool):
+        grid = ops[0].grid
+        modes = [op.y_modes if grid.dim == 2 else np.zeros(1) for op in ops]
+        bands = [op.bands for op in ops]
+        if symmetric:
+            self.name = "symmetrized"
+            s = [np.tile(_symmetrizer(b), len(lam)) for b, lam in zip(bands, modes)]
+            self.scale = np.concatenate(s)
+            bands = [(np.sqrt(lo * up), d, np.sqrt(lo * up)) for lo, d, up in bands]
+        else:
+            self.name = "banded" if grid.dim == 1 else "modal-banded"
+            self.scale = 1.0
+        blocks = [_implicit_blocks(b, lam, dt) for b, lam in zip(bands, modes)]
+        lower, diag, upper = (np.stack(band).ravel() for band in zip(*blocks))
+        if symmetric:
+            *self._factors, info = lapack.dpttrf(diag, upper[:-1])
+            if info > 0:
+                raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
+            self._stacked = self._ldlt_solve
+        else:
+            self._stacked = Factorization(diag, lower[1:], upper[:-1]).solve
+        if grid.dim == 1:
+            self.solve = self._stacked
+        else:
+            self._shape, self._basis = (len(ops), grid.n, grid.n), dct_basis(grid.n)
+            self._modal = np.empty(self._shape)
+            self.solve = self._modal_solve
 
-    def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
-        s, diag, off = [], [], []
-        for op in ops:
-            lower, d, upper = op.bands
-            s.append(_symmetrizer(op.bands))
-            diag.append(1.0 - dt * d)
-            off.append(np.append(-dt * np.sqrt(lower * upper), 0.0))
-        self.scale = np.concatenate(s)
-        *self._factors, info = lapack.dpttrf(np.concatenate(diag), np.concatenate(off)[:-1])
-        if info > 0:
-            raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """z with B·z = ``rhs``, written over ``rhs`` (a contiguous float array) and returned."""
+    def _ldlt_solve(self, rhs: np.ndarray) -> np.ndarray:
         z, _ = lapack.dpttrs(*self._factors, rhs, overwrite_b=1)
         return z
 
+    def _modal_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Cᵀ·F⁻¹(C·``rhs``) on the (species, y, x) view, for the DCT C along y.
 
-class DiagonalSolve:
-    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for 2-D operators.
-
-    Each L_s = I⊗Lx_s + Ly_s⊗I; with Ly_s = Cᵀ·diag(λ_s)·C and
-    Lx_s = V_s·diag(θ_s)·W_s (see the module docstring),
-
-        X_s = Cᵀ·[(C·R_s·W_sᵀ) · 1/(1 - dt·(λ_sj + θ_si))]·V_sᵀ
-
-    on the (species, y, x) view of the stacked flat x-fastest fields,
-    with the centred s of ``_symmetrizer``; the reciprocals are formed
-    once here.  The intermediate products go to two work arrays reused
-    across solves; the solution is a new array.
-    """
-
-    name = "diagonal"
-    scale = 1.0
-
-    def __init__(self, ops: tuple[TransportOperator, ...], dt: float):
-        n = ops[0].grid.n
-        self._shape = (len(ops), n, n)
-        self._basis = dct_basis(n)
-        v_t, w_t, den = [], [], []
-        for op in ops:
-            s = _symmetrizer(op.bands)
-            lower, diag, upper = op.bands
-            theta, q = eigh_tridiagonal(diag, np.sqrt(lower * upper))
-            v_t.append((s[:, None] * q).T)
-            w_t.append(q / s[:, None])
-            den.append(1.0 - dt * (op.y_modes[:, None] + theta[None, :]))
-        self._v_t, self._w_t, self._inv_den = np.stack(v_t), np.stack(w_t), 1.0 / np.stack(den)
-        self._work = np.empty((2, *self._shape))
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        left, modal = self._work
-        np.matmul(self._basis, rhs.reshape(self._shape), out=left)
-        np.matmul(left, self._w_t, out=modal)
-        np.multiply(modal, self._inv_den, out=modal)
-        np.matmul(self._basis.T, modal, out=left)
-        return np.matmul(left, self._v_t).ravel()
+        The solution is written over ``rhs`` (a contiguous float array),
+        which is returned.
+        """
+        rows = rhs.reshape(self._shape)
+        modal = np.matmul(self._basis, rows, out=self._modal)
+        x = self._stacked(modal.ravel())
+        np.matmul(self._basis.T, x.reshape(self._shape), out=rows)
+        return rhs
 
 
-def implicit_solver(
-    ops: tuple[TransportOperator, ...], dt: float
-) -> SymmetrizedSolve | Factorization | DiagonalSolve | SeparableSolve:
-    """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for operators on one grid.
+def implicit_solver(ops: tuple[TransportOperator, ...], dt: float) -> StepSolve:
+    """The time stepper's ``StepSolve`` of I - dt·blockdiag(L_1, ..., L_S).
 
-    The right-hand side stacks the species' fields divided by the
-    strategy's ``scale`` (see the module docstring); the solve may write
-    over it and return it.  When every species' symmetrizer spread (of L
-    in 1-D, of Lx in 2-D) is at most ``MAX_SYMMETRIZER_SPREAD`` it is
-    ``SymmetrizedSolve`` in 1-D and ``DiagonalSolve`` in 2-D.  Otherwise
-    it is, in 1-D, one stacked tridiagonal ``Factorization`` whose
-    coupling entries are zero, so it is bitwise equal to solving the
-    species apart, and in 2-D ``SeparableSolve``.
+    It is symmetric when every species' symmetrizer spread (of L in 1-D,
+    of Lx in 2-D) is at most ``MAX_SYMMETRIZER_SPREAD``.  Otherwise its
+    coupling entries are zero and no row is interchanged, so in 1-D it is
+    bitwise equal to solving the species apart.
     """
     symmetrizers = (_symmetrizer(op.bands) for op in ops)
     symmetric = all(s.max() / s.min() <= MAX_SYMMETRIZER_SPREAD for s in symmetrizers)
-    if ops[0].grid.dim == 2:
-        return DiagonalSolve(ops, dt) if symmetric else SeparableSolve(ops, dt)
-    if symmetric:
-        return SymmetrizedSolve(ops, dt)
-    blocks = [_implicit_blocks(op.bands, np.zeros(1), dt) for op in ops]
-    return _stack(*(np.concatenate(band) for band in zip(*blocks)))
+    return StepSolve(ops, dt, symmetric)

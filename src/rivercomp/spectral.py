@@ -65,6 +65,8 @@ __all__ = [
 TOL_MARGINAL = 1e-7
 
 _DENSE_SIZE_LIMIT = 128
+# Cap on the inverse-iteration solves of one eigen solve.
+_MAX_EIGEN_SOLVES = 10_000
 
 
 @dataclass
@@ -112,14 +114,14 @@ def principal_eigenpair(
     op: TransportOperator,
     potential: np.ndarray,
     tol: float = 1e-12,
-    max_iter: int = 10_000,
     x0: np.ndarray | None = None,
 ) -> EigenReport:
     """Dominant eigenpair of L + diag(potential) by guarded inverse iteration.
 
     ``tol`` is relative: the iteration stops when the eigen-residual in
     sup-norm drops below tol times the matrix sup-norm (floored near
-    machine precision).  Raises SolverError if the cap is hit.
+    machine precision).  Raises SolverError after ``_MAX_EIGEN_SOLVES``
+    solves.
 
     ``x0`` is the start vector, x = 1 when omitted.  It must have one
     finite, strictly positive entry per cell (ConfigError otherwise):
@@ -160,7 +162,7 @@ def principal_eigenpair(
     factorizations = 1
 
     iterations = 0
-    while iterations < max_iter:
+    while iterations < _MAX_EIGEN_SOLVES:
         y = solver.solve(x)
         iterations += 1
         if y.min() <= 0.0:
@@ -211,7 +213,7 @@ def principal_eigenpair(
             solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
             factorizations += 1
     raise SolverError(
-        f"eigen iteration did not reach residual {res_target:.3e} in {max_iter} solves "
+        f"eigen iteration did not reach residual {res_target:.3e} in {_MAX_EIGEN_SOLVES} solves "
         f"(last residual {residual:.3e})"
     )
 

@@ -65,6 +65,11 @@ __all__ = [
 
 _ARMIJO_SLOPE = 1e-4
 _MIN_DAMPING = 2.0**-10
+# Iteration caps: Newton updates of a lone state and of a pair, and steps
+# of the lone-state march.
+_MAX_SINGLE_UPDATES = 60
+_MAX_PAIR_UPDATES = 80
+_MAX_MARCH_STEPS = 500_000
 
 
 @dataclass
@@ -147,7 +152,6 @@ def _march(
     eff: EffectiveParams,
     u0: np.ndarray,
     rate_tol: float,
-    max_steps: int = 500_000,
 ) -> tuple[np.ndarray, int]:
     """Semi-implicit march of the single-species system to quiescence.
 
@@ -164,7 +168,7 @@ def _march(
     dt = max_stable_dt(eff.rr1.values)
     solve = factor_shifted(op, shift=1.0, scale=-dt)
     u = u0.copy()
-    for k in range(1, max_steps + 1):
+    for k in range(1, _MAX_MARCH_STEPS + 1):
         u_next = solve.solve(u + dt * eff.rr1.values * u * (1.0 - u / eff.K1.values))
         np.maximum(u_next, 0.0, out=u_next)
         rate = float(np.abs(u_next - u).max()) / dt
@@ -172,7 +176,7 @@ def _march(
         if rate < rate_tol:
             return u, k
     raise SolverError(
-        f"single-species march did not settle within {max_steps} steps "
+        f"single-species march did not settle within {_MAX_MARCH_STEPS} steps "
         f"(rate {rate:.3e} vs target {rate_tol:.3e})"
     )
 
@@ -182,7 +186,6 @@ def _newton_single(
     eff: EffectiveParams,
     u0: np.ndarray,
     tol: float,
-    max_iter: int = 60,
 ) -> tuple[np.ndarray, int]:
     rr1 = eff.rr1.values
     K1 = eff.K1.values
@@ -194,7 +197,7 @@ def _newton_single(
             raise SolverError(f"steady-state Newton system is singular: {exc}") from None
 
     u, _, updates = _damped_newton(
-        lambda u: _single_residual(op, eff, u), step, u0.copy(), tol, max_iter, "steady-state"
+        lambda u: _single_residual(op, eff, u), step, u0.copy(), tol, _MAX_SINGLE_UPDATES, "steady-state"
     )
     return u, updates
 
@@ -355,7 +358,6 @@ def solve_coexistence(
     eff: EffectiveParams,
     guess: tuple[np.ndarray, np.ndarray] | None = None,
     tol: float = 1e-10,
-    max_iter: int = 80,
 ) -> CoexistencePair | None:
     """Damped Newton search for a strictly positive coexistence pair.
 
@@ -381,7 +383,7 @@ def solve_coexistence(
         return lu.solve(-res)
 
     x, res_norm, updates = _damped_newton(
-        lambda x: _pair_residual(op1, op2, eff, x), step, x, tol, max_iter, "coexistence"
+        lambda x: _pair_residual(op1, op2, eff, x), step, x, tol, _MAX_PAIR_UPDATES, "coexistence"
     )
     u, v = x[:n], x[n:]
     floor = positivity_floor(eff)

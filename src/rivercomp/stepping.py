@@ -19,13 +19,13 @@ zero).
 
 The stepper owns both species' state, one stacked (2, n) array kept in
 the coordinates its implicit solve works in: z = S⁻¹·[u; v] for the
-solve's positive diagonal S (the 1-D symmetrizer, or the identity; see
-``linsolve.implicit_solver``).  A step is four passes that write
-S⁻¹·(w + dt·R(w)) over the state (see ``Stepper``), one solve of the
-stacked system and one clamp check.  The fields, S·z, are formed only
-when ``integrate`` samples or snapshots them.  ``model.reaction`` and
-``model.raw_reaction`` stay as the oracles the fused pass matches to
-rounding.
+solve's positive diagonal S (the symmetrizer along x, tiled over the
+y-modes in 2-D, or the identity; see ``linsolve.StepSolve``).  A step
+is four passes that write S⁻¹·(w + dt·R(w)) over the state (see
+``Stepper``), one solve of the stacked system and one clamp check.  The
+fields, S·z, are formed only when ``integrate`` samples or snapshots
+them.  ``model.reaction`` and ``model.raw_reaction`` stay as the oracles
+the fused pass matches to rounding.
 
 Trajectories record sup-norms and masses at a fixed sample cadence, plus
 full snapshots at requested times; the classifier turns the recorded
@@ -135,9 +135,10 @@ class Stepper:
     ``advance(steps)`` runs that many steps of dt in one loop (``step()``
     is ``advance(1)``) and ``fields()`` returns it as the fields (u, v).
     It keeps the state as z = S⁻¹·w for the stacked fields w = [u; v] and
-    the diagonal S = diag(s) its implicit solve works in (the strategy's
-    ``scale``; see the module docstring).  The explicit half evaluates
-    both species' reactions together, straight into the state:
+    the diagonal S = diag(s) its implicit solve works in, in either
+    dimension (the solve's ``scale``; see the module docstring).  The
+    explicit half evaluates both species' reactions together, straight
+    into the state:
 
         z·(a - g),   g = (b·s_u)·z_u + (b·s_v)·z_v,
         a = 1 + dt·rate·(1 - mu_s),   b = dt·rate/cap,
@@ -152,7 +153,7 @@ class Stepper:
     (see the tests).
 
     The implicit half of both species is one block-diagonal system,
-    I - dt·blockdiag(L1, L2), factored once here (its strategy is
+    I - dt·blockdiag(L1, L2), factored once here (its factor's kind is
     ``implicit_solve``) and solved in z.  Since s > 0, z ≥ 0 exactly
     where w ≥ 0: the clamp zeroes negative z and counts the entries below
     -``CLAMP_TOLERANCE`` in field units, z < -``CLAMP_TOLERANCE``/s.  The
@@ -220,10 +221,12 @@ class Stepper:
     # -- the state ---------------------------------------------------------
 
     def start(self, u0: np.ndarray, v0: np.ndarray) -> None:
-        """Take the nonnegative fields (u0, v0) on the grid as the state."""
+        """Take the finite, nonnegative fields (u0, v0) on the grid as the state."""
         w = [np.asarray(x, dtype=float) for x in (u0, v0)]
         if any(x.shape != (self.grid.size,) for x in w):
             raise ConfigError("initial data does not match the grid")
+        if not all(np.isfinite(x).all() for x in w):
+            raise ConfigError("initial data must be finite")
         if any((x < 0.0).any() for x in w):
             raise ConfigError("initial data must be nonnegative")
         np.divide(w, self._scale, out=self._rows)
@@ -286,8 +289,8 @@ def integrate(
     fields and never changes its state.  The trajectory counts the
     clamps of this run alone.
     """
-    if t_end < 0.0:
-        raise ConfigError(f"t_end must be nonnegative, got {t_end}")
+    if not 0.0 <= t_end < math.inf:
+        raise ConfigError(f"t_end must be finite and nonnegative, got {t_end}")
     stepper.start(u0, v0)
     clamps_before = stepper.clamp_events
     grid = stepper.grid

@@ -25,7 +25,7 @@ def test_simulate_writes_bundle_and_exits_zero(tmp_path, capsys):
     assert "-> " + str(out) in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("alpha,solve", [(1.0, "modal-banded"), (0.025, "diagonal")])
+@pytest.mark.parametrize("alpha,solve", [(1.0, "modal-banded"), (0.025, "symmetrized")])
 def test_simulate_reports_the_2d_implicit_solve(tmp_path, alpha, solve):
     # alpha/d = 40 spreads Lx's symmetrizer by about e^20: drift-dominated
     # input keeps the modal-banded solve.

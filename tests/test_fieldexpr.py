@@ -51,6 +51,14 @@ def test_rejects_off_grammar(bad):
         compile_field_expression(bad)
 
 
+@pytest.mark.parametrize("bad", ["True + x", "False", "-True"])
+def test_rejects_boolean_literals(bad):
+    # bool is an int subclass, but True and False are not numeric literals
+    # of the grammar.
+    with pytest.raises(ConfigError, match="non-numeric literal"):
+        compile_field_expression(bad)
+
+
 def test_y_unavailable_on_1d():
     # "y" is rejected at compile time when only x is in scope.
     with pytest.raises(ConfigError):

@@ -237,13 +237,15 @@ def test_converged_starts_take_no_newton_update():
     np.testing.assert_array_equal(again.v, pair.v)
 
 
-def test_newton_iteration_cap_names_the_system():
+def test_newton_iteration_cap_names_the_system(monkeypatch):
     cfg, grid, eff, op = symmetric_setup()
+    monkeypatch.setattr(steady, "_MAX_PAIR_UPDATES", 1)
+    monkeypatch.setattr(steady, "_MAX_SINGLE_UPDATES", 1)
     with pytest.raises(SolverError, match=r"^coexistence Newton hit the iteration cap at residual "):
-        solve_coexistence(op, op, eff, max_iter=1)
+        solve_coexistence(op, op, eff)
     start = np.full(grid.size, float(np.mean(eff.K1.values)))
     with pytest.raises(SolverError, match=r"^steady-state Newton hit the iteration cap at residual "):
-        steady._newton_single(op, eff, start, 1e-10, max_iter=1)
+        steady._newton_single(op, eff, start, 1e-10)
 
 
 def test_unknown_steady_method_rejected():

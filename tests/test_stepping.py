@@ -58,6 +58,27 @@ def test_zero_state_is_absorbing():
     np.testing.assert_array_equal(v, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_start_refuses_non_finite_initial_data(bad):
+    # One inf entry would turn the whole run into NaN with no clamp.
+    stepper, grid, _ = make_stepper(n=16)
+    w = np.full(grid.size, 0.5)
+    spoiled = w.copy()
+    spoiled[3] = bad
+    for fields in ((spoiled, w), (w, spoiled)):
+        with pytest.raises(ConfigError, match="initial data must be finite"):
+            stepper.start(*fields)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+def test_integrate_refuses_a_horizon_that_is_not_finite_and_nonnegative(t_end):
+    # A NaN horizon would otherwise return a trajectory of zero steps.
+    stepper, grid, _ = make_stepper(n=16)
+    w = np.full(grid.size, 0.5)
+    with pytest.raises(ConfigError, match="t_end must be finite and nonnegative"):
+        integrate(stepper, w, w, t_end)
+
+
 def test_mass_identity_single_step():
     # transport columns sum to zero, so one step changes each species'
     # mass by exactly dt times its integrated growth (up to the solve)
@@ -77,9 +98,9 @@ def test_mass_identity_along_trajectory():
 
 
 def test_mass_identity_along_trajectory_2d():
-    # the diagonal solve conserves mass to rounding like the banded one
+    # the 2-D symmetrized solve conserves mass to rounding like the banded one
     stepper, grid, _ = make_stepper(n=12, dim=2, dt=0.05)
-    assert stepper.implicit_solve == "diagonal"
+    assert stepper.implicit_solve == "symmetrized"
     _assert_mass_identity_along_trajectory(stepper, grid)
 
 
@@ -167,7 +188,7 @@ def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
     monkeypatch.setattr(spla, "splu", refuse)
     # Neither 2-D step solve reads an operator's sparse matrix, so none is built.
     drift_dominated = dict(d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0)
-    for n, pars, solve in ((12, WEAK_HARVEST, "diagonal"), (24, drift_dominated, "modal-banded")):
+    for n, pars, solve in ((12, WEAK_HARVEST, "symmetrized"), (24, drift_dominated, "modal-banded")):
         p = ModelParams(mu1=0.009, mu2=0.009, dim=2, **pars)
         grid = make_grid(2, p.a, p.b, n)
         eff = build_effective_params(p, grid, mu=0.009)
@@ -366,7 +387,7 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
     # two-scan clamp: the stacked stepper must make the same clamp count.
     # The initial hump sits far outside the positivity envelope, so the
     # first steps clamp.  2-D: the stepper runs its own trajectory and
-    # must stay within ``rtol`` of the oracle's sup-norm; the diagonal
+    # must stay within ``rtol`` of the oracle's sup-norm; the symmetrized
     # solve agrees with splu to rounding only.  1-D (rtol None): every
     # step starts from the oracle's state and must land within one step's
     # rounding bound (``_one_step_bound``); along its own trajectory the
@@ -500,7 +521,7 @@ def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance(monkeypatc
     [
         (dict(n=32), "symmetrized"),
         (dict(n=32, d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0), "banded"),
-        (dict(n=6, dim=2), "diagonal"),
+        (dict(n=6, dim=2), "symmetrized"),
     ],
 )
 def test_sampling_leaves_the_run_alone(kw, solve):
@@ -531,9 +552,10 @@ def test_sampling_leaves_the_run_alone(kw, solve):
 _STRATEGIES = [
     (dict(n=32), "symmetrized"),
     (dict(n=32, d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0), "banded"),
-    (dict(n=6, dim=2), "diagonal"),
+    (dict(n=6, dim=2), "symmetrized"),
     (dict(n=24, dim=2, d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0), "modal-banded"),
 ]
+_STRATEGY_IDS = ["symmetrized", "banded", "symmetrized-2d", "modal-banded"]
 
 
 def _clamping_start(kw, solve, over_cap=1.0):
@@ -565,7 +587,7 @@ def _reference_step(stepper):
         np.maximum(z, 0.0, out=z)
 
 
-@pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=[solve for _, solve in _STRATEGIES])
+@pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=_STRATEGY_IDS)
 def test_advance_is_bitwise_the_per_step_loop(kw, solve):
     # advance(k) against k lone steps and k steps of the reference body,
     # chunk by chunk from a clamping start: the same state bit for bit
@@ -641,7 +663,7 @@ _SCHEDULES = {
 
 
 @pytest.mark.parametrize("schedule", list(_SCHEDULES))
-@pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=[solve for _, solve in _STRATEGIES])
+@pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=_STRATEGY_IDS)
 def test_integrate_is_bitwise_the_per_step_loop(kw, solve, schedule):
     # integrate advances between its events; the per-step reference loop
     # checks after every step.  Times, norms, masses, the snapshot keys

@@ -18,14 +18,15 @@ list positions dropped), naming that quantity.  Every non-numeric
 difference is printed as well: strings, flags, nulls, integers (counts
 and sizes compare exactly), keys, columns and lengths.
 
-The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``;
-``simulate`` in raw form with mu1 != mu2 and a drift-dominated 2-D
-``simulate`` (the modal-banded step solve); ``steady`` and ``eigen`` in
+The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``
+(the symmetrized step solve, in 1-D and 2-D); ``simulate`` in raw form
+with mu1 != mu2, and a drift-dominated ``simulate`` in 1-D (the banded
+step solve) and in 2-D (the modal-banded one); ``steady`` and ``eigen`` in
 1-D and 2-D; ``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
 ``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
 marginal tolerance 1e-9: the one sweep with a found window, edge probes
 and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
-and 1024: 30 runs, a few minutes on a 2-core machine.
+and 1024: 31 runs, a few minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["sim_raw_unequal_mu"] = [
         "simulate", *WEAK[:-2], "--mu1", "0.01", "--mu2", "0.02", "--reaction-form", "raw",
         "--n", "64", "--t-end", "50",
+    ]
+    runs["sim_1d_banded"] = [
+        "simulate", "--d1", "0.02", "--d2", "0.02", "--alpha1", "0.2", "--alpha2", "0.1",
+        "--mu", "0.009", "--n", "64", "--t-end", "5",
     ]
     runs["sim_2d_modal_banded"] = [
         "simulate", *PLANE, "--d1", "0.025", "--d2", "0.025", "--alpha1", "1.0",
