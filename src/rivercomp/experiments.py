@@ -499,7 +499,8 @@ def _secant(last: np.ndarray | None, before: np.ndarray | None) -> np.ndarray | 
     if last is None or before is None:
         return last
     guess = 2.0 * last - before
-    return guess if np.all(np.isfinite(guess)) and guess.min() > 0.0 else last
+    # min > 0 refuses NaN and every entry <= 0; a finite max then refuses inf.
+    return guess if guess.min() > 0.0 and math.isfinite(guess.max()) else last
 
 
 def _predicted_starts(warm: dict) -> tuple:

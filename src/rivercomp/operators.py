@@ -60,16 +60,18 @@ __all__ = [
 Bands = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def band_matvec(bands: Bands, x: np.ndarray) -> np.ndarray:
+def band_matvec(bands: Bands, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """y = T·x for the tridiagonal T with bands (lower, diag, upper).
 
     Each row sums its terms left to right, as ``csr_matvec`` does over a
-    row of the CSR matrix, so the result is bitwise equal to ``T @ x``
-    (up to the sign of an exact zero).
+    row of the CSR matrix (IEEE addition commutes, so d·x + l·x is
+    l·x + d·x bitwise), and the result is bitwise equal to ``T @ x`` (up
+    to the sign of an exact zero).  ``out``, if given, receives y and
+    must not share memory with ``x``.
     """
     lower, diag, upper = bands
-    y = diag * x
-    y[1:] = lower * x[:-1] + y[1:]
+    y = np.multiply(diag, x, out=out)
+    y[1:] += lower * x[:-1]
     y[:-1] += upper * x[1:]
     return y
 

@@ -36,6 +36,7 @@ equal to products with the CSR matrix, which a 2-D grid still uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ TOL_MARGINAL = 1e-7
 _DENSE_SIZE_LIMIT = 128
 # Cap on the inverse-iteration solves of one eigen solve.
 _MAX_EIGEN_SOLVES = 10_000
+# Residual floor near the rounding level, relative to the matrix sup-norm.
+_ROUNDING_FLOOR = 64.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -97,6 +100,8 @@ def _shifted_matvec(op: TransportOperator, p: np.ndarray):
 
     A 1-D operator works on its bands; a 2-D one on its CSR matrix.  Both
     give the products and row sums the CSR matrix of L + diag(p) gives.
+    The 1-D product is written into one work array of this call, so each
+    product is overwritten by the next.
     """
     if op.grid.dim == 2:
         matrix = (op.matrix + sparse.diags(p)).tocsr()
@@ -106,8 +111,9 @@ def _shifted_matvec(op: TransportOperator, p: np.ndarray):
     # Summed as the CSR row reduction sums a row l, d, u: l + (d + u).
     rows = np.abs(bands[1])
     rows[:-1] += np.abs(upper)
-    rows[1:] = np.abs(lower) + rows[1:]
-    return lambda x: band_matvec(bands, x), rows
+    rows[1:] += np.abs(lower)
+    work = np.empty(len(diag))
+    return lambda x: band_matvec(bands, x, out=work), rows
 
 
 def principal_eigenpair(
@@ -141,7 +147,9 @@ def principal_eigenpair(
         x = np.asarray(x0, dtype=float)
         if x.shape != (n,):
             raise ConfigError(f"start vector has shape {x.shape}, expected ({n},)")
-        if not (np.all(np.isfinite(x)) and x.min() > 0.0):
+        # min > 0 refuses NaN and every entry <= 0, so a finite max leaves
+        # exactly the finite, strictly positive vectors.
+        if not (x.min() > 0.0 and math.isfinite(x.max())):
             raise ConfigError("start vector must be finite and strictly positive")
     matvec, rows = _shifted_matvec(op, p)
     scale = float(rows.max())
@@ -149,7 +157,7 @@ def principal_eigenpair(
         return EigenReport(
             growth_rate=0.0, phi=np.ones(n), iterations=0, residual=0.0, factorizations=0
         )
-    res_target = max(tol, 64.0 * np.finfo(float).eps) * scale
+    res_target = max(tol, _ROUNDING_FLOOR) * scale
     margin_floor = 1e-8 * scale
 
     # Reductions go through the array methods: bitwise what np.min/np.max
@@ -175,15 +183,13 @@ def principal_eigenpair(
             continue
         x = y / y.max()
         mx = matvec(x)
-        q = mx / x  # the Collatz quotients bracket the dominant eigenvalue
-        lo, hi = q.min(), q.max()
         lam = float(x @ mx) / float(x @ x)
         residual = float(np.abs(mx - lam * x).max())
         if residual <= res_target:
             # Polish toward the rounding floor while progress is cheap: the
             # shift is anchored by now, so each extra solve shrinks the
             # residual sharply unless the spectral gap is genuinely tiny.
-            floor = 64.0 * np.finfo(float).eps * scale
+            floor = _ROUNDING_FLOOR * scale
             for _ in range(25):
                 if residual <= floor:
                     break
@@ -206,6 +212,8 @@ def principal_eigenpair(
                 residual=residual,
                 factorizations=factorizations,
             )
+        q = mx / x  # the Collatz quotients bracket the dominant eigenvalue
+        lo, hi = q.min(), q.max()
         spread = max(hi - lo, margin_floor)
         if shift - hi > 8.0 * spread:
             margin = spread

@@ -15,9 +15,10 @@ residuals apply the bands (``TransportOperator.apply``), with no sparse
 matrix built; on a 2-D grid they go to sparse LU.  The coexistence
 Newton assembles its 2n-by-2n Jacobian directly in CSC form, from a
 pattern fixed once per solve by the operator bands (the CSR matrix in
-2-D), and factors it with ``splu``.  The final
-Jacobian's near-singular flag comes from LAPACK's banded ``gbtrf`` and
-``gbcon`` on the interleaved unknowns, a deterministic condition estimate.
+2-D), and factors it with ``splu``.  The final Jacobian's near-singular
+flag is a deterministic condition estimate: LAPACK's banded ``gbtrf`` and
+``gbcon`` on the interleaved unknowns in 1-D, ``splu`` and a one-column
+``onenormest`` in 2-D.
 
 The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
@@ -93,7 +94,7 @@ class CoexistencePair:
 
 def positivity_floor(eff: EffectiveParams) -> float:
     """Strict-positivity threshold used to reject washed-out profiles."""
-    return 1e-8 * float(np.max(eff.K1.values))
+    return 1e-8 * float(eff.K1.values.max())
 
 
 # ---------------------------------------------------------------------
@@ -125,16 +126,19 @@ def _damped_newton(
             return x, res_norm, updates
         delta = step(x, res)
         s = 1.0
-        while s >= _MIN_DAMPING:
-            trial = x + s * delta
+        trial = x + delta  # the full update: 1.0·delta is delta exactly
+        while True:
             trial_res = residual(trial)
             trial_norm = float(np.abs(trial_res).max())
             if trial_norm <= (1.0 - _ARMIJO_SLOPE * s) * res_norm:
                 x, res, res_norm = trial, trial_res, trial_norm
                 break
             s *= 0.5
-        else:
-            raise SolverError(f"{what} Newton stalled at residual {res_norm:.3e} (target {tol:.3e})")
+            if s < _MIN_DAMPING:
+                raise SolverError(
+                    f"{what} Newton stalled at residual {res_norm:.3e} (target {tol:.3e})"
+                )
+            trial = x + s * delta
     raise SolverError(f"{what} Newton hit the iteration cap at residual {res_norm:.3e}")
 
 
@@ -158,18 +162,19 @@ def _march(
     Stops when the discrete time derivative drops below ``rate_tol`` in
     sup-norm, measured against the reaction scale max(rr1*K1) so the test
     stays meaningful when heavy harvesting shrinks the whole profile.
-    Returns the state and number of steps taken.
+    Returns the state and number of steps taken; ``u0`` is never written.
     """
-    rate_tol *= float(np.max(eff.rr1.values * eff.K1.values))
+    rate_tol *= float((eff.rr1.values * eff.K1.values).max())
     # The semi-implicit fixed point is the steady state for any dt, so the
     # march can take the full reaction-stability step rather than the small
     # trajectory-accuracy step; convergence then needs O(10) steps per
     # relaxation time regardless of how hard the harvest squeezes r*r1.
     dt = max_stable_dt(eff.rr1.values)
     solve = factor_shifted(op, shift=1.0, scale=-dt)
-    u = u0.copy()
+    dt_rr1, K1 = dt * eff.rr1.values, eff.K1.values
+    u = u0
     for k in range(1, _MAX_MARCH_STEPS + 1):
-        u_next = solve.solve(u + dt * eff.rr1.values * u * (1.0 - u / eff.K1.values))
+        u_next = solve.solve(u + dt_rr1 * u * (1.0 - u / K1))
         np.maximum(u_next, 0.0, out=u_next)
         rate = float(np.abs(u_next - u).max()) / dt
         u = u_next
@@ -186,7 +191,11 @@ def _newton_single(
     eff: EffectiveParams,
     u0: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, float, int]:
+    """Damped Newton from ``u0``: the state, its residual norm and the updates.
+
+    The state is ``u0`` itself when it already meets ``tol``.
+    """
     rr1 = eff.rr1.values
     K1 = eff.K1.values
 
@@ -196,10 +205,9 @@ def _newton_single(
         except SolverError as exc:
             raise SolverError(f"steady-state Newton system is singular: {exc}") from None
 
-    u, _, updates = _damped_newton(
-        lambda u: _single_residual(op, eff, u), step, u0.copy(), tol, _MAX_SINGLE_UPDATES, "steady-state"
+    return _damped_newton(
+        lambda u: _single_residual(op, eff, u), step, u0, tol, _MAX_SINGLE_UPDATES, "steady-state"
     )
-    return u, updates
 
 
 def solve_single_steady(
@@ -220,22 +228,23 @@ def solve_single_steady(
     if method not in ("hybrid", "newton", "long-time"):
         raise ConfigError(f"unknown steady method {method!r}")
     K1 = eff.K1.values
+    # The one copy of the start: neither loop writes into its start, and
+    # the state a solve returns never shares memory with ``u0``.
     start = u0.copy() if u0 is not None else None
-    iterations = 0
+    residual = None  # the Newton loop's last residual norm, when it ran last
 
     if method == "newton":
         if start is None:
-            start = np.full(op.grid.size, float(np.mean(K1)))
-        u, iterations = _newton_single(op, eff, start, tol)
+            start = np.full(op.grid.size, float(K1.mean()))
+        u, residual, iterations = _newton_single(op, eff, start, tol)
     else:
         if start is None:
-            start = np.full(op.grid.size, 0.5 * float(np.min(K1)))
+            start = np.full(op.grid.size, 0.5 * float(K1.min()))
         rate_tol = math.sqrt(tol) if method == "hybrid" else 1e-4 * math.sqrt(tol)
-        u, steps = _march(op, eff, start, rate_tol)
-        iterations = steps
+        u, iterations = _march(op, eff, start, rate_tol)
         if method == "hybrid":
             try:
-                u, newton_its = _newton_single(op, eff, u, tol)
+                u, residual, newton_its = _newton_single(op, eff, u, tol)
                 iterations += newton_its
             except SolverError:
                 # Fall back to marching the rest of the way.
@@ -243,12 +252,13 @@ def solve_single_steady(
                 iterations += steps
                 method = "long-time"
 
-    if float(np.min(u)) <= positivity_floor(eff):
+    if float(u.min()) <= positivity_floor(eff):
         raise SolverError(
             "no strictly positive steady profile: the population washes out "
             "at these movement/harvest parameters"
         )
-    residual = float(np.max(np.abs(_single_residual(op, eff, u))))
+    if residual is None:
+        residual = float(np.abs(_single_residual(op, eff, u)).max())
     return SteadyState(grid=op.grid, u=u, residual=residual, method=method, iterations=iterations)
 
 
@@ -334,17 +344,29 @@ def _near_singular(jac: sparse.csc_matrix) -> bool:
     """Whether the pair Jacobian's 1-norm condition number exceeds 1e10.
 
     With the unknowns interleaved as (u0, v0, u1, v1, ...) the Jacobian is
-    banded (kl = ku = 2 in 1-D, 2n on an n-by-n grid).  LAPACK's ``gbtrf``
-    factors it and ``gbcon`` estimates the condition number, with no
-    random start, so the answer is the same on every run.
+    banded (kl = ku = 2 in 1-D, 2n on an n-by-n grid).  Within that narrow
+    1-D band LAPACK's ``gbtrf`` factors it and ``gbcon`` estimates the
+    condition number.  A 2-D band would hold (6n + 1)·2n² entries, so
+    there ``splu`` factors the Jacobian and ``onenormest`` estimates the
+    1-norm of its inverse with one column, which draws no random
+    numbers.  Either way the answer is the same on every run.
     """
+    anorm = float(np.max(abs(jac).sum(axis=0)))
     n = jac.shape[0] // 2
     m = jac.tocoo()
     rows, cols = 2 * (m.row % n) + m.row // n, 2 * (m.col % n) + m.col // n
     k = int(np.max(np.abs(rows - cols)))
+    if k > 2:
+        try:
+            lu = spla.splu(jac)
+        except RuntimeError:
+            return True
+        inverse = spla.LinearOperator(
+            jac.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, "T"), dtype=float
+        )
+        return bool(anorm * spla.onenormest(inverse, t=1) > 1e10)
     ab = np.zeros((3 * k + 1, 2 * n))
     ab[2 * k + rows - cols, cols] = m.data
-    anorm = float(np.max(abs(jac).sum(axis=0)))
     lu, ipiv, info = lapack.dgbtrf(ab, k, k, overwrite_ab=True)
     if info > 0:
         return True

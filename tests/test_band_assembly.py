@@ -164,7 +164,7 @@ def run_loops(monkeypatch, factor, grid, eff, op1, op2):
     monkeypatch.setattr(spectral, "factor_shifted", factor)
     start = np.full(grid.size, 0.5 * float(np.min(eff.K1.values)))
     marched, steps = steady._march(op1, eff, start, 1e-5)
-    u, its = steady._newton_single(op1, eff, marched, 1e-10)
+    u, _, its = steady._newton_single(op1, eff, marched, 1e-10)
     eigen = principal_eigenpair(op2, invasion_potential(u, eff))
     return marched, steps, u, its, eigen
 

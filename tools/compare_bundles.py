@@ -22,11 +22,14 @@ The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``
 (the symmetrized step solve, in 1-D and 2-D); ``simulate`` in raw form
 with mu1 != mu2, and a drift-dominated ``simulate`` in 1-D (the banded
 step solve) and in 2-D (the modal-banded one); ``steady`` and ``eigen`` in
-1-D and 2-D; ``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
-``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
-marginal tolerance 1e-9: the one sweep with a found window, edge probes
-and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
-and 1024: 31 runs, a few minutes on a 2-core machine.
+1-D and 2-D, ``steady`` at a steady tolerance of 1e-14 (whose lone states
+fall back from Newton to the march), a 2-D ``steady`` that finds a pair,
+and ``eigen`` at an eigen tolerance of 1e-6; ``sweep`` on the criterion-6
+family at mu 0.3, mu 0.997 and ``K="1 + x"``, and on its narrow sliver
+(n 64, 120 points, mu 0.997, marginal tolerance 1e-9: the one sweep with
+a found window, edge probes and a pair); ``verify`` on the weak and fast
+families at n 128, 256, 512 and 1024: 34 runs, a few minutes on a 2-core
+machine.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ from pathlib import Path
 WEAK = ["--d1", "0.08", "--d2", "0.07", "--alpha1", "0.05", "--alpha2", "0.04", "--mu", "0.009"]
 FAST = ["--d1", "3.0", "--d2", "0.8", "--alpha1", "0.7", "--alpha2", "0.03", "--mu", "0.1"]
 PLANE = ["--dim", "2", "--n", "24"]
+# Identical species: a continuum of coexistence pairs, one found from the cold start.
+SYMMETRIC = ["--d1", "0.05", "--d2", "0.05", "--alpha1", "0.02", "--alpha2", "0.02", "--mu", "0.1"]
 SWEEP = ["--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001", "--n", "256", "--points", "33"]
 
 
@@ -67,6 +72,10 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     for mode in ("steady", "eigen"):
         runs[f"{mode}_1d"] = [mode, *WEAK, "--n", "128"]
         runs[f"{mode}_2d"] = [mode, *WEAK, *PLANE]
+    # Newton cannot reach 1e-14: both lone states fall back to the march.
+    runs["steady_1d_fallback"] = ["steady", *WEAK, "--n", "128", "--tol-steady", "1e-14"]
+    runs["steady_2d_pair"] = ["steady", *SYMMETRIC, *PLANE]
+    runs["eigen_1d_loose"] = ["eigen", *WEAK, "--n", "128", "--tol-eigen", "1e-6"]
     runs["sweep_03"] = ["sweep", *SWEEP, "--mu", "0.3"]
     runs["sweep_0997"] = ["sweep", *SWEEP, "--mu", "0.997"]
     runs["sweep_K"] = ["sweep", *SWEEP, "--mu", "0.3", "--K", "1 + x"]
