@@ -684,7 +684,9 @@ def run_verification(cfg: RunConfig) -> dict:
     Returns a report dict with one entry per check carrying pass/skip
     status and the measured residuals.  Checks that need a coarser
     companion grid share the problem's halved-grid companion (skipped if
-    halving would break the Peclet guard).
+    halving would break the Peclet guard).  ``lone_states`` says how each
+    lone state the checks used was solved: its method, iterations and
+    residual.
     """
     problem = Problem(cfg)
     grid, eff = problem.grid, problem.eff
@@ -773,9 +775,18 @@ def run_verification(cfg: RunConfig) -> dict:
 
     checks["coexistence_identities"] = _identity_check(problem)
 
+    lone = {"u_hat": resident, "v_hat": problem.v_hat}
+    if grid.dim == 1:
+        lone["u_hat_constant_capacity"] = companion
+        if problem.coarse is not None:
+            lone["u_hat_halved_grid"] = problem.coarse.u_hat
     return {
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
+        "lone_states": {
+            name: {"method": s.method, "iterations": s.iterations, "residual": s.residual}
+            for name, s in lone.items()
+        },
     }
 
 

@@ -63,40 +63,27 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, newline="\n")
 
 
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One CSV row per index of the equal-length ``columns``.
+
+    Each column is formatted once, with ``format_float``, and the
+    formatted columns are zipped into rows.
+    """
+    cells = [list(map(format_float, np.asarray(column).tolist())) for column in columns]
+    _write_text(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+
+
 def write_norms_csv(path: Path, traj: Trajectory) -> None:
-    lines = ["t,norm_u_inf,norm_v_inf,mass_u,mass_v"]
-    for k in range(len(traj.times)):
-        lines.append(
-            ",".join(
-                format_float(v)
-                for v in (
-                    traj.times[k],
-                    traj.norm_u_inf[k],
-                    traj.norm_v_inf[k],
-                    traj.mass_u[k],
-                    traj.mass_v[k],
-                )
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(
+        path,
+        "t,norm_u_inf,norm_v_inf,mass_u,mass_v",
+        (traj.times, traj.norm_u_inf, traj.norm_v_inf, traj.mass_u, traj.mass_v),
+    )
 
 
 def write_snapshot_csv(path: Path, grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
-    lines = []
-    if grid.dim == 1:
-        lines.append("x,u,v")
-        x, _ = grid.coordinate_arrays()
-        for i in range(grid.size):
-            lines.append(f"{format_float(x[i])},{format_float(u[i])},{format_float(v[i])}")
-    else:
-        lines.append("x,y,u,v")
-        x, y = grid.coordinate_arrays()
-        for i in range(grid.size):
-            lines.append(
-                f"{format_float(x[i])},{format_float(y[i])},"
-                f"{format_float(u[i])},{format_float(v[i])}"
-            )
-    _write_text(path, "\n".join(lines) + "\n")
+    coordinates = grid.coordinate_arrays()[: grid.dim]
+    _write_csv(path, ",".join(["x", "y"][: grid.dim] + ["u", "v"]), (*coordinates, u, v))
 
 
 def write_bundle(

@@ -15,7 +15,9 @@ residuals apply the bands (``TransportOperator.apply``), with no sparse
 matrix built; on a 2-D grid they go to sparse LU.  The coexistence
 Newton assembles its 2n-by-2n Jacobian directly in CSC form, from a
 pattern fixed once per solve by the operator bands (the CSR matrix in
-2-D), and factors it with ``splu``.  The final Jacobian's near-singular
+2-D), and factors it with ``splu``: the first Jacobian of a solve with
+SuperLU's COLAMD ordering, the later ones, while no exact zero changes
+the pattern, in the column order COLAMD chose for the first.  The final Jacobian's near-singular
 flag is a deterministic condition estimate: LAPACK's banded ``gbtrf`` and
 ``gbcon`` on the interleaved unknowns in 1-D, ``splu`` and a one-column
 ``onenormest`` in 2-D.
@@ -299,13 +301,22 @@ def _split(op: TransportOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 class _PairJacobian:
-    """The pair Jacobian [[L1 + D11, D12], [D21, L2 + D22]] as a CSC matrix.
+    """The pair Jacobian [[L1 + D11, D12], [D21, L2 + D22]] in CSC form.
 
     The D blocks are diagonal, so the pattern is fixed by the operators:
-    the row indices and the permutation into CSC order are built once, and
-    each call fills the values in a fixed entry order, permutes them and
-    drops exact zeros the way ``sparse.bmat`` does.  The arrays, and so the
-    ``splu`` factors, are the same as those of the ``bmat`` assembly.
+    the entries are filled in a fixed order, and the permutation into CSC
+    order and the row indices are built once.  A call drops exact zeros
+    the way ``sparse.bmat`` does, so its arrays, and so the ``splu``
+    factors, are the same as those of the ``bmat`` assembly.
+
+    ``solve`` factors the first Jacobian of a solve with ``splu`` and keeps
+    the column order SuperLU chose for it (``perm_c``), together with the
+    entries' zero mask.  While the mask holds, each later Jacobian is laid
+    out with rows and columns both relabelled by that order and factored
+    with ``permc_spec="NATURAL"``: SuperLU runs the same elimination on the
+    same numbers, so the solution is bitwise that of a plain ``splu``,
+    without ordering the same pattern again.  An exact zero that changes
+    the mask takes a fresh ``splu`` and a fresh order.
     """
 
     def __init__(self, op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams):
@@ -317,15 +328,21 @@ class _PairJacobian:
         idx = np.arange(n, dtype=np.int32)
         # Entry order: off-diagonals of L1, then L2, then the diagonals
         # of the four blocks (11, 22, 12, 21).
-        rows = np.concatenate([rows1, rows2 + n, idx, idx + n, idx, idx + n])
-        cols = np.concatenate([cols1, cols2 + n, idx, idx + n, idx + n, idx])
-        self._order = np.lexsort((rows, cols))
-        self._rows, self._cols = rows[self._order], cols[self._order]
+        self._entry_rows = np.concatenate([rows1, rows2 + n, idx, idx + n, idx, idx + n])
+        self._entry_cols = np.concatenate([cols1, cols2 + n, idx, idx + n, idx + n, idx])
+        self._order = np.lexsort((self._entry_rows, self._entry_cols))
+        self._rows, self._cols = self._entry_rows[self._order], self._entry_cols[self._order]
         self._shape = (2 * n, 2 * n)
+        # The reused order: the zero mask it was chosen for, its labels, and
+        # the relabelled CSC layout (entry order, row labels, column pointers).
+        self._mask = None
+        self._label = None
+        self._layout = None
 
-    def __call__(self, u: np.ndarray, v: np.ndarray) -> sparse.csc_matrix:
+    def _values(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The entries in the fixed entry order."""
         rr1, K1 = self._rr1, self._K1
-        values = np.concatenate(
+        return np.concatenate(
             [
                 self._off,
                 self._diag1 + rr1 * (1.0 - (2.0 * u + v) / K1),
@@ -333,11 +350,58 @@ class _PairJacobian:
                 -rr1 * u / K1,
                 -rr1 * v / K1,
             ]
-        )[self._order]
+        )
+
+    def _natural(self, values: np.ndarray) -> sparse.csc_matrix:
+        values = values[self._order]
         keep = values != 0.0
         indptr = np.zeros(self._shape[1] + 1, dtype=np.int32)
         np.cumsum(np.bincount(self._cols[keep], minlength=self._shape[1]), out=indptr[1:])
         return sparse.csc_matrix((values[keep], self._rows[keep], indptr), shape=self._shape)
+
+    def __call__(self, u: np.ndarray, v: np.ndarray) -> sparse.csc_matrix:
+        return self._natural(self._values(u, v))
+
+    def factor(self, u: np.ndarray, v: np.ndarray) -> tuple[spla.SuperLU, np.ndarray | None]:
+        """SuperLU factors of J(u, v) and the labels of the unknowns in them.
+
+        The labels are None for a plain ``splu`` of the natural-order
+        matrix; otherwise the factored matrix B has B[label[i], label[j]] =
+        J[i, j].  Raises ``RuntimeError`` for a singular Jacobian.
+        """
+        values = self._values(u, v)
+        keep = values != 0.0
+        if self._mask is not None and np.array_equal(keep, self._mask):
+            order, rows, indptr = self._layout
+            jac = sparse.csc_matrix((values[order], rows, indptr), shape=self._shape)
+            # Each column keeps its rows in natural order: SuperLU's symbolic
+            # search follows the stored order, and that order settles ties
+            # between equally large pivot candidates.  The flag keeps splu
+            # from sorting the relabelled rows.
+            jac.has_canonical_format = True
+            return spla.splu(jac, permc_spec="NATURAL"), self._label
+        lu = spla.splu(self._natural(values))
+        # Rows are relabelled along with the columns because SuperLU prefers
+        # the diagonal among tied pivot candidates and finds the diagonal
+        # through its column order, which NATURAL makes the identity.
+        label = lu.perm_c
+        kept = np.flatnonzero(keep)
+        cols = label[self._entry_cols[kept]]
+        order = kept[np.lexsort((self._entry_rows[kept], cols))]
+        indptr = np.zeros(self._shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self._shape[1]), out=indptr[1:])
+        self._mask, self._label = keep, label
+        self._layout = (order, label[self._entry_rows[order]], indptr)
+        return lu, None
+
+    def solve(self, u: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """J(u, v)⁻¹·rhs; raises ``RuntimeError`` for a singular Jacobian."""
+        lu, label = self.factor(u, v)
+        if label is None:
+            return lu.solve(rhs)
+        b = np.empty_like(rhs)
+        b[label] = rhs
+        return lu.solve(b)[label]
 
 
 def _near_singular(jac: sparse.csc_matrix) -> bool:
@@ -396,13 +460,12 @@ def solve_coexistence(
 
     def step(x: np.ndarray, res: np.ndarray) -> np.ndarray:
         try:
-            lu = spla.splu(jacobian(x[:n], x[n:]))
+            return jacobian.solve(x[:n], x[n:], -res)
         except RuntimeError:
             raise SolverError(
                 "coexistence Jacobian is singular; a marginal/bifurcation "
                 "point is suspected at these parameters"
             ) from None
-        return lu.solve(-res)
 
     x, res_norm, updates = _damped_newton(
         lambda x: _pair_residual(op1, op2, eff, x), step, x, tol, _MAX_PAIR_UPDATES, "coexistence"

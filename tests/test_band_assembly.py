@@ -2,9 +2,10 @@
 
 Each band path keeps its sparse oracle here: the band products against
 CSR products, the pair Jacobian against a ``sparse.bmat`` assembly, the
-Newton, march and eigen loops against the same loops run on the sparse
-matrices they used to assemble, and the near-singular flag against a
-dense condition number.
+pair Newton's factors in a reused column order against ``splu`` ordering
+every Jacobian afresh, the Newton, march and eigen loops against the
+same loops run on the sparse matrices they used to assemble, and the
+near-singular flag against a dense condition number.
 """
 
 import numpy as np
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 
 from rivercomp import linsolve, spectral, steady
 from rivercomp.config import parse_config
+from rivercomp.errors import SolverError
 from rivercomp.grid import make_grid
 from rivercomp.operators import transport_for
 from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
+from rivercomp.stepping import Stepper, integrate
 
 SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, alpha2=0.0006, mu=0.3)
 
@@ -125,6 +128,157 @@ def test_pair_jacobian_drops_a_zero_diagonal_entry_like_bmat():
     assert got.nnz == want.nnz == 8 * grid.size - 4 - 1
     for name in ("indptr", "indices", "data"):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+# ---------------------------------------------------------------------
+# pair Newton: later factors in the first factor's order, against splu
+# ---------------------------------------------------------------------
+
+WEAK = dict(d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04, mu=0.009)
+FAST = dict(d1=3.0, d2=0.8, alpha1=0.7, alpha2=0.03, mu=0.1)
+SYMMETRIC = dict(d1=0.05, d2=0.05, alpha1=0.02, alpha2=0.02, mu=0.1)
+
+
+def marched_start(n):
+    """K = 1 + x at alpha2 = 9e-4, marched in time to t = 2000: a pair's
+    neighbourhood, from which the pair Newton converges in a few updates."""
+    cfg = parse_config(overrides=dict(SLOW, alpha2=9e-4, K="1 + x", n=n, dt=1.0))
+    grid = cfg.grid()
+    eff = cfg.effective(grid)
+    p = cfg.params
+    op1, op2 = transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
+    stepper = Stepper(op1, op2, p, eff, dt=cfg.dt, form=cfg.reaction_form)
+    integrate(stepper, *cfg.initial_fields(grid), 2000.0)
+    return eff, op1, op2, stepper.fields()
+
+
+def plain_splu_solve(jacobian, u, v, rhs):
+    """The reference step: ``splu`` of the natural-order Jacobian, ordered afresh."""
+    return spla.splu(jacobian(u, v)).solve(rhs)
+
+
+def pair_newton(monkeypatch, op1, op2, eff, guess=None, solve=None):
+    """The outcome of ``solve_coexistence`` (a pair, None or the error
+    message), every factor its Newton took with the (u, v) and Jacobian it
+    was taken at, and the ``permc_spec`` of every ``splu`` call."""
+    factor, splu = steady._PairJacobian.factor, spla.splu
+    factors, specs = [], []
+
+    def recording_factor(self, u, v):
+        lu, label = factor(self, u, v)
+        factors.append((self, u.copy(), v.copy(), lu, label))
+        return lu, label
+
+    def counting_splu(matrix, permc_spec=None, **kwargs):
+        specs.append(permc_spec or "COLAMD")
+        return splu(matrix, permc_spec=permc_spec, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(steady._PairJacobian, "factor", recording_factor)
+        patch.setattr(spla, "splu", counting_splu)
+        if solve is not None:
+            patch.setattr(steady._PairJacobian, "solve", solve)
+        try:
+            outcome = steady.solve_coexistence(op1, op2, eff, guess=guess)
+        except SolverError as exc:
+            outcome = str(exc)
+    return outcome, factors, specs
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, steady.CoexistencePair):
+        assert isinstance(got, steady.CoexistencePair)
+        np.testing.assert_array_equal(got.u, want.u)
+        np.testing.assert_array_equal(got.v, want.v)
+        assert (got.residual, got.iterations, got.jacobian_near_singular) == (
+            want.residual,
+            want.iterations,
+            want.jacobian_near_singular,
+        )
+    else:
+        assert got == want
+
+
+def assert_same_factor(lu, label, plain, rhs):
+    """A factor of the relabelled Jacobian against ``splu`` of the natural one."""
+    size = len(rhs)
+    np.testing.assert_array_equal(lu.perm_c, np.arange(size))
+    np.testing.assert_array_equal(lu.perm_r[label], plain.perm_r)
+    for factor in ("L", "U"):
+        got, want = getattr(lu, factor), getattr(plain, factor)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    b = np.empty_like(rhs)
+    b[label] = rhs
+    np.testing.assert_array_equal(lu.solve(b)[label], plain.solve(rhs))
+
+
+def newton_case(case):
+    if case == "K=1+x marched":
+        eff, op1, op2, guess = marched_start(256)
+        return op1, op2, eff, guess
+    family, n, dim = case
+    _, eff, op1, op2 = setup(n=n, dim=dim, **family)
+    return op1, op2, eff, None
+
+
+NEWTON_CASES = [
+    *[
+        pytest.param((family, n, 1), id=f"{name}-{n}")
+        for name, family in (("weak", WEAK), ("slow", SLOW), ("fast", FAST))
+        for n in (128, 512)
+    ],
+    pytest.param("K=1+x marched", id="K=1+x-marched"),
+    pytest.param((SYMMETRIC, 64, 1), id="symmetric-64"),
+    pytest.param((SYMMETRIC, 24, 2), id="symmetric-24x24"),
+]
+
+
+@pytest.mark.parametrize("case", NEWTON_CASES)
+def test_pair_newton_factors_in_its_first_order_bitwise(monkeypatch, case):
+    op1, op2, eff, guess = newton_case(case)
+    got, factors, specs = pair_newton(monkeypatch, op1, op2, eff, guess)
+    want, _, _ = pair_newton(monkeypatch, op1, op2, eff, guess, solve=plain_splu_solve)
+    assert_same_outcome(got, want)
+    if isinstance(case, str) or case[0] is SYMMETRIC:
+        assert isinstance(got, steady.CoexistencePair)
+
+    # COLAMD orders the first Jacobian alone; no exact zero changes the
+    # pattern, so every later one is factored in that order.
+    assert len(factors) >= 3
+    assert [label is None for *_, label in factors] == [True] + [False] * (len(factors) - 1)
+    newton_specs = ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
+    # In 2-D the near-singular flag factors the final Jacobian once more.
+    flag_specs = ["COLAMD"] if isinstance(got, steady.CoexistencePair) and op1.grid.dim == 2 else []
+    assert specs == newton_specs + flag_specs
+
+    rhs = np.sin(np.arange(2 * op1.grid.size) + 0.5)
+    for jacobian, u, v, lu, label in factors[1:]:
+        assert_same_factor(lu, label, spla.splu(jacobian(u, v)), rhs)
+
+
+def test_a_zero_in_the_start_takes_a_fresh_order(monkeypatch):
+    # u = 0 at every fourth cell empties D12 there, so the first Jacobian
+    # lacks those entries; the first update fills them, and the changed
+    # pattern is ordered again before the order is reused.
+    _, eff, op1, op2 = setup(n=128, **WEAK)
+    K1 = eff.K1.values
+    u = K1 / 3.0
+    u[::4] = 0.0
+    guess = (u, K1 / 3.0)
+    got, factors, specs = pair_newton(monkeypatch, op1, op2, eff, guess)
+    want, _, _ = pair_newton(monkeypatch, op1, op2, eff, guess, solve=plain_splu_solve)
+    assert_same_outcome(got, want)
+
+    jacobian = factors[0][0]
+    full = jacobian(K1 / 3.0, K1 / 3.0).nnz
+    assert jacobian(*guess).nnz == full - 32
+    assert len(factors) >= 4
+    assert [label is None for *_, label in factors] == [True, True] + [False] * (len(factors) - 2)
+    assert specs == ["COLAMD", "COLAMD"] + ["NATURAL"] * (len(factors) - 2)
+    rhs = np.cos(np.arange(2 * op1.grid.size))
+    for jacobian, u, v, lu, label in factors[2:]:
+        assert_same_factor(lu, label, spla.splu(jacobian(u, v)), rhs)
 
 
 # ---------------------------------------------------------------------

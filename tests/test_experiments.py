@@ -146,6 +146,13 @@ def test_verification_suite_passes_on_weak_harvest_habitat():
     }
     assert checks["capacity_gap"]["pass"] is True
     assert checks["coexistence_identities"]["skipped"] is True
+    # How each lone state the checks used was solved, outside ``checks``.
+    lone = report["lone_states"]
+    assert set(lone) == {"u_hat", "v_hat", "u_hat_constant_capacity", "u_hat_halved_grid"}
+    for state in lone.values():
+        assert state["method"] == "hybrid"
+        assert type(state["iterations"]) is int
+        assert state["residual"] < cfg.tolerances.steady
 
 
 def test_eigen_report_weak_harvest_verdicts():
@@ -225,6 +232,12 @@ def test_fast_family_stall_note_matches_the_benchmark_reference(n):
     got = report["checks"]["coexistence_identities"]
     assert got["note"] == want["coexistence_identities"]["note"]
     assert got["note"].startswith("no pair: coexistence Newton stalled at residual ")
+    # The lone states' Newton stalls there too: the report says they come
+    # from the march, at a residual above the steady tolerance.
+    for name in ("u_hat", "v_hat", "u_hat_halved_grid"):
+        state = report["lone_states"][name]
+        assert state["method"] == "long-time"
+        assert 1e-10 < state["residual"] < 1e-7
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,13 @@ import numpy as np
 
 from rivercomp.config import parse_config
 from rivercomp.grid import make_grid
-from rivercomp.output import format_float, jsonable, write_bundle, write_snapshot_csv
+from rivercomp.output import (
+    format_float,
+    jsonable,
+    write_bundle,
+    write_norms_csv,
+    write_snapshot_csv,
+)
 from rivercomp.operators import transport_for
 from rivercomp.stepping import Stepper, integrate
 
@@ -71,6 +77,35 @@ def test_snapshot_csv_two_dimensional_layout(tmp_path):
     x0, y0 = (float(v) for v in lines[1].split(",")[:2])
     x1, y1 = (float(v) for v in lines[2].split(",")[:2])
     assert x1 > x0 and y1 == y0
+
+
+def row_by_row(header, columns):
+    """A CSV formed one row at a time, each cell by ``format_float``: the
+    reference for the columnar writer."""
+    lines = [header]
+    for i in range(len(columns[0])):
+        lines.append(",".join(format_float(column[i]) for column in columns))
+    return "\n".join(lines) + "\n"
+
+
+def test_columnar_csv_writer_matches_the_row_by_row_text(tmp_path):
+    rng = np.random.default_rng(7)
+    for dim, n in ((1, 37), (2, 7)):
+        grid = make_grid(dim, 0.0, 1.0, n)
+        u = rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-300, 300, grid.size)
+        v = rng.random(grid.size)
+        u[:3], v[:3] = (0.0, -0.0, 1.0), (5e-324, 1e16, 0.1)
+        path = tmp_path / f"snap{dim}.csv"
+        write_snapshot_csv(path, grid, u, v)
+        coordinates = [c for c in grid.coordinate_arrays() if c is not None]
+        header = "x,u,v" if dim == 1 else "x,y,u,v"
+        assert path.read_bytes() == row_by_row(header, [*coordinates, u, v]).encode()
+
+    _, traj = small_run()
+    write_norms_csv(tmp_path / "norms.csv", traj)
+    columns = [traj.times, traj.norm_u_inf, traj.norm_v_inf, traj.mass_u, traj.mass_v]
+    want = row_by_row("t,norm_u_inf,norm_v_inf,mass_u,mass_v", columns)
+    assert (tmp_path / "norms.csv").read_bytes() == want.encode()
 
 
 def test_bundle_contents_and_determinism(tmp_path):

@@ -23,13 +23,14 @@ The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``
 with mu1 != mu2, and a drift-dominated ``simulate`` in 1-D (the banded
 step solve) and in 2-D (the modal-banded one); ``steady`` and ``eigen`` in
 1-D and 2-D, ``steady`` at a steady tolerance of 1e-14 (whose lone states
-fall back from Newton to the march), a 2-D ``steady`` that finds a pair,
-and ``eigen`` at an eigen tolerance of 1e-6; ``sweep`` on the criterion-6
-family at mu 0.3, mu 0.997 and ``K="1 + x"``, and on its narrow sliver
-(n 64, 120 points, mu 0.997, marginal tolerance 1e-9: the one sweep with
-a found window, edge probes and a pair); ``verify`` on the weak and fast
-families at n 128, 256, 512 and 1024: 34 runs, a few minutes on a 2-core
-machine.
+fall back from Newton to the march), ``steady`` runs that find a pair in
+1-D (n 64) and 2-D, and ``eigen`` at an eigen tolerance of 1e-6;
+``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
+``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
+marginal tolerance 1e-9: the one sweep with a found window, edge probes
+and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
+and 1024, and on the slow family at n 1024: 36 runs, a few minutes on a
+2-core machine.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from pathlib import Path
 
 WEAK = ["--d1", "0.08", "--d2", "0.07", "--alpha1", "0.05", "--alpha2", "0.04", "--mu", "0.009"]
 FAST = ["--d1", "3.0", "--d2", "0.8", "--alpha1", "0.7", "--alpha2", "0.03", "--mu", "0.1"]
+SLOW = ["--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001", "--alpha2", "0.0006", "--mu", "0.3"]
 PLANE = ["--dim", "2", "--n", "24"]
 # Identical species: a continuum of coexistence pairs, one found from the cold start.
 SYMMETRIC = ["--d1", "0.05", "--d2", "0.05", "--alpha1", "0.02", "--alpha2", "0.02", "--mu", "0.1"]
@@ -74,6 +76,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
         runs[f"{mode}_2d"] = [mode, *WEAK, *PLANE]
     # Newton cannot reach 1e-14: both lone states fall back to the march.
     runs["steady_1d_fallback"] = ["steady", *WEAK, "--n", "128", "--tol-steady", "1e-14"]
+    runs["steady_1d_pair"] = ["steady", *SYMMETRIC, "--n", "64"]
     runs["steady_2d_pair"] = ["steady", *SYMMETRIC, *PLANE]
     runs["eigen_1d_loose"] = ["eigen", *WEAK, "--n", "128", "--tol-eigen", "1e-6"]
     runs["sweep_03"] = ["sweep", *SWEEP, "--mu", "0.3"]
@@ -86,6 +89,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     for family, flags in (("weak", WEAK), ("fast", FAST)):
         for n in (128, 256, 512, 1024):
             runs[f"verify_{family}_{n}"] = ["verify", *flags, "--n", str(n)]
+    runs["verify_slow_1024"] = ["verify", *SLOW, "--n", "1024"]
     return runs
 
 
