@@ -127,11 +127,18 @@ class Problem:
     @cached_property
     def coarse(self) -> Problem | None:
         """The same problem with n halved, or None where n is odd, below 6,
-        or the halved grid breaks a config check (the Peclet guard)."""
+        or the halved grid breaks a config check (the Peclet guard).
+
+        Derived defaults (dt, u0, v0, tolerances.extinct) are derived
+        again on the halved grid, not pinned at the fine grid's values."""
         n = self.cfg.n
         if n % 2 != 0 or n // 2 < 3:
             return None
-        overrides = {k: v for k, v in self.cfg.echo_dict().items() if k != "_defaulted"}
+        echo, defaulted = self.cfg.echo_dict(), set(self.cfg.defaulted)
+        overrides = {k: v for k, v in echo.items() if k not in defaulted and k != "_defaulted"}
+        overrides["tolerances"] = {
+            k: v for k, v in echo["tolerances"].items() if f"tolerances.{k}" not in defaulted
+        }
         overrides["n"] = n // 2
         try:
             cfg = parse_config(overrides=overrides)
@@ -602,12 +609,6 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     warm: dict = {}
     points = [_evaluate_point(problem, alpha2, warm) for alpha2 in alphas]
 
-    anomalies = [
-        f"alpha2={pt.alpha2!r}: both lone states attracting yet a positive pair exists"
-        for pt in points
-        if pt.anomaly
-    ]
-
     # Longest contiguous coexistence run, then one bisection probe per edge.
     best_start, best_len = -1, 0
     run_start = -1
@@ -631,10 +632,6 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
         for mid, side in (((left_outer + w_lo) / 2.0, "lo"), ((w_hi + right_outer) / 2.0, "hi")):
             probe = _evaluate_point(problem, mid, {})
             edge_points.append(probe)
-            if probe.anomaly:
-                anomalies.append(
-                    f"alpha2={probe.alpha2!r}: both lone states attracting yet a positive pair exists"
-                )
             if probe.verdict is Verdict.COEXISTENCE:
                 if side == "lo":
                     w_lo = mid
@@ -644,6 +641,11 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
         epsilon1 = w_lo - lo
         epsilon2 = hi - w_hi
 
+    anomalies = [
+        f"alpha2={pt.alpha2!r}: both lone states attracting yet a positive pair exists"
+        for pt in points + edge_points
+        if pt.anomaly
+    ]
     return SweepResult(
         omega1=omega1,
         lo=lo,
@@ -690,7 +692,6 @@ def run_verification(cfg: RunConfig) -> dict:
     """
     problem = Problem(cfg)
     grid, eff = problem.grid, problem.eff
-    p = cfg.params
     tol = cfg.tolerances.steady
     checks: dict[str, dict] = {}
 
@@ -714,8 +715,8 @@ def run_verification(cfg: RunConfig) -> dict:
         # The band is a constant-capacity statement; heterogeneous
         # capacity is flattened to its mean before checking it.
         companion, _ = constant_capacity_companion(problem.op1, eff, tol=tol)
-        band = log_slope_report(companion.u, p.d1, p.alpha1, grid)
-        resident_band = log_slope_report(resident.u, p.d1, p.alpha1, grid)
+        band = log_slope_report(companion.u, problem.op1)
+        resident_band = log_slope_report(resident.u, problem.op1)
         checks["log_slope_band"] = {
             "pass": band.violations == 0,
             "skipped": False,
@@ -759,7 +760,7 @@ def run_verification(cfg: RunConfig) -> dict:
     }
 
     if grid.dim == 1 and bool(np.all(np.diff(potential) < 0.0)):
-        excess = drift_band_excess(kappa.report.phi, p.d2, p.alpha2, grid)
+        excess = drift_band_excess(kappa.report.phi, problem.op2)
         checks["drift_band"] = {
             "pass": excess.max_excess <= excess.band,
             "skipped": False,
@@ -793,17 +794,12 @@ def run_verification(cfg: RunConfig) -> dict:
 def _eigen_difference(problem: Problem):
     # kappa's eigen solve is op2's eigenpair under the same potential and
     # tolerance, so the identity reuses it.
-    p, eigen_tol = problem.cfg.params, problem.cfg.tolerances.eigen
     potential = invasion_potential(problem.u_hat.u, problem.eff)
     return eigen_difference_residual(
         problem.op1,
         problem.op2,
         potential,
-        p.d1,
-        p.d2,
-        p.alpha1,
-        p.alpha2,
-        eigen_tol=eigen_tol,
+        eigen_tol=problem.cfg.tolerances.eigen,
         second=problem.kappa.report,
     )
 
@@ -811,7 +807,6 @@ def _eigen_difference(problem: Problem):
 def _identity_check(problem: Problem) -> dict:
     if problem.grid.dim != 1:
         return {"pass": True, "skipped": True, "note": "1-D diagnostic"}
-    p = problem.cfg.params
     tol = problem.cfg.tolerances.steady
     try:
         pair = solve_coexistence(problem.op1, problem.op2, problem.eff, tol=tol)
@@ -819,8 +814,8 @@ def _identity_check(problem: Problem) -> dict:
         return {"pass": True, "skipped": True, "note": f"no pair: {exc}"}
     if pair is None:
         return {"pass": True, "skipped": True, "note": "no strictly positive pair at these parameters"}
-    report = coexistence_identity_residuals(pair, problem.op1, problem.op2, p)
-    balance = per_capita_balance_residual(pair.u, pair.v, p, problem.grid)
+    report = coexistence_identity_residuals(pair, problem.op1, problem.op2)
+    balance = per_capita_balance_residual(pair.u, pair.v, problem.op1, problem.op2)
     entry: dict = {
         "pass": True,
         "skipped": False,
@@ -835,7 +830,7 @@ def _identity_check(problem: Problem) -> dict:
         except SolverError:
             cpair = None
         if cpair is not None:
-            creport = coexistence_identity_residuals(cpair, coarse.op1, coarse.op2, p)
+            creport = coexistence_identity_residuals(cpair, coarse.op1, coarse.op2)
             ratios = []
             for fine_r, coarse_r in (
                 (report.residual_first, creport.residual_first),

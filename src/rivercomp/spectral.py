@@ -44,7 +44,6 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import ConfigError, SolverError
-from .grid import Grid
 from .linsolve import factor_shifted
 from .model import EffectiveParams
 from .operators import TransportOperator, band_matvec
@@ -321,10 +320,6 @@ def eigen_difference_residual(
     op1: TransportOperator,
     op2: TransportOperator,
     potential: np.ndarray,
-    d1: float,
-    d2: float,
-    alpha1: float,
-    alpha2: float,
     eigen_tol: float = 1e-12,
     second: EigenReport | None = None,
 ) -> EigenDifferenceReport:
@@ -346,6 +341,7 @@ def eigen_difference_residual(
     x = grid.centers
     h = grid.h
     z1, z2 = rep1.phi, rep2.phi
+    d1, d2, alpha1, alpha2 = op1.d, op2.d, op1.alpha, op2.alpha
     dz1 = np.gradient(z1, h, edge_order=2)
     dz2 = np.gradient(z2, h, edge_order=2)
     w = np.exp(-(alpha2 / d2) * x)
@@ -372,12 +368,14 @@ class DriftBandExcess:
     band: float
 
 
-def drift_band_excess(phi: np.ndarray, d: float, alpha: float, grid: Grid) -> DriftBandExcess:
+def drift_band_excess(phi: np.ndarray, op: TransportOperator) -> DriftBandExcess:
     """How far the eigenvector log slope pokes above the drift ratio.
 
-    For a strictly decreasing potential the dominant eigenvector's
-    d*(phi_x/phi) stays at or below alpha; the excess is measured on
-    interior cells against a 10 h^2 allowance for discretization error.
+    For a strictly decreasing potential the dominant eigenvector of
+    ``op`` plus that potential keeps d*(phi_x/phi) at or below alpha; the
+    excess is measured on interior cells against a 10 h^2 allowance for
+    discretization error.
     """
-    excess = float(np.max(d * log_slope(phi, grid)[1:-1] - alpha))
+    grid = op.grid
+    excess = float(np.max(op.d * log_slope(phi, grid)[1:-1] - op.alpha))
     return DriftBandExcess(max_excess=excess, band=10.0 * grid.h * grid.h)

@@ -17,10 +17,10 @@ Newton assembles its 2n-by-2n Jacobian directly in CSC form, from a
 pattern fixed once per solve by the operator bands (the CSR matrix in
 2-D), and factors it with ``splu``: the first Jacobian of a solve with
 SuperLU's COLAMD ordering, the later ones, while no exact zero changes
-the pattern, in the column order COLAMD chose for the first.  The final Jacobian's near-singular
-flag is a deterministic condition estimate: LAPACK's banded ``gbtrf`` and
-``gbcon`` on the interleaved unknowns in 1-D, ``splu`` and a one-column
-``onenormest`` in 2-D.
+the pattern, in the column order COLAMD chose for the first.  A found
+pair's near-singular flag factors its Jacobian the same way and
+estimates the 1-norm condition number with a one-column ``onenormest``,
+in both dimensions.
 
 The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
@@ -39,12 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import ConfigError, SolverError
 from .grid import Field, Grid
 from .linsolve import factor_shifted
-from .model import EffectiveParams, ModelParams
+from .model import EffectiveParams
 from .operators import TransportOperator, face_fluxes
 from .stepping import max_stable_dt
 
@@ -316,7 +315,8 @@ class _PairJacobian:
     with ``permc_spec="NATURAL"``: SuperLU runs the same elimination on the
     same numbers, so the solution is bitwise that of a plain ``splu``,
     without ordering the same pattern again.  An exact zero that changes
-    the mask takes a fresh ``splu`` and a fresh order.
+    the mask takes a fresh ``splu`` and a fresh order.  ``near_singular``
+    estimates the condition number from a factor taken the same way.
     """
 
     def __init__(self, op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams):
@@ -396,46 +396,39 @@ class _PairJacobian:
 
     def solve(self, u: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """J(u, v)⁻¹·rhs; raises ``RuntimeError`` for a singular Jacobian."""
-        lu, label = self.factor(u, v)
-        if label is None:
-            return lu.solve(rhs)
-        b = np.empty_like(rhs)
-        b[label] = rhs
-        return lu.solve(b)[label]
+        return _labelled_solve(*self.factor(u, v), rhs)
 
+    def near_singular(self, u: np.ndarray, v: np.ndarray) -> bool:
+        """Whether J(u, v)'s 1-norm condition number exceeds 1e10.
 
-def _near_singular(jac: sparse.csc_matrix) -> bool:
-    """Whether the pair Jacobian's 1-norm condition number exceeds 1e10.
-
-    With the unknowns interleaved as (u0, v0, u1, v1, ...) the Jacobian is
-    banded (kl = ku = 2 in 1-D, 2n on an n-by-n grid).  Within that narrow
-    1-D band LAPACK's ``gbtrf`` factors it and ``gbcon`` estimates the
-    condition number.  A 2-D band would hold (6n + 1)·2n² entries, so
-    there ``splu`` factors the Jacobian and ``onenormest`` estimates the
-    1-norm of its inverse with one column, which draws no random
-    numbers.  Either way the answer is the same on every run.
-    """
-    anorm = float(np.max(abs(jac).sum(axis=0)))
-    n = jac.shape[0] // 2
-    m = jac.tocoo()
-    rows, cols = 2 * (m.row % n) + m.row // n, 2 * (m.col % n) + m.col // n
-    k = int(np.max(np.abs(rows - cols)))
-    if k > 2:
+        ``onenormest`` estimates the 1-norm of J⁻¹ (Hager's method) with
+        one column, which draws no random numbers, so the answer is the
+        same on every run.  A singular Jacobian is near-singular.
+        """
         try:
-            lu = spla.splu(jac)
+            lu, label = self.factor(u, v)
         except RuntimeError:
             return True
         inverse = spla.LinearOperator(
-            jac.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, "T"), dtype=float
+            self._shape,
+            matvec=lambda b: _labelled_solve(lu, label, b),
+            rmatvec=lambda b: _labelled_solve(lu, label, b, "T"),
+            dtype=float,
         )
+        anorm = float(np.max(abs(self(u, v)).sum(axis=0)))
         return bool(anorm * spla.onenormest(inverse, t=1) > 1e10)
-    ab = np.zeros((3 * k + 1, 2 * n))
-    ab[2 * k + rows - cols, cols] = m.data
-    lu, ipiv, info = lapack.dgbtrf(ab, k, k, overwrite_ab=True)
-    if info > 0:
-        return True
-    rcond, _ = lapack.dgbcon(k, k, lu, ipiv, anorm)
-    return bool(rcond < 1e-10)
+
+
+def _labelled_solve(
+    lu: spla.SuperLU, label: np.ndarray | None, rhs: np.ndarray, trans: str = "N"
+) -> np.ndarray:
+    """J⁻¹·rhs (Jᵀ⁻¹·rhs for ``trans="T"``) from ``_PairJacobian.factor``'s
+    factors and labels, in the unknowns' natural order."""
+    if label is None:
+        return lu.solve(rhs, trans)
+    b = np.empty_like(rhs)
+    b[label] = rhs
+    return lu.solve(b, trans)[label]
 
 
 def solve_coexistence(
@@ -480,7 +473,7 @@ def solve_coexistence(
         v=v,
         residual=res_norm,
         iterations=updates,
-        jacobian_near_singular=_near_singular(jacobian(u, v)),
+        jacobian_near_singular=jacobian.near_singular(u, v),
     )
 
 
@@ -553,16 +546,17 @@ class LogSlopeReport:
     violations: int
 
 
-def log_slope_report(u: np.ndarray, d: float, alpha: float, grid: Grid) -> LogSlopeReport:
-    """Check u_x/u against the drift band [0, alpha/d] on interior cells.
+def log_slope_report(u: np.ndarray, op: TransportOperator) -> LogSlopeReport:
+    """Check u_x/u against the drift band [0, alpha/d] of ``op`` on interior cells.
 
     For a steady profile the log slope is pinned between 0 and alpha/d
     (both bounds collapse to zero when alpha = 0, and flip when alpha is
     negative).  Interior central differences only; the band widens by
     10 h^2 to absorb discretization error.
     """
+    grid = op.grid
     interior = log_slope(u, grid)[1:-1]
-    ratio = alpha / d
+    ratio = op.alpha / op.d
     lower = min(0.0, ratio)
     upper = max(0.0, ratio)
     band = 10.0 * grid.h * grid.h
@@ -577,20 +571,22 @@ class BalanceResidual:
 
 
 def per_capita_balance_residual(
-    u: np.ndarray, v: np.ndarray, params: ModelParams, grid: Grid
+    u: np.ndarray, v: np.ndarray, op1: TransportOperator, op2: TransportOperator
 ) -> BalanceResidual:
     """Pointwise mismatch of the two per-capita transport balances.
 
     At a coexistence state both species see the same growth factor, so
-    -d·(T' + T²) + alpha·T computed from either log slope (T = u_x/u,
-    S = v_x/v) must agree pointwise.  The residual is reported on
-    interior cells and shrinks at second order under refinement.
+    -d·(T' + T²) + alpha·T computed from either log slope (T = u_x/u
+    under ``op1``, S = v_x/v under ``op2``) must agree pointwise.  The
+    residual is reported on interior cells and shrinks at second order
+    under refinement.
     """
+    grid = op1.grid
     t = log_slope(u, grid)
     s = log_slope(v, grid)
     h = grid.h
-    lhs = -params.d1 * (np.gradient(t, h, edge_order=2) + t * t) + params.alpha1 * t
-    rhs = -params.d2 * (np.gradient(s, h, edge_order=2) + s * s) + params.alpha2 * s
+    lhs = -op1.d * (np.gradient(t, h, edge_order=2) + t * t) + op1.alpha * t
+    rhs = -op2.d * (np.gradient(s, h, edge_order=2) + s * s) + op2.alpha * s
     residual = (lhs - rhs)[1:-1]
     return BalanceResidual(residual=residual, max_abs=float(np.max(np.abs(residual))))
 
@@ -616,7 +612,6 @@ def coexistence_identity_residuals(
     pair: CoexistencePair,
     op1: TransportOperator,
     op2: TransportOperator,
-    params: ModelParams,
     window: tuple[float, float] | None = None,
 ) -> IdentityReport:
     """Weighted integral-vs-boundary identities for a coexistence pair.
@@ -645,7 +640,7 @@ def coexistence_identity_residuals(
     cells = slice(i_lo, i_hi)
     du = np.gradient(u, h, edge_order=2)
     dv = np.gradient(v, h, edge_order=2)
-    d1, d2, a1, a2 = params.d1, params.d2, params.alpha1, params.alpha2
+    d1, d2, a1, a2 = op1.d, op2.d, op1.alpha, op2.alpha
 
     w1 = np.exp(-(a1 / d1) * x)
     w2 = np.exp(-(a2 / d2) * x)

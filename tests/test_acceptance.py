@@ -152,15 +152,13 @@ def test_criterion_4_steady_state_identity_suite():
     gap = capacity_gap_integral(u_hat.u, eff)
 
     companion, _ = constant_capacity_companion(op1, eff)
-    band = log_slope_report(companion.u, 0.08, 0.05, grid)
+    band = log_slope_report(companion.u, op1)
 
     residuals = {}
     for n in (128, 256):
         _, g_n, eff_n, op1_n, op2_n = setup(n)
         res_n = solve_single_steady(op1_n, eff_n)
-        rep = eigen_difference_residual(
-            op1_n, op2_n, invasion_potential(res_n.u, eff_n), 0.08, 0.07, 0.05, 0.04
-        )
+        rep = eigen_difference_residual(op1_n, op2_n, invasion_potential(res_n.u, eff_n))
         residuals[n] = rep.residual
     ratio = residuals[128] / residuals[256]
 

@@ -5,7 +5,8 @@ CSR products, the pair Jacobian against a ``sparse.bmat`` assembly, the
 pair Newton's factors in a reused column order against ``splu`` ordering
 every Jacobian afresh, the Newton, march and eigen loops against the
 same loops run on the sparse matrices they used to assemble, and the
-near-singular flag against a dense condition number.
+near-singular flag against a dense condition number, its 2-D estimate
+against the fresh ``splu`` it used to take.
 """
 
 import numpy as np
@@ -244,13 +245,16 @@ def test_pair_newton_factors_in_its_first_order_bitwise(monkeypatch, case):
         assert isinstance(got, steady.CoexistencePair)
 
     # COLAMD orders the first Jacobian alone; no exact zero changes the
-    # pattern, so every later one is factored in that order.
+    # pattern, so every later one is factored in that order.  A found
+    # pair's near-singular flag, in either dimension, takes the last
+    # factor: the pair's own Jacobian, in that order too.
     assert len(factors) >= 3
     assert [label is None for *_, label in factors] == [True] + [False] * (len(factors) - 1)
-    newton_specs = ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
-    # In 2-D the near-singular flag factors the final Jacobian once more.
-    flag_specs = ["COLAMD"] if isinstance(got, steady.CoexistencePair) and op1.grid.dim == 2 else []
-    assert specs == newton_specs + flag_specs
+    assert specs == ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
+    if isinstance(got, steady.CoexistencePair):
+        _, u, v, _, _ = factors[-1]
+        np.testing.assert_array_equal(u, got.u)
+        np.testing.assert_array_equal(v, got.v)
 
     rhs = np.sin(np.arange(2 * op1.grid.size) + 0.5)
     for jacobian, u, v, lu, label in factors[1:]:
@@ -377,8 +381,8 @@ def test_1d_steady_and_eigen_make_no_bmat_call(monkeypatch):
 # ---------------------------------------------------------------------
 
 
-def symmetric_jacobians(n, dim):
-    """Pair Jacobians of the equal-movement family at scaled lone states.
+def symmetric_states(n, dim):
+    """The equal-movement family's pair Jacobian and states at scaled lone states.
 
     At u + v = û the Jacobian is singular; at u + v = (1 + δ)·û its
     condition number grows like 1/δ, so the δ's straddle the 1e10 line.
@@ -387,21 +391,38 @@ def symmetric_jacobians(n, dim):
     single = steady.solve_single_steady(op, eff).u
     jacobian = steady._PairJacobian(op, op, eff)
     for delta in (0.3, 1e-3, 1e-6, 1e-9, 1e-12, 1e-14, 0.0):
-        yield jacobian(0.4 * (1.0 + delta) * single, 0.6 * (1.0 + delta) * single)
+        yield jacobian, 0.4 * (1.0 + delta) * single, 0.6 * (1.0 + delta) * single
 
 
-@pytest.mark.parametrize("n, dim", [(8, 1), (32, 1), (128, 1), (4, 2), (6, 2)])
-def test_near_singular_agrees_with_dense_condition_number(n, dim):
+@pytest.mark.parametrize("n, dim", [(8, 1), (32, 1), (128, 1), (512, 1), (4, 2), (6, 2)])
+def test_near_singular_agrees_with_dense_condition_number(monkeypatch, n, dim):
+    onenormest, estimates = spla.onenormest, []
+
+    def recording_onenormest(*args, **kwargs):
+        estimates.append(onenormest(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(spla, "onenormest", recording_onenormest)
     flags = []
-    for jac in symmetric_jacobians(n, dim):
+    for jacobian, u, v in symmetric_states(n, dim):
+        jac = jacobian(u, v)
         cond = np.linalg.cond(jac.toarray(), 1)
         state = np.random.get_state()
-        flag = steady._near_singular(jac)
+        flag = jacobian.near_singular(u, v)
         # No random start: the global generator is left untouched.
         after = np.random.get_state()
         assert state[0] == after[0] and np.array_equal(state[1], after[1]) and state[2:] == after[2:]
-        assert steady._near_singular(jac) is flag
+        assert jacobian.near_singular(u, v) is flag
         if not 1e9 <= cond <= 1e11:
             assert flag == (cond > 1e10), cond
         flags.append(flag)
+        if dim == 2:
+            # The 2-D flag's former path, a fresh splu and onenormest, is
+            # its oracle: the estimate is the same number.
+            lu = spla.splu(jac)
+            inverse = spla.LinearOperator(
+                jac.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, "T"), dtype=float
+            )
+            assert estimates == [onenormest(inverse, t=1)] * 2
+        estimates.clear()
     assert flags[0] is False and flags[-1] is True

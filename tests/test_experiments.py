@@ -200,6 +200,17 @@ def test_problem_halves_even_grids_of_at_least_six_cells(n, coarse_n):
     assert (None if coarse is None else coarse.grid.size) == coarse_n
 
 
+def test_halved_grid_derives_its_own_dt():
+    # The 65-cell grid samples r at its peak, so its dt cap lies 6e-6 below
+    # the fine grid's default dt: a pinned dt would refuse the halved grid.
+    cfg = parse_config(overrides=dict(WEAK_FAMILY, mode="verify", r="1 + 9*sin(pi*x)", n=130))
+    coarse = experiments.Problem(cfg).coarse
+    assert coarse is not None
+    assert coarse.grid.size == 65
+    assert coarse.cfg.dt < cfg.dt
+    assert coarse.cfg.defaulted == cfg.defaulted
+
+
 def test_verification_parses_its_halved_grid_once(monkeypatch):
     # Where a pair exists, both the eigen-difference and the identity checks
     # compare against the halved grid; they share one coarse problem.

@@ -113,9 +113,7 @@ def test_index_gap_identity_residual_shrinks_at_second_order():
         cfg, grid, eff, op1, op2 = weak_setup(n)
         resident = solve_single_steady(op1, eff)
         potential = invasion_potential(resident.u, eff)
-        report = eigen_difference_residual(
-            op1, op2, potential, 0.08, 0.07, 0.05, 0.04
-        )
+        report = eigen_difference_residual(op1, op2, potential)
         assert report.growth_first < report.growth_second
         residuals[n] = report.residual
     assert residuals[128] < 5e-6
@@ -127,9 +125,7 @@ def test_index_gap_identity_degenerates_to_zero_for_equal_movement():
     grid = make_grid(1, 0.0, 1.0, 64)
     op = transport_for(grid, 0.05, 0.02)
     rng = np.random.default_rng(3)
-    report = eigen_difference_residual(
-        op, op, rng.uniform(-0.5, 0.5, grid.size), 0.05, 0.05, 0.02, 0.02
-    )
+    report = eigen_difference_residual(op, op, rng.uniform(-0.5, 0.5, grid.size))
     assert report.integral_estimate == 0.0
     assert report.residual < 1e-12
 
@@ -138,7 +134,7 @@ def test_index_gap_identity_is_one_dimensional_only():
     grid = make_grid(2, 0.0, 1.0, 8)
     op = transport_for(grid, 0.1, 0.0)
     with pytest.raises(ConfigError):
-        eigen_difference_residual(op, op, np.zeros(grid.size), 0.1, 0.1, 0.0, 0.0)
+        eigen_difference_residual(op, op, np.zeros(grid.size))
 
 
 def test_drift_band_holds_for_decreasing_potential():
@@ -147,7 +143,7 @@ def test_drift_band_holds_for_decreasing_potential():
     potential = invasion_potential(resident.u, eff)
     assert bool(np.all(np.diff(potential) < 0.0))
     report = principal_eigenpair(op2, potential)
-    excess = drift_band_excess(report.phi, 0.07, 0.04, grid)
+    excess = drift_band_excess(report.phi, op2)
     assert excess.band == pytest.approx(10.0 / 128 ** 2)
     assert excess.max_excess <= excess.band
 
@@ -158,7 +154,7 @@ def test_drift_band_needs_positive_input():
     from rivercomp.errors import SolverError
 
     with pytest.raises(SolverError):
-        drift_band_excess(phi, 0.1, 0.05, grid)
+        drift_band_excess(phi, transport_for(grid, 0.1, 0.05))
 
 
 # ---------------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_companion_profile_stays_inside_slope_band():
     cfg, grid, eff, op1, _ = weak_setup()
     companion, const_eff = constant_capacity_companion(op1, eff, tol=1e-10)
     assert float(np.ptp(const_eff.K1.values)) == 0.0
-    report = log_slope_report(companion.u, cfg.params.d1, cfg.params.alpha1, grid)
+    report = log_slope_report(companion.u, op1)
     assert report.violations == 0
     assert report.slope.min() > 0.0
 
@@ -159,7 +159,7 @@ class TestSymmetricFamily:
         cfg, grid, eff, op = symmetric_setup()
         single = solve_single_steady(op, eff)
         pair = solve_coexistence(op, op, eff, guess=(0.25 * single.u, 0.75 * single.u))
-        report = coexistence_identity_residuals(pair, op, op, cfg.params)
+        report = coexistence_identity_residuals(pair, op, op)
         # Equal movement rates zero the prefactors and the boundary fluxes
         # are exact zeros by construction, so no rounding survives.
         assert report.residual_first == 0.0
@@ -169,9 +169,7 @@ class TestSymmetricFamily:
         cfg, grid, eff, op = symmetric_setup()
         single = solve_single_steady(op, eff)
         pair = solve_coexistence(op, op, eff, guess=(0.25 * single.u, 0.75 * single.u))
-        report = coexistence_identity_residuals(
-            pair, op, op, cfg.params, window=(0.25, 0.75)
-        )
+        report = coexistence_identity_residuals(pair, op, op, window=(0.25, 0.75))
         assert report.window == (0.25, 0.75)
         assert report.residual_first < 1e-12
         assert report.residual_second < 1e-12
@@ -179,9 +177,7 @@ class TestSymmetricFamily:
     def test_per_capita_balance_cancels(self):
         cfg, grid, eff, op = symmetric_setup()
         single = solve_single_steady(op, eff)
-        balance = per_capita_balance_residual(
-            0.25 * single.u, 0.75 * single.u, cfg.params, grid
-        )
+        balance = per_capita_balance_residual(0.25 * single.u, 0.75 * single.u, op, op)
         assert balance.max_abs < 1e-10
 
 
@@ -190,7 +186,7 @@ def test_identity_window_outside_domain_rejected():
     single = solve_single_steady(op, eff)
     pair = solve_coexistence(op, op, eff, guess=(0.5 * single.u, 0.5 * single.u))
     with pytest.raises(ConfigError):
-        coexistence_identity_residuals(pair, op, op, cfg.params, window=(0.5, 1.5))
+        coexistence_identity_residuals(pair, op, op, window=(0.5, 1.5))
 
 
 def test_coexistence_pair_survives_near_total_harvest():

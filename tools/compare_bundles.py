@@ -24,13 +24,15 @@ with mu1 != mu2, and a drift-dominated ``simulate`` in 1-D (the banded
 step solve) and in 2-D (the modal-banded one); ``steady`` and ``eigen`` in
 1-D and 2-D, ``steady`` at a steady tolerance of 1e-14 (whose lone states
 fall back from Newton to the march), ``steady`` runs that find a pair in
-1-D (n 64) and 2-D, and ``eigen`` at an eigen tolerance of 1e-6;
+1-D (n 64 and n 1024, the second flagged near-singular) and 2-D, and
+``eigen`` at an eigen tolerance of 1e-6;
 ``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
 ``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
 marginal tolerance 1e-9: the one sweep with a found window, edge probes
 and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
-and 1024, and on the slow family at n 1024: 36 runs, a few minutes on a
-2-core machine.
+and 1024, on the slow family at n 1024, and on the weak family at n 130
+with r peaked mid-river (whose halved grid derives its own dt): 38 runs,
+a few minutes on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     # Newton cannot reach 1e-14: both lone states fall back to the march.
     runs["steady_1d_fallback"] = ["steady", *WEAK, "--n", "128", "--tol-steady", "1e-14"]
     runs["steady_1d_pair"] = ["steady", *SYMMETRIC, "--n", "64"]
+    runs["steady_1d_pair_1024"] = ["steady", *SYMMETRIC, "--n", "1024"]
     runs["steady_2d_pair"] = ["steady", *SYMMETRIC, *PLANE]
     runs["eigen_1d_loose"] = ["eigen", *WEAK, "--n", "128", "--tol-eigen", "1e-6"]
     runs["sweep_03"] = ["sweep", *SWEEP, "--mu", "0.3"]
@@ -90,6 +93,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
         for n in (128, 256, 512, 1024):
             runs[f"verify_{family}_{n}"] = ["verify", *flags, "--n", str(n)]
     runs["verify_slow_1024"] = ["verify", *SLOW, "--n", "1024"]
+    runs["verify_peaked_r_130"] = ["verify", *WEAK, "--r", "1 + 9*sin(pi*x)", "--n", "130"]
     return runs
 
 
