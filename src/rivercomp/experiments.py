@@ -684,53 +684,66 @@ def run_verification(cfg: RunConfig) -> dict:
     """Steady-state check suite: integrals, bands, eigen identities.
 
     Returns a report dict with one entry per check carrying pass/skip
-    status and the measured residuals.  Checks that need a coarser
+    status and the measured residuals.  Four checks are 1-D diagnostics,
+    reported as skipped on a 2-D habitat.  Checks that need a coarser
     companion grid share the problem's halved-grid companion (skipped if
     halving would break the Peclet guard).  ``lone_states`` says how each
     lone state the checks used was solved: its method, iterations and
     residual.
     """
     problem = Problem(cfg)
-    grid, eff = problem.grid, problem.eff
-    tol = cfg.tolerances.steady
-    checks: dict[str, dict] = {}
-
-    resident = problem.u_hat
-
+    eff, resident = problem.eff, problem.u_hat
     gap = capacity_gap_integral(resident.u, eff)
     if gap.degenerate:
         gap_pass = abs(gap.linear) <= 1e-9 and abs(gap.quadratic) <= 1e-9
     else:
         rel = abs(gap.linear - gap.quadratic) / max(abs(gap.quadratic), 1e-300)
         gap_pass = gap.linear > 0.0 and rel <= _GAP_REL_TOL
-    checks["capacity_gap"] = {
-        "pass": bool(gap_pass),
-        "skipped": False,
-        "linear": gap.linear,
-        "quadratic": gap.quadratic,
-        "degenerate": gap.degenerate,
+    skipped = {"pass": True, "skipped": True, "note": "1-D diagnostic"}
+    kappa, tau = problem.kappa, problem.tau
+    checks: dict[str, dict] = {
+        "capacity_gap": {
+            "pass": bool(gap_pass),
+            "skipped": False,
+            "linear": gap.linear,
+            "quadratic": gap.quadratic,
+            "degenerate": gap.degenerate,
+        },
+        "log_slope_band": skipped,
+        "eigen_difference": skipped,
+        "invasion_indices": {
+            "pass": True,
+            "skipped": False,
+            "kappa": kappa.report.stability_index,
+            "kappa_verdict": kappa.verdict,
+            "tau": tau.report.stability_index,
+            "tau_verdict": tau.verdict,
+        },
+        "drift_band": {
+            "pass": True,
+            "skipped": True,
+            "note": "requires a strictly decreasing invasion potential on a 1-D habitat",
+        },
+        "coexistence_identities": skipped,
     }
+    lone = {"u_hat": resident, "v_hat": problem.v_hat}
 
-    if grid.dim == 1:
+    if problem.grid.dim == 1:
         # The band is a constant-capacity statement; heterogeneous
         # capacity is flattened to its mean before checking it.
-        companion, _ = constant_capacity_companion(problem.op1, eff, tol=tol)
+        companion, _ = constant_capacity_companion(problem.op1, eff, tol=cfg.tolerances.steady)
+        lone["u_hat_constant_capacity"] = companion
         band = log_slope_report(companion.u, problem.op1)
-        resident_band = log_slope_report(resident.u, problem.op1)
         checks["log_slope_band"] = {
             "pass": band.violations == 0,
             "skipped": False,
             "violations": band.violations,
             "band": band.band,
             "bounds": [band.lower, band.upper],
-            "heterogeneous_violations": resident_band.violations,
+            "heterogeneous_violations": log_slope_report(resident.u, problem.op1).violations,
         }
-    else:
-        checks["log_slope_band"] = {"pass": True, "skipped": True, "note": "1-D diagnostic"}
-
-    if grid.dim == 1:
         fine = _eigen_difference(problem)
-        entry = {
+        entry = checks["eigen_difference"] = {
             "pass": True,
             "skipped": False,
             "residual": fine.residual,
@@ -744,43 +757,17 @@ def run_verification(cfg: RunConfig) -> dict:
             entry["pass"] = bool(_RATIO_WINDOW[0] <= ratio <= _RATIO_WINDOW[1]) or (
                 fine.residual <= 1e-12 and coarse.residual <= 1e-12
             )
-        checks["eigen_difference"] = entry
-    else:
-        checks["eigen_difference"] = {"pass": True, "skipped": True, "note": "1-D diagnostic"}
-
-    kappa, tau = problem.kappa, problem.tau
-    potential = invasion_potential(resident.u, eff)
-    checks["invasion_indices"] = {
-        "pass": True,
-        "skipped": False,
-        "kappa": kappa.report.stability_index,
-        "kappa_verdict": kappa.verdict,
-        "tau": tau.report.stability_index,
-        "tau_verdict": tau.verdict,
-    }
-
-    if grid.dim == 1 and bool(np.all(np.diff(potential) < 0.0)):
-        excess = drift_band_excess(kappa.report.phi, problem.op2)
-        checks["drift_band"] = {
-            "pass": excess.max_excess <= excess.band,
-            "skipped": False,
-            "max_excess": excess.max_excess,
-            "band": excess.band,
-        }
-    else:
-        checks["drift_band"] = {
-            "pass": True,
-            "skipped": True,
-            "note": "requires a strictly decreasing invasion potential on a 1-D habitat",
-        }
-
-    checks["coexistence_identities"] = _identity_check(problem)
-
-    lone = {"u_hat": resident, "v_hat": problem.v_hat}
-    if grid.dim == 1:
-        lone["u_hat_constant_capacity"] = companion
-        if problem.coarse is not None:
             lone["u_hat_halved_grid"] = problem.coarse.u_hat
+        if np.all(np.diff(invasion_potential(resident.u, eff)) < 0.0):
+            excess = drift_band_excess(kappa.report.phi, problem.op2)
+            checks["drift_band"] = {
+                "pass": excess.max_excess <= excess.band,
+                "skipped": False,
+                "max_excess": excess.max_excess,
+                "band": excess.band,
+            }
+        checks["coexistence_identities"] = _identity_check(problem)
+
     return {
         "checks": checks,
         "all_pass": all(c["pass"] for c in checks.values()),
@@ -805,8 +792,6 @@ def _eigen_difference(problem: Problem):
 
 
 def _identity_check(problem: Problem) -> dict:
-    if problem.grid.dim != 1:
-        return {"pass": True, "skipped": True, "note": "1-D diagnostic"}
     tol = problem.cfg.tolerances.steady
     try:
         pair = solve_coexistence(problem.op1, problem.op2, problem.eff, tol=tol)

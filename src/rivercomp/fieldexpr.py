@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = ["compile_field_expression", "FieldExpression"]
 
 _FUNCTIONS = {"cos": np.cos, "sin": np.sin}
 _BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
 class FieldExpression:
@@ -34,14 +36,13 @@ class FieldExpression:
             tree = ast.parse(text, mode="eval")
         except SyntaxError as exc:
             raise ConfigError(f"cannot parse field expression {text!r}: {exc.msg}") from None
-        _validate(tree.body, names, text)
-        self._tree = tree.body
+        self._evaluate = _compile(tree.body, names, text)
 
     def __call__(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         env: dict[str, np.ndarray | float] = {"pi": math.pi, "x": x}
         if y is not None:
             env["y"] = y
-        value = _evaluate(self._tree, env)
+        value = self._evaluate(env)
         # Constant expressions evaluate to a scalar; broadcast to the grid.
         return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()
 
@@ -57,20 +58,24 @@ def compile_field_expression(text: str, names: tuple[str, ...] = ("x",)) -> Fiel
     return FieldExpression(text, names)
 
 
-def _validate(node: ast.AST, names: tuple[str, ...], text: str) -> None:
+def _compile(node: ast.AST, names: tuple[str, ...], text: str):
+    """Check ``node`` against the grammar; return its evaluator, a function
+    of the name environment."""
     if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise ConfigError(
                 f"operator {type(node.op).__name__!r} is not part of the field "
                 f"grammar (expression {text!r}); only +, - and * are allowed"
             )
-        _validate(node.left, names, text)
-        _validate(node.right, names, text)
-    elif isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.USub, ast.UAdd)):
+        op = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, names, text), _compile(node.right, names, text)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
+        if type(node.op) not in _UNARY:
             raise ConfigError(f"unary operator not allowed in field expression {text!r}")
-        _validate(node.operand, names, text)
-    elif isinstance(node, ast.Call):
+        op, operand = _UNARY[type(node.op)], _compile(node.operand, names, text)
+        return lambda env: op(operand(env))
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ConfigError(
                 f"only cos(...) and sin(...) may be called in a field "
@@ -78,36 +83,29 @@ def _validate(node: ast.AST, names: tuple[str, ...], text: str) -> None:
             )
         if len(node.args) != 1 or node.keywords:
             raise ConfigError(f"{node.func.id} takes exactly one argument in {text!r}")
-        _validate(node.args[0], names, text)
-    elif isinstance(node, ast.Name):
+        func, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], names, text)
+        return lambda env: func(arg(env))
+    if isinstance(node, ast.Name):
         if node.id != "pi" and node.id not in names:
             allowed = ", ".join(names + ("pi",))
             raise ConfigError(
                 f"unknown name {node.id!r} in field expression {text!r} "
                 f"(allowed: {allowed})"
             )
-    elif isinstance(node, ast.Constant):
+
+        def lookup(env):
+            if node.id not in env:
+                raise ConfigError(f"coordinate {node.id!r} is not available on this grid")
+            return env[node.id]
+
+        return lookup
+    if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric literal in field expression {text!r}")
-    else:
-        raise ConfigError(
-            f"syntax {type(node).__name__!r} is not part of the field grammar "
-            f"(expression {text!r})"
-        )
+        value = float(node.value)
+        return lambda env: value
+    raise ConfigError(
+        f"syntax {type(node).__name__!r} is not part of the field grammar "
+        f"(expression {text!r})"
+    )
 
-
-def _evaluate(node: ast.AST, env: dict) -> np.ndarray | float:
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        value = _evaluate(node.operand, env)
-        return -value if isinstance(node.op, ast.USub) else +value
-    if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))  # type: ignore[attr-defined]
-    if isinstance(node, ast.Name):
-        if node.id not in env:
-            raise ConfigError(f"coordinate {node.id!r} is not available on this grid")
-        return env[node.id]
-    if isinstance(node, ast.Constant):
-        return float(node.value)
-    raise AssertionError(f"unvalidated node {node!r}")  # pragma: no cover

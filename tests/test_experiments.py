@@ -229,6 +229,39 @@ def test_verification_parses_its_halved_grid_once(monkeypatch):
     assert parsed == [32]
 
 
+def test_planar_verification_skips_the_1d_checks(monkeypatch):
+    # On a 2-D habitat the four 1-D checks report their skip records, only
+    # the two lone states are reported, and no halved grid is built.
+    parsed = []
+
+    def spy(*args, **kwargs):
+        parsed.append(kwargs["overrides"]["n"])
+        return parse_config(*args, **kwargs)
+
+    cfg = parse_config(overrides=dict(WEAK_FAMILY, mode="verify", dim=2, n=12))
+    monkeypatch.setattr(experiments, "parse_config", spy)
+    report = run_verification(cfg)
+    checks = report["checks"]
+    assert list(checks) == [
+        "capacity_gap",
+        "log_slope_band",
+        "eigen_difference",
+        "invasion_indices",
+        "drift_band",
+        "coexistence_identities",
+    ]
+    skipped = {"pass": True, "skipped": True, "note": "1-D diagnostic"}
+    for name in ("log_slope_band", "eigen_difference", "coexistence_identities"):
+        assert checks[name] == skipped
+    assert checks["drift_band"] == {
+        "pass": True,
+        "skipped": True,
+        "note": "requires a strictly decreasing invasion potential on a 1-D habitat",
+    }
+    assert list(report["lone_states"]) == ["u_hat", "v_hat"]
+    assert parsed == []
+
+
 # The fast-contrast family of the benchmark's verify menu: at n >= 512 its
 # cold pair Newton stalls at the rounding floor of L·u, and the note that
 # says so is compared as exact text by the benchmark reference.
