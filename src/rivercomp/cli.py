@@ -202,8 +202,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         }
         run_dir = write_bundle(cfg, report)
         if result.anomalies:
-            _emit_error("anomaly", AnomalyError("; ".join(result.anomalies)))
-            return 4
+            raise AnomalyError("; ".join(result.anomalies))
         window = "none" if result.window is None else f"[{result.window[0]!r}, {result.window[1]!r}]"
         print(f"coexistence window {window} -> {run_dir}")
         return 0

@@ -121,8 +121,8 @@ class RunConfig:
     def grid(self) -> Grid:
         return make_grid(self.params.dim, self.params.a, self.params.b, self.n)
 
-    def effective(self, grid: Grid | None = None) -> EffectiveParams:
-        return _fold_harvest(self.params, grid if grid is not None else self.grid())
+    def effective(self, grid: Grid) -> EffectiveParams:
+        return _fold_harvest(self.params, grid)
 
     def initial_fields(self, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
         return _initial_values(self.u0, "u0", grid), _initial_values(self.v0, "v0", grid)

@@ -1,9 +1,9 @@
 """Experiment orchestration: problems, presets, pipelines, the drift-rate sweep.
 
-A ``Problem`` holds everything one parameter set determines: its grid,
-folded coefficients and two transport operators, the lone states u_hat
-and v_hat, the invasion indices kappa and tau, and the same problem on
-the halved grid.  All but the grid and coefficients are built on first
+A ``Problem`` holds everything one parameter set determines on a grid:
+the grid, folded coefficients and two transport operators, built with
+the problem, and the lone states u_hat and v_hat, the invasion indices
+kappa and tau, and the same problem on the halved grid, built on first
 use and kept, so every pipeline asks for what it needs and nothing is
 solved twice.  ``simulate_run`` wires a problem into the stepper and
 classifies the outcome.  The preset catalog (`PRESETS`) pins down the named
@@ -24,14 +24,16 @@ pass/fail report.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .config import RunConfig, merge_config, parse_config
 from .errors import ConfigError, SolverError
+from .grid import Grid
 from .model import classify_regime
 from .operators import transport_for
 from .spectral import (
@@ -76,25 +78,23 @@ __all__ = [
 
 
 class Problem:
-    """One run's parameter set and the state every pipeline derives from it.
+    """One run's parameter set on a grid, and the state every pipeline
+    derives from it.
 
-    The grid and folded coefficients are built with the problem; the
-    operators, lone states, invasion indices and halved-grid companion
-    are built on first use and kept.
+    The grid (``cfg.grid()`` unless one is given), folded coefficients and
+    both operators are built with the problem, so a grid that breaks the
+    Peclet guard or the positivity of r or K fails here; the lone states,
+    invasion indices and halved-grid companion are built on first use and
+    kept.
     """
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, grid: Grid | None = None):
         self.cfg = cfg
-        self.grid = cfg.grid()
+        self.grid = grid if grid is not None else cfg.grid()
         self.eff = cfg.effective(self.grid)
-
-    @cached_property
-    def op1(self):
-        return transport_for(self.grid, self.cfg.params.d1, self.cfg.params.alpha1)
-
-    @cached_property
-    def op2(self):
-        return transport_for(self.grid, self.cfg.params.d2, self.cfg.params.alpha2)
+        p = cfg.params
+        self.op1 = transport_for(self.grid, p.d1, p.alpha1)
+        self.op2 = transport_for(self.grid, p.d2, p.alpha2)
 
     @cached_property
     def u_hat(self) -> SteadyState:
@@ -126,25 +126,20 @@ class Problem:
 
     @cached_property
     def coarse(self) -> Problem | None:
-        """The same problem with n halved, or None where n is odd, below 6,
-        or the halved grid breaks a config check (the Peclet guard).
+        """The same parameters on n/2 cells, or None where n is odd, below
+        6, or the halved grid breaks the Peclet guard or the positivity of
+        r or K.
 
-        Derived defaults (dt, u0, v0, tolerances.extinct) are derived
-        again on the halved grid, not pinned at the fine grid's values."""
-        n = self.cfg.n
+        The coarse problem keeps this problem's ``cfg`` (its tolerances
+        included) and reads n from its own grid; dt, t_end, u0 and v0 do
+        not enter."""
+        n = self.grid.n
         if n % 2 != 0 or n // 2 < 3:
             return None
-        echo, defaulted = self.cfg.echo_dict(), set(self.cfg.defaulted)
-        overrides = {k: v for k, v in echo.items() if k not in defaulted and k != "_defaulted"}
-        overrides["tolerances"] = {
-            k: v for k, v in echo["tolerances"].items() if f"tolerances.{k}" not in defaulted
-        }
-        overrides["n"] = n // 2
         try:
-            cfg = parse_config(overrides=overrides)
+            return Problem(self.cfg, replace(self.grid, n=n // 2))
         except ConfigError:
             return None
-        return Problem(cfg)
 
 
 # ---------------------------------------------------------------------
@@ -609,37 +604,31 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     warm: dict = {}
     points = [_evaluate_point(problem, alpha2, warm) for alpha2 in alphas]
 
-    # Longest contiguous coexistence run, then one bisection probe per edge.
-    best_start, best_len = -1, 0
-    run_start = -1
-    for i, pt in enumerate(points + [None]):  # sentinel closes a trailing run
-        if pt is not None and pt.verdict is Verdict.COEXISTENCE:
-            if run_start < 0:
-                run_start = i
-        elif run_start >= 0:
-            if i - run_start > best_len:
-                best_start, best_len = run_start, i - run_start
-            run_start = -1
-
+    # The longest contiguous coexistence run (the first of equal ones),
+    # then one bisection probe per edge, lo then hi.
+    runs = [
+        list(run)
+        for coexists, run in itertools.groupby(
+            range(n_points), key=lambda i: points[i].verdict is Verdict.COEXISTENCE
+        )
+        if coexists
+    ]
     edge_points: list[SweepPoint] = []
     window = None
     epsilon1 = epsilon2 = None
-    if best_len > 0:
-        i0, i1 = best_start, best_start + best_len - 1
-        w_lo, w_hi = alphas[i0], alphas[i1]
-        left_outer = alphas[i0 - 1] if i0 > 0 else lo
-        right_outer = alphas[i1 + 1] if i1 < n_points - 1 else hi
-        for mid, side in (((left_outer + w_lo) / 2.0, "lo"), ((w_hi + right_outer) / 2.0, "hi")):
+    if runs:
+        longest = max(runs, key=len)
+        i0, i1 = longest[0], longest[-1]
+        edges = [alphas[i0], alphas[i1]]
+        outer = (alphas[i0 - 1] if i0 > 0 else lo, alphas[i1 + 1] if i1 < n_points - 1 else hi)
+        for k, beyond in enumerate(outer):
+            mid = (beyond + edges[k]) / 2.0
             probe = _evaluate_point(problem, mid, {})
             edge_points.append(probe)
             if probe.verdict is Verdict.COEXISTENCE:
-                if side == "lo":
-                    w_lo = mid
-                else:
-                    w_hi = mid
-        window = (w_lo, w_hi)
-        epsilon1 = w_lo - lo
-        epsilon2 = hi - w_hi
+                edges[k] = mid
+        window = tuple(edges)
+        epsilon1, epsilon2 = edges[0] - lo, hi - edges[1]
 
     anomalies = [
         f"alpha2={pt.alpha2!r}: both lone states attracting yet a positive pair exists"
@@ -686,10 +675,10 @@ def run_verification(cfg: RunConfig) -> dict:
     Returns a report dict with one entry per check carrying pass/skip
     status and the measured residuals.  Four checks are 1-D diagnostics,
     reported as skipped on a 2-D habitat.  Checks that need a coarser
-    companion grid share the problem's halved-grid companion (skipped if
-    halving would break the Peclet guard).  ``lone_states`` says how each
-    lone state the checks used was solved: its method, iterations and
-    residual.
+    companion grid share the problem's halved-grid companion, and skip
+    the comparison where it has none (``Problem.coarse``).
+    ``lone_states`` says how each lone state the checks used was solved:
+    its method, iterations and residual.
     """
     problem = Problem(cfg)
     eff, resident = problem.eff, problem.u_hat

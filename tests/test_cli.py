@@ -2,7 +2,11 @@ import json
 
 import pytest
 
+from rivercomp import cli
 from rivercomp.cli import _parser, main
+from rivercomp.errors import SolverError
+from rivercomp.experiments import SweepPoint, SweepResult
+from rivercomp.stepping import Verdict
 
 WEAK_FLAGS = [
     "--d1", "0.08", "--d2", "0.07", "--alpha1", "0.05", "--alpha2", "0.04",
@@ -237,3 +241,60 @@ def test_analyses_refuse_unequal_harvest(tmp_path, capsys, mode):
     assert record["error"] == "config"
     assert "equal harvest" in record["message"] and "simulate" in record["message"]
     assert not (tmp_path / "run").exists()
+
+
+SWEEP_FLAGS = ["--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001", "--mu", "0.3", "--n", "16"]
+
+
+def test_sweep_anomaly_writes_the_bundle_and_exits_four(tmp_path, capsys, monkeypatch):
+    point = SweepPoint(7e-4, 1e-3, 1e-3, True, Verdict.UNDECIDED, True)
+    anomaly = "alpha2=0.0007: both lone states attracting yet a positive pair exists"
+    result = SweepResult(
+        omega1=0.5, lo=5e-4, hi=1e-3, points=[point], edge_points=[], window=None,
+        epsilon1=None, epsilon2=None, anomalies=[anomaly],
+    )
+    monkeypatch.setattr(cli, "sweep_alpha2", lambda cfg: result)
+    out = tmp_path / "sweep"
+    assert main(["sweep", *SWEEP_FLAGS, "--out-dir", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert [json.loads(l) for l in lines] == [
+        {"error": "anomaly", "type": "AnomalyError", "message": anomaly}
+    ]
+    assert json.loads((out / "report.json").read_text())["anomalies"] == [anomaly]
+
+
+def test_failing_verify_check_exits_three(tmp_path, capsys, monkeypatch):
+    report = {
+        "checks": {
+            "capacity_gap": {"pass": True, "skipped": False},
+            "eigen_difference": {"pass": False, "skipped": False, "ratio": 9.0},
+        },
+        "all_pass": False,
+        "lone_states": {},
+    }
+    monkeypatch.setattr(cli, "run_verification", lambda cfg: report)
+    out = tmp_path / "verify"
+    assert main(["verify", *WEAK_FLAGS, "--n", "16", "--out-dir", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["pass  capacity_gap", "FAIL  eigen_difference"]
+    record = json.loads(captured.err.strip())
+    assert record == {
+        "error": "verification", "type": "SolverError", "message": "failed checks: eigen_difference"
+    }
+    assert (out / "report.json").exists()
+
+
+def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise SolverError("Newton stalled at residual 1e-3")
+
+    monkeypatch.setattr(cli, "steady_report", fail)
+    out = tmp_path / "steady"
+    assert main(["steady", *WEAK_FLAGS, "--n", "16", "--out-dir", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record == {
+        "error": "numerical", "type": "SolverError", "message": "Newton stalled at residual 1e-3"
+    }
+    assert not out.exists()

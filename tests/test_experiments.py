@@ -34,7 +34,9 @@ from rivercomp.experiments import (
     sweep_alpha2,
     sweep_transitions,
 )
+from rivercomp.grid import make_grid
 from rivercomp.linsolve import factor_shifted
+from rivercomp.model import build_effective_params
 from rivercomp.operators import transport_for
 from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
 from rivercomp.steady import solve_coexistence, solve_single_steady
@@ -105,6 +107,45 @@ def test_sweep_parameter_validation():
         sweep_alpha2(parse_config(overrides=dict(SLOW, alpha1=0.0)))
     with pytest.raises(ConfigError, match="at least 8"):
         sweep_alpha2(parse_config(overrides=dict(SLOW, points=4)))
+
+
+def coexisting_on(*spans):
+    """A stand-in for ``_evaluate_point``: Coexistence where alpha2 lies in
+    one of ``spans``, given in steps of the 8-point SLOW sweep (point j of
+    the sweep sits at step j), and VWins elsewhere."""
+
+    def evaluate(problem, alpha2, warm):
+        step = (alpha2 - 0.0005) / 0.0005 * 9
+        inside = any(a < step < b for a, b in spans)
+        verdict = Verdict.COEXISTENCE if inside else Verdict.V_WINS
+        return SweepPoint(alpha2, -1.0, -1.0, inside, verdict, False)
+
+    return evaluate
+
+
+@pytest.mark.parametrize(
+    "spans, i0, i1, moved",
+    [
+        ([(2.4, 5.2)], 2, 4, (True, False)),  # only the lo probe lands inside
+        ([(2.8, 6.6)], 2, 5, (False, True)),  # only the hi probe lands inside
+        ([(2.8, 5.2)], 2, 4, (False, False)),
+        ([(0.2, 8.8)], 0, 7, (True, True)),  # both probes go halfway to the range's ends
+        ([(0.8, 2.2), (3.8, 6.2)], 3, 5, (False, False)),  # the longest run
+        ([(0.8, 2.2), (4.8, 6.2)], 0, 1, (False, False)),  # the first of equal runs
+    ],
+)
+def test_sweep_window_moves_each_edge_to_a_coexisting_probe(monkeypatch, spans, i0, i1, moved):
+    monkeypatch.setattr(experiments, "_evaluate_point", coexisting_on(*spans))
+    result = sweep_alpha2(parse_config(overrides=dict(SLOW, mode="sweep")))
+    alphas = [p.alpha2 for p in result.points]
+    outer = (alphas[i0 - 1] if i0 > 0 else result.lo, alphas[i1 + 1] if i1 < 7 else result.hi)
+    edges = (alphas[i0], alphas[i1])
+    mids = [(o + e) / 2.0 for o, e in zip(outer, edges)]
+    assert [p.alpha2 for p in result.edge_points] == mids
+    assert [p.verdict is Verdict.COEXISTENCE for p in result.edge_points] == list(moved)
+    window = tuple(m if move else e for m, e, move in zip(mids, edges, moved))
+    assert result.window == window
+    assert (result.epsilon1, result.epsilon2) == (window[0] - result.lo, result.hi - window[1])
 
 
 def test_sweep_transitions_on_synthetic_pattern():
@@ -200,46 +241,55 @@ def test_problem_halves_even_grids_of_at_least_six_cells(n, coarse_n):
     assert (None if coarse is None else coarse.grid.size) == coarse_n
 
 
-def test_halved_grid_derives_its_own_dt():
+def test_halved_grid_is_the_same_problem_on_half_the_cells():
     # The 65-cell grid samples r at its peak, so its dt cap lies 6e-6 below
-    # the fine grid's default dt: a pinned dt would refuse the halved grid.
-    cfg = parse_config(overrides=dict(WEAK_FAMILY, mode="verify", r="1 + 9*sin(pi*x)", n=130))
-    coarse = experiments.Problem(cfg).coarse
-    assert coarse is not None
-    assert coarse.grid.size == 65
-    assert coarse.cfg.dt < cfg.dt
-    assert coarse.cfg.defaulted == cfg.defaulted
+    # the fine grid's default dt.  dt does not enter the halved grid: with
+    # that dt defaulted or given, it is the same parameters on 65 cells,
+    # sampled afresh there.
+    peaked = dict(WEAK_FAMILY, mode="verify", r="1 + 9*sin(pi*x)", n=130)
+    defaulted = parse_config(overrides=peaked)
+    given = parse_config(overrides=dict(peaked, dt=defaulted.dt))
+    assert "dt" in defaulted.defaulted and "dt" not in given.defaulted
+    for cfg in (defaulted, given):
+        coarse = experiments.Problem(cfg).coarse
+        assert coarse is not None
+        assert coarse.grid == make_grid(1, 0.0, 1.0, 65)
+        fresh = build_effective_params(cfg.params, coarse.grid)
+        for got, want in ((coarse.eff.rr1, fresh.rr1), (coarse.eff.K1, fresh.K1)):
+            assert got.values.tobytes() == want.values.tobytes()
+        assert coarse.op1.grid == coarse.op2.grid == coarse.grid
 
 
-def test_verification_parses_its_halved_grid_once(monkeypatch):
+def spy_problems(monkeypatch):
+    """Record the cell count of every ``Problem`` built."""
+    built = []
+    real = experiments.Problem.__init__
+
+    def spy(self, cfg, grid=None):
+        real(self, cfg, grid)
+        built.append(self.grid.n)
+
+    monkeypatch.setattr(experiments.Problem, "__init__", spy)
+    return built
+
+
+def test_verification_builds_its_halved_grid_once(monkeypatch):
     # Where a pair exists, both the eigen-difference and the identity checks
     # compare against the halved grid; they share one coarse problem.
-    parsed = []
-
-    def spy(*args, **kwargs):
-        parsed.append(kwargs["overrides"]["n"])
-        return parse_config(*args, **kwargs)
-
-    monkeypatch.setattr(experiments, "parse_config", spy)
+    built = spy_problems(monkeypatch)
     report = run_verification(parse_config(overrides=dict(SYMMETRIC, mode="verify")))
     checks = report["checks"]
     assert "coarse_residual" in checks["eigen_difference"]
     assert checks["coexistence_identities"]["skipped"] is False
     assert "ratios" in checks["coexistence_identities"]
-    assert parsed == [32]
+    assert built == [64, 32]
 
 
 def test_planar_verification_skips_the_1d_checks(monkeypatch):
     # On a 2-D habitat the four 1-D checks report their skip records, only
     # the two lone states are reported, and no halved grid is built.
-    parsed = []
-
-    def spy(*args, **kwargs):
-        parsed.append(kwargs["overrides"]["n"])
-        return parse_config(*args, **kwargs)
-
+    built = spy_problems(monkeypatch)
     cfg = parse_config(overrides=dict(WEAK_FAMILY, mode="verify", dim=2, n=12))
-    monkeypatch.setattr(experiments, "parse_config", spy)
     report = run_verification(cfg)
     checks = report["checks"]
     assert list(checks) == [
@@ -259,7 +309,7 @@ def test_planar_verification_skips_the_1d_checks(monkeypatch):
         "note": "requires a strictly decreasing invasion potential on a 1-D habitat",
     }
     assert list(report["lone_states"]) == ["u_hat", "v_hat"]
-    assert parsed == []
+    assert built == [12]
 
 
 # The fast-contrast family of the benchmark's verify menu: at n >= 512 its
@@ -385,6 +435,62 @@ def test_pair_search_runs_where_the_indices_share_a_sign(monkeypatch, kappa, tau
     if not searches:
         assert (point.coexistence_found, point.note) == (False, "")
         assert "pair" not in warm
+
+
+def test_failed_warm_lone_state_newton_falls_back_to_the_cold_solve(monkeypatch):
+    # A predicted start whose Newton fails is dropped: the point solves its
+    # second-species lone state cold and equals a point with no prediction.
+    cfg = parse_config(overrides=dict(SLOW, mode="sweep"))
+    problem = experiments.Problem(cfg)
+    cold = experiments._evaluate_point(problem, 7e-4, {})
+    methods = []
+
+    def newton_fails(op, eff, **kwargs):
+        methods.append(kwargs.get("method", "hybrid"))
+        if kwargs.get("method") == "newton":
+            raise SolverError("Newton stalled")
+        return solve_single_steady(op, eff, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_single_steady", newton_fails)
+    resident = problem.u_hat.u
+    warm = {"v_hat": (resident, resident)}
+    point = experiments._evaluate_point(problem, 7e-4, warm)
+    assert methods == ["newton", "hybrid"]
+    assert point == cold
+    assert warm["v_hat"][1] is resident
+
+
+@pytest.mark.parametrize(
+    "outcome, found, note",
+    [
+        (SolverError("Newton stalled"), False, "coexistence solve: Newton stalled"),
+        (
+            SimpleNamespace(u=1.0, v=2.0, jacobian_near_singular=True),
+            True,
+            "coexistence Jacobian nearly singular",
+        ),
+    ],
+)
+def test_sweep_point_notes_a_failed_or_near_singular_pair(monkeypatch, outcome, found, note):
+    # Both lone states invadable, so the pair search runs; its failure or a
+    # near-singular pair Jacobian is the point's note.
+    reports = iter(
+        SimpleNamespace(report=SimpleNamespace(stability_index=-1e-3, phi=None)) for _ in range(2)
+    )
+    monkeypatch.setattr(experiments, "semitrivial_stability", lambda *args, **kwargs: next(reports))
+
+    def search(*args, **kwargs):
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(experiments, "solve_coexistence", search)
+    problem = experiments.Problem(parse_config(overrides=dict(SLOW, mode="sweep")))
+    warm = {"pair": (0.5, 0.5)}
+    point = experiments._evaluate_point(problem, 7e-4, warm)
+    assert (point.coexistence_found, point.note) == (found, note)
+    assert point.verdict is (Verdict.COEXISTENCE if found else Verdict.UNDECIDED)
+    assert warm.get("pair") == ((1.0, 2.0) if found else None)
 
 
 def test_criterion_6_family_sweep_searches_for_no_pair(monkeypatch):
