@@ -35,7 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, make_grid, sample_expression
+from .grid import Grid, sample_expression
 from .model import EffectiveParams, ModelParams, build_effective_params
 from .operators import check_peclet
 from .stepping import default_dt, default_eps_extinct, max_stable_dt
@@ -119,7 +119,7 @@ class RunConfig:
     defaulted: tuple[str, ...]
 
     def grid(self) -> Grid:
-        return make_grid(self.params.dim, self.params.a, self.params.b, self.n)
+        return Grid(self.params.dim, self.params.a, self.params.b, self.n)
 
     def effective(self, grid: Grid) -> EffectiveParams:
         return _fold_harvest(self.params, grid)
@@ -201,7 +201,7 @@ def _as_str(key: str, value: object) -> str:
 
 
 def _as_expr(key: str, value: object) -> str:
-    """Field expressions may be given as strings or plain numbers."""
+    """Coefficient expressions may be given as strings or plain numbers."""
     if isinstance(value, str):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -211,7 +211,7 @@ def _as_expr(key: str, value: object) -> str:
 
 def _initial_values(spec: float | str, key: str, grid: Grid) -> np.ndarray:
     if isinstance(spec, str):
-        values = sample_expression(grid, spec).values
+        values = sample_expression(grid, spec)
     else:
         values = np.full(grid.size, float(spec))
     if np.any(values < 0.0):
@@ -374,7 +374,7 @@ def parse_config(
         )
 
     n = _as_int("n", take("n", 256 if dim == 1 else 64))
-    grid = make_grid(dim, a, b, n)
+    grid = Grid(dim, a, b, n)
     check_peclet(grid, d1, alpha1)
     check_peclet(grid, d2, alpha2)
 
@@ -384,7 +384,7 @@ def parse_config(
     if t_end <= 0.0:
         raise ConfigError(f"t_end must be positive, got {t_end!r}")
 
-    dt_cap = max_stable_dt(eff.rr1.values)
+    dt_cap = max_stable_dt(eff.rr1)
     if "dt" in merged:
         dt = _as_float("dt", merged["dt"])
         if not 0.0 < dt <= dt_cap:
@@ -393,10 +393,10 @@ def parse_config(
                 f"positivity-safe, got {dt!r}"
             )
     else:
-        dt = default_dt(eff.rr1.values)
+        dt = default_dt(eff.rr1)
         defaulted.add("dt")
 
-    default_density = 0.5 * float(np.min(eff.K1.values))
+    default_density = 0.5 * float(np.min(eff.K1))
     u0_raw = take("u0", default_density)
     v0_raw = take("v0", default_density)
     u0 = u0_raw if isinstance(u0_raw, str) else _as_float("u0", u0_raw)

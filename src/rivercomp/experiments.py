@@ -667,6 +667,10 @@ _RATIO_WINDOW = (2.5, 6.0)
 # mismatch is bounded by the steady-state solver residual, not by the
 # mesh width.
 _GAP_REL_TOL = 1e-8
+_NO_HALVED_GRID = (
+    "two-grid comparison skipped: no halved grid (odd n, n < 6, or the "
+    "halved grid breaks the Peclet guard or the positivity of r or K)"
+)
 
 
 def run_verification(cfg: RunConfig) -> dict:
@@ -675,8 +679,9 @@ def run_verification(cfg: RunConfig) -> dict:
     Returns a report dict with one entry per check carrying pass/skip
     status and the measured residuals.  Four checks are 1-D diagnostics,
     reported as skipped on a 2-D habitat.  Checks that need a coarser
-    companion grid share the problem's halved-grid companion, and skip
-    the comparison where it has none (``Problem.coarse``).
+    companion grid share the problem's halved-grid companion; where it has
+    none (``Problem.coarse``) they skip the comparison and say so in a
+    ``note``.
     ``lone_states`` says how each lone state the checks used was solved:
     its method, iterations and residual.
     """
@@ -738,7 +743,9 @@ def run_verification(cfg: RunConfig) -> dict:
             "residual": fine.residual,
             "index_gap": fine.growth_first - fine.growth_second,
         }
-        if problem.coarse is not None:
+        if problem.coarse is None:
+            entry["note"] = _NO_HALVED_GRID
+        else:
             coarse = _eigen_difference(problem.coarse)
             ratio = coarse.residual / fine.residual if fine.residual > 0.0 else math.inf
             entry["coarse_residual"] = coarse.residual
@@ -798,7 +805,9 @@ def _identity_check(problem: Problem) -> dict:
         "balance_max": balance.max_abs,
     }
     coarse = problem.coarse
-    if coarse is not None:
+    if coarse is None:
+        entry["note"] = _NO_HALVED_GRID
+    else:
         try:
             cpair = solve_coexistence(coarse.op1, coarse.op2, coarse.eff, tol=tol)
         except SolverError:

@@ -1,10 +1,11 @@
-"""Uniform cell-centered grids and scalar fields living on them.
+"""Uniform cell-centered grids and coefficient sampling on them.
 
 1-D grids cover [a, b] with n cells of width h = (b - a)/n; cell centers
 sit at a + (i + 1/2) h.  2-D grids are the tensor product of the same
-interval along both axes with n cells per axis.  Field values are stored
-flat, x-fastest (row index iy * n + ix in 2-D), which is the ordering
-every operator matrix in this package uses.
+interval along both axes with n cells per axis.  A field on a grid is a
+plain float array of shape (grid.size,), stored flat, x-fastest (row
+index iy * n + ix in 2-D), which is the ordering every operator matrix
+in this package uses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .fieldexpr import compile_field_expression
 
-__all__ = ["Grid", "Field", "make_grid", "sample_expression"]
+__all__ = ["Grid", "sample_expression"]
 
 
 @dataclass(frozen=True)
@@ -61,36 +62,12 @@ class Grid:
         return xx.ravel(), yy.ravel()
 
 
-@dataclass
-class Field:
-    """A scalar field sampled at cell centers (flat storage)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.size,):
-            raise ConfigError(
-                f"field shape {self.values.shape} does not match the grid "
-                f"({self.grid.size} cells)"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigError("field contains non-finite values")
-
-    @property
-    def mass(self) -> float:
-        """Cell-volume weighted total, i.e. the midpoint-rule integral."""
-        return self.grid.cell_volume * float(self.values.sum())
-
-
-def make_grid(dim: int, a: float, b: float, n: int) -> Grid:
-    return Grid(dim=dim, a=a, b=b, n=n)
-
-
-def sample_expression(grid: Grid, text: str) -> Field:
-    """Evaluate a field expression at the cell centers of ``grid``."""
+def sample_expression(grid: Grid, text: str) -> np.ndarray:
+    """Evaluate a field expression at the cell centers of ``grid``; the
+    flat values, refused with ``ConfigError`` where any is not finite."""
     names = ("x",) if grid.dim == 1 else ("x", "y")
-    expr = compile_field_expression(text, names)
     x, y = grid.coordinate_arrays()
-    return Field(grid, expr(x, y))
+    values = compile_field_expression(text, names)(x, y)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"field expression {text!r} has non-finite values on the grid")
+    return values

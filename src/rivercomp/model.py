@@ -7,8 +7,9 @@ diffusion d_i and downstream drift alpha_i under no-flux boundaries.
 When both harvest fractions are equal (mu1 = mu2 = mu), the loss term
 folds into the growth law exactly: with r1 = 1 - mu and K1 = K·r1 the
 dynamics are those of the harvest-free system with growth r·r1 and
-capacity K1.  ``build_effective_params`` performs that fold; ``reaction``
-and ``raw_reaction`` evaluate the two algebraically identical forms.
+capacity K1.  ``build_effective_params`` performs that fold, sampling r
+and K at the cell centers into plain arrays; ``reaction`` and
+``raw_reaction`` evaluate the two algebraically identical forms.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, sample_expression
+from .grid import Grid, sample_expression
 
 __all__ = [
     "ModelParams",
@@ -72,18 +73,17 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class EffectiveParams:
-    """Harvest-folded coefficients sampled on a grid (equal harvesting only)."""
+    """Harvest-folded coefficients sampled on a grid (equal harvesting only).
 
+    Each coefficient is a float array of shape (grid.size,)."""
+
+    grid: Grid
     mu: float
     r1: float  # 1 - mu, exact
-    r: Field  # growth rate r(x)
-    K: Field  # raw carrying capacity K(x)
-    K1: Field  # folded capacity K(x) * r1
-    rr1: Field  # folded growth r(x) * r1
-
-    @property
-    def grid(self) -> Grid:
-        return self.r.grid
+    r: np.ndarray  # growth rate r(x)
+    K: np.ndarray  # raw carrying capacity K(x)
+    K1: np.ndarray  # folded capacity K(x) * r1
+    rr1: np.ndarray  # folded growth r(x) * r1
 
 
 @dataclass(frozen=True)
@@ -95,19 +95,12 @@ class RegimeReport:
     holds_c1: bool  # ratio1 >= ratio2
 
 
-def build_effective_params(params: ModelParams, grid: Grid, mu: float | None = None) -> EffectiveParams:
+def build_effective_params(params: ModelParams, grid: Grid, mu: float) -> EffectiveParams:
     """Sample r and K on ``grid`` and fold the harvest fraction ``mu`` in.
 
-    ``mu`` defaults to the common harvest fraction of ``params`` and must
-    lie in [0, 1).  r1 = 1 - mu is exact; K1 is K scaled by r1 pointwise.
+    ``mu`` must lie in [0, 1).  r1 = 1 - mu is exact; K1 is K scaled by
+    r1 pointwise.
     """
-    if mu is None:
-        if not params.equal_harvest:
-            raise ConfigError(
-                "the harvest fold needs a single fraction; mu1 != mu2 here, "
-                "pass mu explicitly or integrate the raw form"
-            )
-        mu = params.mu1
     if not 0.0 <= mu < 1.0:
         raise ConfigError(
             f"mu={mu} is outside [0, 1); a harvest fraction of 1 or more "
@@ -117,24 +110,17 @@ def build_effective_params(params: ModelParams, grid: Grid, mu: float | None = N
         raise ConfigError(f"grid dimension {grid.dim} != model dimension {params.dim}")
     r = sample_expression(grid, params.r_expr)
     K = sample_expression(grid, params.K_expr)
-    if np.any(r.values <= 0.0):
+    if np.any(r <= 0.0):
         raise ConfigError(f"growth rate {params.r_expr!r} must be positive on the habitat")
-    if np.any(K.values <= 0.0):
+    if np.any(K <= 0.0):
         raise ConfigError(f"carrying capacity {params.K_expr!r} must be positive on the habitat")
     r1 = 1.0 - mu
-    return EffectiveParams(
-        mu=mu,
-        r1=r1,
-        r=r,
-        K=K,
-        K1=Field(grid, K.values * r1),
-        rr1=Field(grid, r.values * r1),
-    )
+    return EffectiveParams(grid=grid, mu=mu, r1=r1, r=r, K=K, K1=K * r1, rr1=r * r1)
 
 
 def reaction(u: np.ndarray, v: np.ndarray, eff: EffectiveParams) -> np.ndarray:
     """Harvest-folded per-cell growth of u:  r·r1·u·(1 - (u+v)/K1)."""
-    return eff.rr1.values * u * (1.0 - (u + v) / eff.K1.values)
+    return eff.rr1 * u * (1.0 - (u + v) / eff.K1)
 
 
 def raw_reaction(

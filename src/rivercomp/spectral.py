@@ -264,7 +264,7 @@ def dense_principal_eigenpair(op: TransportOperator, potential: np.ndarray) -> E
 
 def invasion_potential(resident: np.ndarray, eff: EffectiveParams) -> np.ndarray:
     """Per-capita growth a rare invader sees against a resident profile."""
-    return eff.rr1.values * (1.0 - resident / eff.K1.values)
+    return eff.rr1 * (1.0 - resident / eff.K1)
 
 
 @dataclass

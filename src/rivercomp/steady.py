@@ -41,7 +41,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigError, SolverError
-from .grid import Field, Grid
+from .grid import Grid
 from .linsolve import factor_shifted
 from .model import EffectiveParams
 from .operators import TransportOperator, face_fluxes
@@ -95,7 +95,7 @@ class CoexistencePair:
 
 def positivity_floor(eff: EffectiveParams) -> float:
     """Strict-positivity threshold used to reject washed-out profiles."""
-    return 1e-8 * float(eff.K1.values.max())
+    return 1e-8 * float(eff.K1.max())
 
 
 # ---------------------------------------------------------------------
@@ -149,7 +149,7 @@ def _damped_newton(
 
 
 def _single_residual(op: TransportOperator, eff: EffectiveParams, u: np.ndarray) -> np.ndarray:
-    return op.apply(u) + eff.rr1.values * u * (1.0 - u / eff.K1.values)
+    return op.apply(u) + eff.rr1 * u * (1.0 - u / eff.K1)
 
 
 def _march(
@@ -165,14 +165,14 @@ def _march(
     stays meaningful when heavy harvesting shrinks the whole profile.
     Returns the state and number of steps taken; ``u0`` is never written.
     """
-    rate_tol *= float((eff.rr1.values * eff.K1.values).max())
+    rate_tol *= float((eff.rr1 * eff.K1).max())
     # The semi-implicit fixed point is the steady state for any dt, so the
     # march can take the full reaction-stability step rather than the small
     # trajectory-accuracy step; convergence then needs O(10) steps per
     # relaxation time regardless of how hard the harvest squeezes r*r1.
-    dt = max_stable_dt(eff.rr1.values)
+    dt = max_stable_dt(eff.rr1)
     solve = factor_shifted(op, shift=1.0, scale=-dt)
-    dt_rr1, K1 = dt * eff.rr1.values, eff.K1.values
+    dt_rr1, K1 = dt * eff.rr1, eff.K1
     u = u0
     for k in range(1, _MAX_MARCH_STEPS + 1):
         u_next = solve.solve(u + dt_rr1 * u * (1.0 - u / K1))
@@ -197,8 +197,8 @@ def _newton_single(
 
     The state is ``u0`` itself when it already meets ``tol``.
     """
-    rr1 = eff.rr1.values
-    K1 = eff.K1.values
+    rr1 = eff.rr1
+    K1 = eff.K1
 
     def step(u: np.ndarray, res: np.ndarray) -> np.ndarray:
         try:
@@ -228,7 +228,7 @@ def solve_single_steady(
     """
     if method not in ("hybrid", "newton", "long-time"):
         raise ConfigError(f"unknown steady method {method!r}")
-    K1 = eff.K1.values
+    K1 = eff.K1
     # The one copy of the start: neither loop writes into its start, and
     # the state a solve returns never shares memory with ``u0``.
     start = u0.copy() if u0 is not None else None
@@ -274,9 +274,9 @@ def _pair_residual(
     """Both species' residuals, stacked, at the stacked state x = [u; v]."""
     n = op1.grid.size
     u, v = x[:n], x[n:]
-    shared = 1.0 - (u + v) / eff.K1.values
+    shared = 1.0 - (u + v) / eff.K1
     return np.concatenate(
-        [op1.apply(u) + eff.rr1.values * u * shared, op2.apply(v) + eff.rr1.values * v * shared]
+        [op1.apply(u) + eff.rr1 * u * shared, op2.apply(v) + eff.rr1 * v * shared]
     )
 
 
@@ -321,7 +321,7 @@ class _PairJacobian:
 
     def __init__(self, op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams):
         n = op1.grid.size
-        self._rr1, self._K1 = eff.rr1.values, eff.K1.values
+        self._rr1, self._K1 = eff.rr1, eff.K1
         rows1, cols1, off1, self._diag1 = _split(op1)
         rows2, cols2, off2, self._diag2 = _split(op2)
         self._off = np.concatenate([off1, off2])
@@ -446,7 +446,7 @@ def solve_coexistence(
     coexistence state found from this start" rather than a failure.
     """
     if guess is None:
-        guess = (eff.K1.values / 3.0, eff.K1.values / 3.0)
+        guess = (eff.K1 / 3.0, eff.K1 / 3.0)
     x = np.concatenate(guess, dtype=float)
     n = op1.grid.size
     jacobian = _PairJacobian(op1, op2, eff)
@@ -487,11 +487,9 @@ def constant_capacity_companion(
     constant-capacity statement (heterogeneous capacity can tilt the
     profile against the drift), so band checks run on this companion.
     """
-    grid = eff.grid
-    k1_const = float(np.mean(eff.K1.values))
-    flat = Field(grid, np.full(grid.size, k1_const))
-    flat_raw = Field(grid, np.full(grid.size, k1_const / eff.r1))
-    eff_const = replace(eff, K=flat_raw, K1=flat)
+    size = eff.grid.size
+    k1_const = float(np.mean(eff.K1))
+    eff_const = replace(eff, K=np.full(size, k1_const / eff.r1), K1=np.full(size, k1_const))
     return solve_single_steady(op, eff_const, tol=tol), eff_const
 
 
@@ -518,8 +516,8 @@ class CapacityGapReport:
 
 def capacity_gap_integral(u: np.ndarray, eff: EffectiveParams) -> CapacityGapReport:
     grid = eff.grid
-    r = eff.r.values
-    K1 = eff.K1.values
+    r = eff.r
+    K1 = eff.K1
     gap = K1 - u
     linear = grid.cell_volume * float(np.sum(r * gap))
     quadratic = grid.cell_volume * float(np.sum(r * gap * gap / K1))

@@ -50,7 +50,10 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 from .linsolve import implicit_solver
-from .model import EffectiveParams, ModelParams, raw_reaction, reaction
+from .model import EffectiveParams, ModelParams
+# The fused step calls neither, but perfbench/spans.py patches both names
+# on this module by attribute, so they stay importable from here.
+from .model import raw_reaction, reaction  # noqa: F401
 from .operators import TransportOperator
 
 __all__ = [
@@ -182,9 +185,9 @@ class Stepper:
         self.eff = eff
         self.form = form
         if form == "folded":
-            rate, cap, keep = eff.rr1.values, eff.K1.values, 1.0
+            rate, cap, keep = eff.rr1, eff.K1, 1.0
         else:
-            rate, cap = eff.r.values, eff.K.values
+            rate, cap = eff.r, eff.K
             keep = np.array([[1.0 - params.mu1], [1.0 - params.mu2]])
         if dt is None:
             dt = default_dt(rate * keep)
@@ -205,18 +208,6 @@ class Stepper:
         self._work_rows = tuple(self._work)
         self._sum = np.empty(n)
         self._diff = np.empty(np.broadcast_shapes(self._growth.shape, (n,)))  # a - g
-
-    # -- reaction terms (the oracles of the fused pass) -------------------
-
-    def reaction_u(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.form == "folded":
-            return reaction(u, v, self.eff)
-        return raw_reaction(u, v, self.eff.r.values, self.eff.K.values, self.params.mu1)
-
-    def reaction_v(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.form == "folded":
-            return reaction(v, u, self.eff)
-        return raw_reaction(v, u, self.eff.r.values, self.eff.K.values, self.params.mu2)
 
     # -- the state ---------------------------------------------------------
 
@@ -407,4 +398,4 @@ def classify_outcome(
 
 def default_eps_extinct(eff: EffectiveParams) -> float:
     """Extinction threshold: one thousandth of the folded capacity peak."""
-    return 1e-3 * float(np.max(eff.K1.values))
+    return 1e-3 * float(np.max(eff.K1))

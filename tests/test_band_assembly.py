@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from rivercomp import linsolve, spectral, steady
 from rivercomp.config import parse_config
 from rivercomp.errors import SolverError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.operators import transport_for
 from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
 from rivercomp.stepping import Stepper, integrate
@@ -47,7 +47,7 @@ def setup(n=64, dim=1, **params):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_band_products_equal_csr_products(n, d, peclet, seed):
-    grid = make_grid(1, 0.0, 1.0, n)
+    grid = Grid(1, 0.0, 1.0, n)
     op = transport_for(grid, d, peclet * d / grid.h)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
@@ -87,7 +87,7 @@ def test_1d_steady_and_eigen_layers_build_no_operator_matrix(monkeypatch):
 
 def bmat_jacobian(op1, op2, eff, u, v):
     """The pair Jacobian as assembled block by block with ``sparse.bmat``."""
-    rr1, K1 = eff.rr1.values, eff.K1.values
+    rr1, K1 = eff.rr1, eff.K1
     j11 = op1.matrix + sparse.diags(rr1 * (1.0 - (2.0 * u + v) / K1))
     j22 = op2.matrix + sparse.diags(rr1 * (1.0 - (u + 2.0 * v) / K1))
     j12 = sparse.diags(-rr1 * u / K1)
@@ -120,7 +120,7 @@ def test_pair_jacobian_drops_a_zero_diagonal_entry_like_bmat():
     # A diagonal entry of L1 + D11 that cancels to exactly zero.
     grid, eff, op1, op2 = setup(n=8)
     u, v = np.full(grid.size, 0.5), np.full(grid.size, 0.5)
-    rr1, K1 = eff.rr1.values, eff.K1.values
+    rr1, K1 = eff.rr1, eff.K1
     target = -op1.matrix.diagonal()[3]
     v[3] = K1[3] * (1.0 - target / rr1[3]) - 2.0 * u[3]
     assert op1.matrix.diagonal()[3] + rr1[3] * (1.0 - (2.0 * u[3] + v[3]) / K1[3]) == 0.0
@@ -266,7 +266,7 @@ def test_a_zero_in_the_start_takes_a_fresh_order(monkeypatch):
     # lacks those entries; the first update fills them, and the changed
     # pattern is ordered again before the order is reused.
     _, eff, op1, op2 = setup(n=128, **WEAK)
-    K1 = eff.K1.values
+    K1 = eff.K1
     u = K1 / 3.0
     u[::4] = 0.0
     guess = (u, K1 / 3.0)
@@ -320,7 +320,7 @@ def via_splu(op, shift=0.0, scale=1.0, potential=None):
 def run_loops(monkeypatch, factor, grid, eff, op1, op2):
     monkeypatch.setattr(steady, "factor_shifted", factor)
     monkeypatch.setattr(spectral, "factor_shifted", factor)
-    start = np.full(grid.size, 0.5 * float(np.min(eff.K1.values)))
+    start = np.full(grid.size, 0.5 * float(np.min(eff.K1)))
     marched, steps = steady._march(op1, eff, start, 1e-5)
     u, _, its = steady._newton_single(op1, eff, marched, 1e-10)
     eigen = principal_eigenpair(op2, invasion_potential(u, eff))

@@ -28,7 +28,7 @@ def test_default_initial_density_is_half_the_capacity_floor():
     grid = cfg.grid()
     eff = cfg.effective(grid)
     u0, v0 = cfg.initial_fields(grid)
-    expected = 0.5 * float(np.min(eff.K1.values))
+    expected = 0.5 * float(np.min(eff.K1))
     np.testing.assert_array_equal(u0, expected)
     np.testing.assert_array_equal(v0, expected)
 

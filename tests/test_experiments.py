@@ -34,7 +34,7 @@ from rivercomp.experiments import (
     sweep_alpha2,
     sweep_transitions,
 )
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.linsolve import factor_shifted
 from rivercomp.model import build_effective_params
 from rivercomp.operators import transport_for
@@ -253,10 +253,10 @@ def test_halved_grid_is_the_same_problem_on_half_the_cells():
     for cfg in (defaulted, given):
         coarse = experiments.Problem(cfg).coarse
         assert coarse is not None
-        assert coarse.grid == make_grid(1, 0.0, 1.0, 65)
-        fresh = build_effective_params(cfg.params, coarse.grid)
+        assert coarse.grid == Grid(1, 0.0, 1.0, 65)
+        fresh = build_effective_params(cfg.params, coarse.grid, mu=cfg.params.mu1)
         for got, want in ((coarse.eff.rr1, fresh.rr1), (coarse.eff.K1, fresh.K1)):
-            assert got.values.tobytes() == want.values.tobytes()
+            assert got.tobytes() == want.tobytes()
         assert coarse.op1.grid == coarse.op2.grid == coarse.grid
 
 
@@ -282,7 +282,27 @@ def test_verification_builds_its_halved_grid_once(monkeypatch):
     assert "coarse_residual" in checks["eigen_difference"]
     assert checks["coexistence_identities"]["skipped"] is False
     assert "ratios" in checks["coexistence_identities"]
+    assert "note" not in checks["eigen_difference"]
+    assert "note" not in checks["coexistence_identities"]
     assert built == [64, 32]
+
+
+@pytest.mark.parametrize("family, pair", [(dict(WEAK_FAMILY, n=129), False), (dict(SYMMETRIC, n=63), True)])
+def test_verification_notes_the_skipped_two_grid_comparison(family, pair):
+    # An odd n has no halved grid: the checks that compare against it judge
+    # the fine grid alone and say the comparison was skipped.  The weak
+    # family finds no pair; the symmetric one finds one, so the identity
+    # check reaches its halved-grid branch too.
+    report = run_verification(parse_config(overrides=dict(family, mode="verify")))
+    assert report["all_pass"] is True
+    checks = report["checks"]
+    identities = checks["coexistence_identities"]
+    assert identities["skipped"] is not pair
+    for entry in [checks["eigen_difference"]] + ([identities] if pair else []):
+        assert entry["skipped"] is False
+        assert entry["note"].startswith("two-grid comparison skipped: no halved grid")
+        assert not {"coarse_residual", "ratio", "ratios"} & set(entry)
+    assert "u_hat_halved_grid" not in report["lone_states"]
 
 
 def test_planar_verification_skips_the_1d_checks(monkeypatch):

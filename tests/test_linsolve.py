@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rivercomp import experiments
 from rivercomp.errors import SolverError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.linsolve import (
     MAX_SYMMETRIZER_SPREAD,
     Factorization,
@@ -54,7 +54,7 @@ def test_wider_bandwidth_takes_sparse_path():
     b = rng.standard_normal(n)
     np.testing.assert_allclose(m @ sparse_lu(m).solve(b), b, atol=1e-11)
 
-    op = transport_for(make_grid(2, 0.0, 1.0, 6), 0.3, 0.5)
+    op = transport_for(Grid(2, 0.0, 1.0, 6), 0.3, 0.5)
     p = rng.standard_normal(op.grid.size)
     solver = factor_shifted(op, shift=2.0, scale=-0.5, potential=p)
     assert isinstance(solver, spla.SuperLU)
@@ -178,7 +178,7 @@ def _assert_stacked_solve_matches_splu(solver, n, species, dt, seed):
     # number costs no dense factorization.  The DCTs sum n terms per entry,
     # so the residual bound grows with n.  The solve runs in field units,
     # scale·solve(b/scale) (scale is 1.0 for the modal-banded solve).
-    grid = make_grid(2, 0.0, 1.0, n)
+    grid = Grid(2, 0.0, 1.0, n)
     ops = tuple(transport_for(grid, d, peclet * d / grid.h) for d, peclet in species)
     eye = sparse.identity(grid.size, format="csr")
     m = sparse.block_diag([eye - dt * op.matrix for op in ops], format="csc")
@@ -265,7 +265,7 @@ def test_symmetrized_2d_solve_meets_the_bound_at_wide_spreads(n, spread, d, dt, 
 
 
 def _solver_for(n, *species):
-    grid = make_grid(2, 0.0, 1.0, n)
+    grid = Grid(2, 0.0, 1.0, n)
     ops = tuple(transport_for(grid, d, peclet * d / grid.h) for d, peclet in species)
     return implicit_solver(ops, 0.1)
 
@@ -309,7 +309,7 @@ def test_spread_rule_selects_the_solve(n, factor):
 def _stacked_1d(n, species, dt):
     """Operators for ``species`` (d, grid Peclet number) on n cells, and the
     solve_banded storage of I - dt*blockdiag(L_1, ..., L_S)."""
-    grid = make_grid(1, 0.0, 1.0, n)
+    grid = Grid(1, 0.0, 1.0, n)
     ops = tuple(transport_for(grid, d, peclet * d / grid.h) for d, peclet in species)
     ab = np.concatenate(
         [np.array([np.insert(-dt * op.bands[2], 0, 0.0), 1.0 - dt * op.bands[1], np.append(-dt * op.bands[0], 0.0)])

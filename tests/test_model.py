@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rivercomp.errors import ConfigError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.model import (
     ModelParams,
     build_effective_params,
@@ -21,7 +21,7 @@ from rivercomp.model import (
     reaction,
 )
 
-GRID = make_grid(1, 0.0, 1.0, 32)
+GRID = Grid(1, 0.0, 1.0, 32)
 
 
 def params(**kw):
@@ -38,16 +38,16 @@ def params(**kw):
 def test_fold_identity_case():
     eff = build_effective_params(params(), GRID, mu=0.0)
     assert eff.r1 == 1.0
-    np.testing.assert_array_equal(eff.K1.values, eff.K.values)
+    np.testing.assert_array_equal(eff.K1, eff.K)
 
 
 def test_fold_scales_capacity_pointwise():
-    eff = build_effective_params(params(mu1=0.009, mu2=0.009), GRID)
+    eff = build_effective_params(params(mu1=0.009, mu2=0.009), GRID, mu=0.009)
     assert eff.r1 == 1.0 - 0.009
     assert eff.r1 == pytest.approx(0.991)
-    np.testing.assert_array_equal(eff.K1.values, eff.K.values * eff.r1)
+    np.testing.assert_array_equal(eff.K1, eff.K * eff.r1)
     # peak of 2 + cos(pi*x) is 3, folded to 2.973
-    assert eff.K1.values.max() == pytest.approx(0.991 * 3.0, rel=1e-3)
+    assert eff.K1.max() == pytest.approx(0.991 * 3.0, rel=1e-3)
 
 
 def test_fold_rejects_bad_fractions():
@@ -60,12 +60,12 @@ def test_fold_rejects_bad_fractions():
 
 
 def test_fold_needs_single_fraction():
+    # the fold takes its one fraction explicitly, whatever the per-species ones
     p = params(mu1=0.3, mu2=0.1)
-    with pytest.raises(ConfigError):
-        build_effective_params(p, GRID)
-    # explicit mu works even with unequal per-species fractions
-    eff = build_effective_params(p, GRID, mu=0.1)
-    assert eff.r1 == 0.9
+    for mu in (0.1, 0.3):
+        eff = build_effective_params(p, GRID, mu=mu)
+        assert eff.mu == mu and eff.r1 == 1.0 - mu
+        np.testing.assert_array_equal(eff.K1, eff.K * eff.r1)
 
 
 def test_capacity_must_stay_positive():
@@ -74,8 +74,8 @@ def test_capacity_must_stay_positive():
 
 
 def test_growth_zero_at_capacity_and_at_zero_density():
-    eff = build_effective_params(params(mu1=0.3, mu2=0.3), GRID)
-    K1 = eff.K1.values
+    eff = build_effective_params(params(mu1=0.3, mu2=0.3), GRID, mu=0.3)
+    K1 = eff.K1
     u = 0.25 * K1
     v = K1 - u
     np.testing.assert_allclose(reaction(u, v, eff), 0.0, atol=1e-16)
@@ -85,8 +85,8 @@ def test_growth_zero_at_capacity_and_at_zero_density():
 def test_growth_hand_value():
     # r=1, mu=0.009, K=3 everywhere, u=1, v=0.5: exact rational arithmetic
     # gives r1*(1 - 1.5/(3*r1)) = 491/1000.
-    g = make_grid(1, 0.0, 1.0, 8)
-    eff = build_effective_params(params(mu1=0.009, mu2=0.009, K_expr="3"), g)
+    g = Grid(1, 0.0, 1.0, 8)
+    eff = build_effective_params(params(mu1=0.009, mu2=0.009, K_expr="3"), g, mu=0.009)
     u = np.ones(8)
     v = np.full(8, 0.5)
     np.testing.assert_allclose(reaction(u, v, eff), 0.491, rtol=1e-14)
@@ -108,7 +108,7 @@ def test_fold_matches_raw_to_rounding(u, v, r, K, mu):
     vv = np.array([v])
     raw = raw_reaction(uu, vv, ru, Ku, mu)[0]
 
-    g = make_grid(1, 0.0, 1.0, 8)
+    g = Grid(1, 0.0, 1.0, 8)
     p = ModelParams(d1=1.0, d2=1.0, alpha1=0.0, alpha2=0.0, mu1=mu, mu2=mu, r_expr=repr(r), K_expr=repr(K))
     eff = build_effective_params(p, g, mu=mu)
     folded = reaction(np.full(8, u), np.full(8, v), eff)[0]

@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rivercomp.errors import ConfigError, GridResolutionError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.operators import check_peclet, dct_basis, face_fluxes, transport_for
 
 
 def test_hand_assembled_3x3():
     # n=3 on [0,1] with d=1, alpha=0: diff = d/h^2 = 9.
-    op = transport_for(make_grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
+    op = transport_for(Grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
     m = op.matrix.toarray()
     np.testing.assert_array_equal(m[0], [-9.0, 9.0, 0.0])
     np.testing.assert_array_equal(m[1], [9.0, -18.0, 9.0])
@@ -21,17 +21,17 @@ def test_hand_assembled_3x3():
 
 
 def test_hand_apply_3x3():
-    op = transport_for(make_grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
+    op = transport_for(Grid(1, 0.0, 1.0, 3), d=1.0, alpha=0.0)
     np.testing.assert_array_equal(op.apply(np.array([1.0, 2.0, 4.0])), [9.0, 9.0, -18.0])
 
 
 def test_constants_annihilated_without_drift():
-    op = transport_for(make_grid(1, 0.0, 1.0, 17), d=0.3, alpha=0.0)
+    op = transport_for(Grid(1, 0.0, 1.0, 17), d=0.3, alpha=0.0)
     np.testing.assert_array_equal(op.apply(np.full(17, 2.5)), 0.0)
 
 
 def test_column_sums_zero_with_drift():
-    op = transport_for(make_grid(1, 0.0, 1.0, 4), d=0.08, alpha=0.05)
+    op = transport_for(Grid(1, 0.0, 1.0, 4), d=0.08, alpha=0.05)
     assert op.peclet == pytest.approx(0.15625)
     sums = np.asarray(op.matrix.sum(axis=0)).ravel()
     assert np.max(np.abs(sums)) < 1e-14
@@ -42,7 +42,7 @@ def test_column_sums_zero_with_drift():
 
 def test_mass_conservation_random_fields():
     rng = np.random.default_rng(5)
-    g = make_grid(1, 0.0, 2.0, 37)
+    g = Grid(1, 0.0, 2.0, 37)
     op = transport_for(g, d=0.11, alpha=0.09)
     for _ in range(20):
         f = rng.random(37) * 10.0
@@ -50,20 +50,20 @@ def test_mass_conservation_random_fields():
 
 
 def test_peclet_guard_names_minimum_n():
-    g = make_grid(1, 0.0, 1.0, 4)
+    g = Grid(1, 0.0, 1.0, 4)
     with pytest.raises(GridResolutionError) as err:
         transport_for(g, d=0.001, alpha=0.05)
     n_min = err.value.n_min
     assert "n = %d" % n_min in str(err.value)
     # the smallest advertised n really does restore peclet < 2
-    assert check_peclet(make_grid(1, 0.0, 1.0, n_min), 0.001, 0.05) < 2.0
+    assert check_peclet(Grid(1, 0.0, 1.0, n_min), 0.001, 0.05) < 2.0
     with pytest.raises(GridResolutionError):
-        check_peclet(make_grid(1, 0.0, 1.0, n_min - 1), 0.001, 0.05)
+        check_peclet(Grid(1, 0.0, 1.0, n_min - 1), 0.001, 0.05)
 
 
 def test_nonpositive_diffusion_rejected():
     with pytest.raises(ConfigError):
-        check_peclet(make_grid(1, 0.0, 1.0, 8), 0.0, 0.1)
+        check_peclet(Grid(1, 0.0, 1.0, 8), 0.0, 0.1)
 
 
 def test_metzler_structure_under_guard():
@@ -72,7 +72,7 @@ def test_metzler_structure_under_guard():
     for _ in range(25):
         n = int(rng.integers(3, 80))
         d = float(rng.uniform(0.01, 2.0))
-        g = make_grid(1, 0.0, 1.0, n)
+        g = Grid(1, 0.0, 1.0, n)
         alpha = float(rng.uniform(0.0, 1.99)) * d / g.h
         op = transport_for(g, d, alpha)
         m = op.matrix.tocoo()
@@ -88,7 +88,7 @@ def test_exact_kernel_exp_profile():
     d, alpha = 0.5, 0.8
     sup, interior, l1 = [], [], []
     for n in (32, 64, 128):
-        g = make_grid(1, 0.0, 1.0, n)
+        g = Grid(1, 0.0, 1.0, n)
         op = transport_for(g, d, alpha)
         u = np.exp(alpha * g.centers / d)
         img = np.abs(op.apply(u))
@@ -106,7 +106,7 @@ def test_interior_consistency_second_order():
     d, alpha = 0.2, 0.3
     errs = []
     for n in (64, 128):
-        g = make_grid(1, 0.0, 1.0, n)
+        g = Grid(1, 0.0, 1.0, n)
         op = transport_for(g, d, alpha)
         x = g.centers
         u = np.sin(x) + 2.0
@@ -117,7 +117,7 @@ def test_interior_consistency_second_order():
 
 
 def test_face_fluxes_boundary_zero():
-    g = make_grid(1, 0.0, 1.0, 12)
+    g = Grid(1, 0.0, 1.0, 12)
     op = transport_for(g, d=0.08, alpha=0.05)
     f = face_fluxes(op, np.exp(g.centers))
     assert f[0] == 0.0 and f[-1] == 0.0
@@ -125,7 +125,7 @@ def test_face_fluxes_boundary_zero():
 
 
 def test_2d_constant_annihilated_and_conservative():
-    g = make_grid(2, 0.0, 1.0, 4)
+    g = Grid(2, 0.0, 1.0, 4)
     pure_diffusion = transport_for(g, d=0.005, alpha=0.0)
     # five summands per row, so cancellation is down to rounding rather
     # than exact as in the tridiagonal case
@@ -139,8 +139,8 @@ def test_2d_constant_annihilated_and_conservative():
 
 def test_2d_separable_matches_1d():
     # a field depending on x only sees the 1-D operator row by row
-    g2 = make_grid(2, 0.0, 1.0, 8)
-    g1 = make_grid(1, 0.0, 1.0, 8)
+    g2 = Grid(2, 0.0, 1.0, 8)
+    g1 = Grid(1, 0.0, 1.0, 8)
     op2 = transport_for(g2, d=0.05, alpha=0.03)
     op1 = transport_for(g1, d=0.05, alpha=0.03)
     gx = np.cos(g1.centers)
@@ -150,8 +150,8 @@ def test_2d_separable_matches_1d():
 
 
 def test_dimension_dispatch():
-    assert transport_for(make_grid(1, 0.0, 1.0, 8), 1.0, 0.0).grid.dim == 1
-    assert transport_for(make_grid(2, 0.0, 1.0, 4), 1.0, 0.0).grid.dim == 2
+    assert transport_for(Grid(1, 0.0, 1.0, 8), 1.0, 0.0).grid.dim == 1
+    assert transport_for(Grid(2, 0.0, 1.0, 4), 1.0, 0.0).grid.dim == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,7 +164,7 @@ def test_bands_rebuild_the_matrix_array_for_array(n, d, peclet):
     # The steady, eigen and stepping layers factor 1-D systems from the
     # bands alone, so the bands must be exactly the matrix the rest of the
     # package applies, and must not be writable through the operator.
-    grid = make_grid(1, 0.0, 1.0, n)
+    grid = Grid(1, 0.0, 1.0, n)
     op = transport_for(grid, d, peclet * d / grid.h)
     rebuilt = sparse.diags(list(op.bands), offsets=[-1, 0, 1], format="csr")
     for name in ("indptr", "indices", "data"):
@@ -183,11 +183,11 @@ def test_2d_bands_and_y_modes_rebuild_the_kronecker_sum(n, d, peclet):
     # A 2-D operator is Lx's bands plus Ly's DCT eigenvalues; its CSR
     # matrix, built on first read, is the Kronecker sum I⊗Lx + Ly⊗I
     # assembled by hand from the 1-D operators along each axis.
-    grid = make_grid(2, 0.0, 1.0, n)
+    grid = Grid(2, 0.0, 1.0, n)
     alpha = peclet * d / grid.h
     op = transport_for(grid, d, alpha)
     assert "matrix" not in op.__dict__
-    line = make_grid(1, 0.0, 1.0, n)
+    line = Grid(1, 0.0, 1.0, n)
     lx, ly = transport_for(line, d, alpha), transport_for(line, d, 0.0)
     eye = sparse.identity(n, format="csr")
     kron_sum = (sparse.kron(eye, lx.matrix) + sparse.kron(ly.matrix, eye)).tocsr()

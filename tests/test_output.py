@@ -4,7 +4,7 @@ import json
 import numpy as np
 
 from rivercomp.config import parse_config
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.output import (
     format_float,
     jsonable,
@@ -52,7 +52,7 @@ def test_jsonable_handles_numpy_and_dataclasses():
 
 
 def test_snapshot_csv_one_dimensional_layout(tmp_path):
-    grid = make_grid(1, 0.0, 1.0, 4)
+    grid = Grid(1, 0.0, 1.0, 4)
     u = np.array([1.0, 2.0, 3.0, 4.0])
     path = tmp_path / "snap.csv"
     write_snapshot_csv(path, grid, u, 0.5 * u)
@@ -66,7 +66,7 @@ def test_snapshot_csv_one_dimensional_layout(tmp_path):
 
 
 def test_snapshot_csv_two_dimensional_layout(tmp_path):
-    grid = make_grid(2, 0.0, 1.0, 3)
+    grid = Grid(2, 0.0, 1.0, 3)
     u = np.arange(9, dtype=float)
     path = tmp_path / "snap2d.csv"
     write_snapshot_csv(path, grid, u, u[::-1].copy())
@@ -91,7 +91,7 @@ def row_by_row(header, columns):
 def test_columnar_csv_writer_matches_the_row_by_row_text(tmp_path):
     rng = np.random.default_rng(7)
     for dim, n in ((1, 37), (2, 7)):
-        grid = make_grid(dim, 0.0, 1.0, n)
+        grid = Grid(dim, 0.0, 1.0, n)
         u = rng.standard_normal(grid.size) * 10.0 ** rng.uniform(-300, 300, grid.size)
         v = rng.random(grid.size)
         u[:3], v[:3] = (0.0, -0.0, 1.0), (5e-324, 1e16, 0.1)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.model import ModelParams, build_effective_params
 from rivercomp.operators import transport_for
 from rivercomp.spectral import (
@@ -33,7 +33,7 @@ def weak_setup(n, mu=0.009):
 
 
 def test_constant_potential_without_drift_gives_flat_mode():
-    grid = make_grid(1, 0.0, 1.0, 40)
+    grid = Grid(1, 0.0, 1.0, 40)
     op = transport_for(grid, 0.3, 0.0)
     report = principal_eigenpair(op, np.full(grid.size, 0.37))
     # The operator annihilates constants, so the flat vector is an exact
@@ -45,7 +45,7 @@ def test_constant_potential_without_drift_gives_flat_mode():
 
 def test_eigenvector_is_strictly_positive():
     rng = np.random.default_rng(11)
-    grid = make_grid(1, 0.0, 1.0, 64)
+    grid = Grid(1, 0.0, 1.0, 64)
     op = transport_for(grid, 0.08, 0.05)
     report = principal_eigenpair(op, rng.uniform(-1.0, 1.0, grid.size))
     assert report.phi.min() > 0.0
@@ -57,7 +57,7 @@ def test_iterative_matches_dense_on_random_draws():
     rng = np.random.default_rng(7)
     for trial in range(20):
         n = 32 if trial % 2 == 0 else 48
-        grid = make_grid(1, 0.0, 1.0, n)
+        grid = Grid(1, 0.0, 1.0, n)
         d = 10.0 ** rng.uniform(-2.0, 0.5)
         # Bound the drift-to-diffusion ratio so the eigenvector's dynamic
         # range stays far from the float floor; beyond that the dense
@@ -74,7 +74,7 @@ def test_iterative_matches_dense_on_random_draws():
 
 
 def test_dense_solver_refuses_large_systems():
-    grid = make_grid(1, 0.0, 1.0, 160)
+    grid = Grid(1, 0.0, 1.0, 160)
     op = transport_for(grid, 0.1, 0.0)
     with pytest.raises(ConfigError):
         dense_principal_eigenpair(op, np.zeros(grid.size))
@@ -122,7 +122,7 @@ def test_index_gap_identity_residual_shrinks_at_second_order():
 
 
 def test_index_gap_identity_degenerates_to_zero_for_equal_movement():
-    grid = make_grid(1, 0.0, 1.0, 64)
+    grid = Grid(1, 0.0, 1.0, 64)
     op = transport_for(grid, 0.05, 0.02)
     rng = np.random.default_rng(3)
     report = eigen_difference_residual(op, op, rng.uniform(-0.5, 0.5, grid.size))
@@ -131,7 +131,7 @@ def test_index_gap_identity_degenerates_to_zero_for_equal_movement():
 
 
 def test_index_gap_identity_is_one_dimensional_only():
-    grid = make_grid(2, 0.0, 1.0, 8)
+    grid = Grid(2, 0.0, 1.0, 8)
     op = transport_for(grid, 0.1, 0.0)
     with pytest.raises(ConfigError):
         eigen_difference_residual(op, op, np.zeros(grid.size))
@@ -149,7 +149,7 @@ def test_drift_band_holds_for_decreasing_potential():
 
 
 def test_drift_band_needs_positive_input():
-    grid = make_grid(1, 0.0, 1.0, 32)
+    grid = Grid(1, 0.0, 1.0, 32)
     phi = np.linspace(1.0, -0.1, grid.size)
     from rivercomp.errors import SolverError
 
@@ -178,7 +178,7 @@ def residual_target(op, potential, tol=1e-12):
 )
 def test_any_positive_start_gives_the_cold_eigenvalue(n, log_d, ratio, seed):
     rng = np.random.default_rng(seed)
-    grid = make_grid(1, 0.0, 1.0, n)
+    grid = Grid(1, 0.0, 1.0, n)
     d = 10.0**log_d
     op = transport_for(grid, d, ratio * d)
     potential = rng.uniform(-1.0, 1.0, n)
@@ -216,7 +216,7 @@ def test_start_at_the_perron_vector_converges_at_once():
     ["zero", "negative", "nan", "inf", "short", "column"],
 )
 def test_start_vector_must_be_finite_positive_and_one_per_cell(bad):
-    grid = make_grid(1, 0.0, 1.0, 32)
+    grid = Grid(1, 0.0, 1.0, 32)
     op = transport_for(grid, 0.08, 0.05)
     x0 = np.ones(grid.size)
     if bad == "zero":

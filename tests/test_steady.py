@@ -12,7 +12,7 @@ import pytest
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError, SolverError
 from rivercomp.model import ModelParams, build_effective_params
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp import steady
 from rivercomp.operators import transport_for
 from rivercomp.steady import (
@@ -52,8 +52,8 @@ def symmetric_setup(n=64):
 
 def test_constant_capacity_no_drift_lands_on_capacity():
     params = ModelParams(**WEAK, mu1=0.0, mu2=0.0, K_expr="2.5")
-    grid = make_grid(1, 0.0, 1.0, 48)
-    eff = build_effective_params(params, grid)
+    grid = Grid(1, 0.0, 1.0, 48)
+    eff = build_effective_params(params, grid, mu=0.0)
     op = transport_for(grid, params.d1, 0.0)
     state = solve_single_steady(op, eff)
     assert state.residual < 1e-12
@@ -67,7 +67,7 @@ def test_no_drift_nonconstant_capacity_is_not_the_capacity():
     cfg, grid, eff, op1, _ = weak_setup(mu=0.0, alpha1=0.0, alpha2=0.0)
     state = solve_single_steady(op1, eff)
     assert state.residual < 1e-10
-    assert np.max(np.abs(state.u - eff.K1.values)) > 0.1
+    assert np.max(np.abs(state.u - eff.K1)) > 0.1
     gap = capacity_gap_integral(state.u, eff)
     assert gap.linear > 0.0
     assert not gap.degenerate
@@ -89,7 +89,7 @@ def test_singular_newton_system_raises_solver_error():
     # method's fallback to marching catches.
     cfg, grid, eff, op1, _ = weak_setup(n=32, mu=0.2, alpha1=0.0, alpha2=0.0, K="1 + x")
     with pytest.raises(SolverError, match="Newton system is singular"):
-        solve_single_steady(op1, eff, method="newton", u0=0.5 * eff.K1.values)
+        solve_single_steady(op1, eff, method="newton", u0=0.5 * eff.K1)
 
 
 def test_capacity_gap_linear_and_quadratic_routes_agree():
@@ -103,8 +103,8 @@ def test_capacity_gap_linear_and_quadratic_routes_agree():
 
 def test_capacity_gap_degenerate_for_constant_capacity():
     params = ModelParams(**WEAK, mu1=0.0, mu2=0.0, K_expr="2.5")
-    grid = make_grid(1, 0.0, 1.0, 48)
-    eff = build_effective_params(params, grid)
+    grid = Grid(1, 0.0, 1.0, 48)
+    eff = build_effective_params(params, grid, mu=0.0)
     op = transport_for(grid, params.d1, 0.0)
     state = solve_single_steady(op, eff)
     gap = capacity_gap_integral(state.u, eff)
@@ -114,8 +114,8 @@ def test_capacity_gap_degenerate_for_constant_capacity():
 
 def test_log_slope_vanishes_without_drift_on_constant_capacity():
     params = ModelParams(**WEAK, mu1=0.0, mu2=0.0, K_expr="2.5")
-    grid = make_grid(1, 0.0, 1.0, 48)
-    eff = build_effective_params(params, grid)
+    grid = Grid(1, 0.0, 1.0, 48)
+    eff = build_effective_params(params, grid, mu=0.0)
     op = transport_for(grid, params.d1, 0.0)
     state = solve_single_steady(op, eff)
     assert np.max(np.abs(log_slope(state.u, grid))) < 1e-8
@@ -124,7 +124,7 @@ def test_log_slope_vanishes_without_drift_on_constant_capacity():
 def test_companion_profile_stays_inside_slope_band():
     cfg, grid, eff, op1, _ = weak_setup()
     companion, const_eff = constant_capacity_companion(op1, eff, tol=1e-10)
-    assert float(np.ptp(const_eff.K1.values)) == 0.0
+    assert float(np.ptp(const_eff.K1)) == 0.0
     report = log_slope_report(companion.u, op1)
     assert report.violations == 0
     assert report.slope.min() > 0.0
@@ -239,7 +239,7 @@ def test_newton_iteration_cap_names_the_system(monkeypatch):
     monkeypatch.setattr(steady, "_MAX_SINGLE_UPDATES", 1)
     with pytest.raises(SolverError, match=r"^coexistence Newton hit the iteration cap at residual "):
         solve_coexistence(op, op, eff)
-    start = np.full(grid.size, float(np.mean(eff.K1.values)))
+    start = np.full(grid.size, float(np.mean(eff.K1)))
     with pytest.raises(SolverError, match=r"^steady-state Newton hit the iteration cap at residual "):
         steady._newton_single(op, eff, start, 1e-10)
 

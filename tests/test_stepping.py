@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 from rivercomp import experiments, stepping
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.model import ModelParams, build_effective_params, raw_reaction, reaction
 from rivercomp.operators import transport_for
 from rivercomp.stepping import (
@@ -36,11 +36,20 @@ def make_stepper(n=64, mu=0.009, dt=None, form="folded", dim=1, mu2=None, **kw):
     pars = dict(WEAK_HARVEST)
     pars.update(kw)
     p = ModelParams(mu1=mu, mu2=mu if mu2 is None else mu2, dim=dim, **pars)
-    grid = make_grid(dim, p.a, p.b, n)
+    grid = Grid(dim, p.a, p.b, n)
     eff = build_effective_params(p, grid, mu=min(p.mu1, p.mu2))
     op1 = transport_for(grid, p.d1, p.alpha1)
     op2 = transport_for(grid, p.d2, p.alpha2)
     return Stepper(op1, op2, p, eff, dt=dt, form=form), grid, eff
+
+
+def _reactions(stepper, u, v):
+    """Both species' growth at (u, v) in ``stepper``'s reaction form, from
+    the model's own evaluations: the oracles of the fused step."""
+    eff, p = stepper.eff, stepper.params
+    if stepper.form == "folded":
+        return reaction(u, v, eff), reaction(v, u, eff)
+    return raw_reaction(u, v, eff.r, eff.K, p.mu1), raw_reaction(v, u, eff.r, eff.K, p.mu2)
 
 
 def _step_from(stepper, u, v):
@@ -85,8 +94,7 @@ def test_mass_identity_single_step():
     stepper, grid, eff = make_stepper(n=64, dt=0.1)
     u = np.full(grid.size, 0.5)
     v = np.full(grid.size, 0.5)
-    ru = stepper.reaction_u(u, v)
-    rv = stepper.reaction_v(u, v)
+    ru, rv = _reactions(stepper, u, v)
     un, vn = _step_from(stepper, u, v)
     h = grid.cell_volume
     assert abs(h * (un - u).sum() - 0.1 * h * ru.sum()) < 1e-12
@@ -109,7 +117,7 @@ def _assert_mass_identity_along_trajectory(stepper, grid):
     u = np.full(grid.size, 0.4)
     v = 0.3 + 0.2 * np.linspace(0.0, 1.0, grid.size)
     for _ in range(50):
-        ru, rv = stepper.reaction_u(u, v), stepper.reaction_v(u, v)
+        ru, rv = _reactions(stepper, u, v)
         un, vn = _step_from(stepper, u, v)
         assert abs(h * (un - u).sum() - stepper.dt * h * ru.sum()) < 1e-11
         assert abs(h * (vn - v).sum() - stepper.dt * h * rv.sum()) < 1e-11
@@ -124,8 +132,8 @@ def test_spatially_homogeneous_reduction():
     u = np.full(grid.size, 0.8)
     v = np.zeros(grid.size)
     un, _ = _step_from(stepper, u, v)
-    rr1 = eff.rr1.values[0]
-    K1 = eff.K1.values[0]
+    rr1 = eff.rr1[0]
+    K1 = eff.K1[0]
     expected = 0.8 + 0.1 * rr1 * 0.8 * (1.0 - 0.8 / K1)
     np.testing.assert_allclose(un, expected, rtol=1e-14)
     assert np.ptp(un) < 1e-14 * expected
@@ -162,7 +170,7 @@ def test_positivity_random_states_2d(data):
 
 def _assert_positive_step(data, **kw):
     _, _, eff = make_stepper(**kw)
-    stepper, grid, _ = make_stepper(dt=max_stable_dt(eff.rr1.values), **kw)
+    stepper, grid, _ = make_stepper(dt=max_stable_dt(eff.rr1), **kw)
     u, v = data[0], data[1]
     un, vn = _step_from(stepper, u, v)
     assert un.min() >= 0.0 and vn.min() >= 0.0
@@ -190,7 +198,7 @@ def test_2d_stepper_makes_no_sparse_lu(monkeypatch):
     drift_dominated = dict(d1=0.025, d2=0.025, alpha1=1.0, alpha2=1.0)
     for n, pars, solve in ((12, WEAK_HARVEST, "symmetrized"), (24, drift_dominated, "modal-banded")):
         p = ModelParams(mu1=0.009, mu2=0.009, dim=2, **pars)
-        grid = make_grid(2, p.a, p.b, n)
+        grid = Grid(2, p.a, p.b, n)
         eff = build_effective_params(p, grid, mu=0.009)
         ops = transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
         stepper = Stepper(*ops, p, eff, form="raw")
@@ -298,7 +306,7 @@ class _TwoSolveStepper:
     """The old path, as an oracle with the stepper's interface.
 
     Each species' right-hand side comes from the model's reaction
-    oracles (``Stepper.reaction_u``/``reaction_v``), is solved by its own
+    oracles (``_reactions``), is solved by its own
     ``_reference_solver`` and clamped by the two-scan clamp.
     """
 
@@ -312,8 +320,8 @@ class _TwoSolveStepper:
 
     def unclamped(self, w):
         u, v = w
-        dt, st = self.dt, self.stepper
-        rhs = u + dt * st.reaction_u(u, v), v + dt * st.reaction_v(u, v)
+        ru, rv = _reactions(self.stepper, u, v)
+        rhs = u + self.dt * ru, v + self.dt * rv
         return [solve(b) for solve, b in zip(self.solves, rhs)]
 
     def start(self, u0, v0):
@@ -337,9 +345,9 @@ def _rhs_magnitude(stepper, w):
     w + dt·rate·w·(1 + mu_s + (u + v)/cap) for the stacked state w >= 0."""
     eff, dt, total = stepper.eff, stepper.dt, w[0] + w[1]
     if stepper.form == "folded":
-        return w + dt * eff.rr1.values * w * (1.0 + total / eff.K1.values)
+        return w + dt * eff.rr1 * w * (1.0 + total / eff.K1)
     mu = np.array([[stepper.params.mu1], [stepper.params.mu2]])
-    return w + dt * eff.r.values * w * (1.0 + mu + total / eff.K.values)
+    return w + dt * eff.r * w * (1.0 + mu + total / eff.K)
 
 
 # The stepper forms its right-hand side in the solve's coordinates,
@@ -394,9 +402,9 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
     # difference grows with the steps (up to 4.4e2*eps of the sup-norm
     # over these 300 steps), which the fig1 run below bounds.
     stepper, _, eff = make_stepper(**kw)
-    stepper, grid, eff = make_stepper(dt=max_stable_dt(eff.rr1.values), **kw)
+    stepper, grid, eff = make_stepper(dt=max_stable_dt(eff.rr1), **kw)
     oracle = _TwoSolveStepper(stepper)
-    hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
+    hump = 8.0 * float(np.max(eff.K1)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
     w = ref = np.stack((hump, np.full(grid.size, 0.5)))
     stepper.start(*w)
     oracle.start(*ref)
@@ -462,7 +470,7 @@ def test_fused_rhs_matches_the_oracle_reactions(monkeypatch, dim, n):
     rng = np.random.default_rng(dim)
     folded, grid, eff = make_stepper(n=n, dim=dim, mu=0.3)
     raw, _, _ = make_stepper(n=n, dim=dim, mu=0.1, mu2=0.25, form="raw")
-    r, K = raw.eff.r.values, raw.eff.K.values
+    r, K = raw.eff.r, raw.eff.K
     for _ in range(5):
         w = 2.0 * rng.random((2, grid.size))
         u, v = w
@@ -531,11 +539,11 @@ def test_sampling_leaves_the_run_alone(kw, solve):
     # outside the positivity envelope at dt = cap, so the run clamps.  One
     # stepper makes every run, and each trajectory counts its own clamps.
     _, _, eff = make_stepper(**kw)
-    dt = max_stable_dt(eff.rr1.values)
+    dt = max_stable_dt(eff.rr1)
     stepper, grid, eff = make_stepper(dt=dt, **kw)
     assert stepper.implicit_solve == solve
     x = np.arange(grid.size) / grid.size
-    hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (x - 0.3) ** 2)
+    hump = 8.0 * float(np.max(eff.K1)) * np.exp(-40.0 * (x - 0.3) ** 2)
     finals, clamps = [], []
     for n_samples in (1, 100, 1000):
         for times in ((), (0.0, 10 * dt, 333.3 * dt, 999.5 * dt)):
@@ -563,10 +571,10 @@ def _clamping_start(kw, solve, over_cap=1.0):
     strategy, and a start whose hump sits far outside the positivity
     envelope, so the first step clamps."""
     _, _, eff = make_stepper(**kw)
-    stepper, grid, eff = make_stepper(dt=over_cap * max_stable_dt(eff.rr1.values), **kw)
+    stepper, grid, eff = make_stepper(dt=over_cap * max_stable_dt(eff.rr1), **kw)
     assert stepper.implicit_solve == solve
     x = np.arange(grid.size) / grid.size
-    hump = 8.0 * float(np.max(eff.K1.values)) * np.exp(-40.0 * (x - 0.3) ** 2)
+    hump = 8.0 * float(np.max(eff.K1)) * np.exp(-40.0 * (x - 0.3) ** 2)
     return stepper, (hump, np.full(grid.size, 0.5))
 
 
@@ -705,7 +713,7 @@ def test_snapshot_step_is_the_first_step_a_scan_reaches():
 
 def test_dt_cap_formula():
     _, grid, eff = make_stepper(n=16, mu=0.5)
-    assert max_stable_dt(eff.rr1.values) == pytest.approx(0.9 / eff.rr1.values.max())
+    assert max_stable_dt(eff.rr1) == pytest.approx(0.9 / eff.rr1.max())
     p = ModelParams(mu1=0.2, mu2=0.5, **WEAK_HARVEST)
     r = np.ones(grid.size)
     assert max_stable_dt(r * np.array([[1.0 - p.mu1], [1.0 - p.mu2]])) == pytest.approx(0.9 / 0.8)
@@ -719,9 +727,9 @@ def _two_form_cap(eff, params, form):
     """The dt cap as two call forms gave it: 0.9/max(r·r1) folded, and
     0.9/(max(r)·(1 - min(mu1, mu2))) raw."""
     if form == "folded":
-        rate = float(np.max(eff.rr1.values))
+        rate = float(np.max(eff.rr1))
     else:
-        rate = float(np.max(eff.r.values)) * (1.0 - min(params.mu1, params.mu2))
+        rate = float(np.max(eff.r)) * (1.0 - min(params.mu1, params.mu2))
     return 0.9 / rate
 
 
@@ -745,7 +753,7 @@ def test_dt_cap_is_bitwise_the_two_form_formula(expr, scale, mu1, mu2, n, form):
     grid = cfg.grid()
     eff = cfg.effective(grid)
     cap = _two_form_cap(eff, cfg.params, form)
-    assert max_stable_dt(eff.rr1.values) == cap
+    assert max_stable_dt(eff.rr1) == cap
     assert cfg.dt == min(cap, 0.1)
     op = transport_for(grid, 1.0, 0.0)
     assert Stepper(op, op, cfg.params, eff, form=form).dt == min(cap, 0.1)
@@ -770,7 +778,7 @@ def fake_traj(nu, nv, settled=True):
     k = 40
     tail_u = np.full(k, nu) if settled else np.linspace(2 * nu + 0.5, nu, k)
     tail_v = np.full(k, nv) if settled else np.linspace(2 * nv + 0.5, nv, k)
-    g = make_grid(1, 0.0, 1.0, 4)
+    g = Grid(1, 0.0, 1.0, 4)
     return Trajectory(
         grid=g,
         dt=0.1,
@@ -799,4 +807,4 @@ def test_classify_outcome_table(nu, nv, settled, verdict):
 
 def test_default_extinction_threshold():
     _, _, eff = make_stepper(n=16, mu=0.3)
-    assert default_eps_extinct(eff) == pytest.approx(1e-3 * eff.K1.values.max())
+    assert default_eps_extinct(eff) == pytest.approx(1e-3 * eff.K1.max())

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from rivercomp import experiments, spectral, steady
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError, SolverError
-from rivercomp.grid import make_grid
+from rivercomp.grid import Grid
 from rivercomp.linsolve import factor_shifted
 from rivercomp.operators import transport_for
 from rivercomp.spectral import EigenReport, invasion_potential, principal_eigenpair
@@ -136,7 +136,7 @@ def frozen_principal_eigenpair(op, potential, tol=1e-12, x0=None):
 
 
 def frozen_positivity_floor(eff):
-    return 1e-8 * float(np.max(eff.K1.values))
+    return 1e-8 * float(np.max(eff.K1))
 
 
 def frozen_damped_newton(residual, step, x, tol, max_iter, what):
@@ -162,16 +162,16 @@ def frozen_damped_newton(residual, step, x, tol, max_iter, what):
 
 def frozen_single_residual(op, eff, u):
     lu = frozen_band_matvec(op.bands, u) if op.grid.dim == 1 else op.matrix @ u
-    return lu + eff.rr1.values * u * (1.0 - u / eff.K1.values)
+    return lu + eff.rr1 * u * (1.0 - u / eff.K1)
 
 
 def frozen_march(op, eff, u0, rate_tol):
-    rate_tol *= float(np.max(eff.rr1.values * eff.K1.values))
-    dt = max_stable_dt(eff.rr1.values)
+    rate_tol *= float(np.max(eff.rr1 * eff.K1))
+    dt = max_stable_dt(eff.rr1)
     solve = factor_shifted(op, shift=1.0, scale=-dt)
     u = u0.copy()
     for k in range(1, steady._MAX_MARCH_STEPS + 1):
-        u_next = solve.solve(u + dt * eff.rr1.values * u * (1.0 - u / eff.K1.values))
+        u_next = solve.solve(u + dt * eff.rr1 * u * (1.0 - u / eff.K1))
         np.maximum(u_next, 0.0, out=u_next)
         rate = float(np.abs(u_next - u).max()) / dt
         u = u_next
@@ -184,8 +184,8 @@ def frozen_march(op, eff, u0, rate_tol):
 
 
 def frozen_newton_single(op, eff, u0, tol):
-    rr1 = eff.rr1.values
-    K1 = eff.K1.values
+    rr1 = eff.rr1
+    K1 = eff.K1
 
     def step(u, res):
         try:
@@ -201,7 +201,7 @@ def frozen_newton_single(op, eff, u0, tol):
 
 
 def frozen_solve_single_steady(op, eff, tol=1e-10, method="hybrid", u0=None):
-    K1 = eff.K1.values
+    K1 = eff.K1
     start = u0.copy() if u0 is not None else None
     iterations = 0
     if method == "newton":
@@ -277,7 +277,7 @@ def outcome(solve, *args, **kwargs):
 )
 def test_eigen_solve_is_the_frozen_solve_bitwise(n, log_d, ratio, start, tol, seed):
     rng = np.random.default_rng(seed)
-    grid = make_grid(1, 0.0, 1.0, n)
+    grid = Grid(1, 0.0, 1.0, n)
     d = 10.0**log_d
     op = transport_for(grid, d, min(ratio, 1.9 / grid.h) * d)
     potential = rng.uniform(-1.0, 1.0, n)
@@ -299,7 +299,7 @@ def test_eigen_solve_is_the_frozen_solve_bitwise(n, log_d, ratio, start, tol, se
 def test_eigen_oracle_draws_reach_every_branch():
     # A cold solve that re-anchors, the same under a loose tol, and a warm
     # start that needs one factorization: each agrees with the frozen solve.
-    grid = make_grid(1, 0.0, 1.0, 200)
+    grid = Grid(1, 0.0, 1.0, 200)
     op = transport_for(grid, 0.01, 0.35)
     potential = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
     cold = principal_eigenpair(op, potential)
@@ -334,7 +334,7 @@ def compare_lone_states(n, log_d, ratio, mu, method, start, tol, seed):
     rng = np.random.default_rng(seed)
     u0 = None
     if start != "cold":
-        centre, spread = eff.K1.values, 0.5
+        centre, spread = eff.K1, 0.5
         if start == "near":
             base = outcome(frozen_solve_single_steady, op, eff, tol=tol)
             if not isinstance(base, str):

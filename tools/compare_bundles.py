@@ -33,10 +33,12 @@ and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
 and 1024, on the slow family at n 1024, on the weak family at n 130
 with r peaked mid-river (once with dt defaulted, once given at the fine
 grid's default, which lies above the halved grid's dt cap: dt does not
-enter the halved grid), on the weak family in 2-D (which skips the four
-1-D checks) and on the symmetric family at n 64 (which finds a pair on
-both grids and compares the identity residuals across them): 41 runs, a
-few minutes on a 2-core machine.
+enter the halved grid), on the weak family at n 129 (odd, so no halved
+grid: the two-grid comparison is skipped with a note), on the weak
+family in 2-D (which skips the four 1-D checks) and on the symmetric
+family at n 64 (which finds a pair on both grids and compares the
+identity residuals across them): 42 runs, a few minutes on a 2-core
+machine.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["verify_peaked_r_130"] = ["verify", *WEAK, "--r", "1 + 9*sin(pi*x)", "--n", "130"]
     # The fine grid's default dt, given: above the 65-cell grid's dt cap.
     runs["verify_peaked_r_130_dt"] = [*runs["verify_peaked_r_130"], "--dt", "0.0908233232282503"]
+    runs["verify_weak_129"] = ["verify", *WEAK, "--n", "129"]
     runs["verify_2d"] = ["verify", *WEAK, *PLANE]
     runs["verify_symmetric_64"] = ["verify", *SYMMETRIC, "--n", "64"]
     return runs
