@@ -502,7 +502,12 @@ def _secant(last: np.ndarray | None, before: np.ndarray | None) -> np.ndarray | 
         return last
     guess = 2.0 * last - before
     # min > 0 refuses NaN and every entry <= 0; a finite max then refuses inf.
-    return guess if guess.min() > 0.0 and math.isfinite(guess.max()) else last
+    # Both are selected by index, g[g.argmin()]: the element the reduction
+    # returns, NaN and ±inf included, at about a third of its cost; a zero
+    # of either sign meets both tests alike.
+    if guess[guess.argmin()] > 0.0 and math.isfinite(guess[guess.argmax()]):
+        return guess
+    return last
 
 
 def _predicted_starts(warm: dict) -> tuple:

@@ -104,7 +104,7 @@ def _shifted_matvec(op: TransportOperator, p: np.ndarray):
     """
     if op.grid.dim == 2:
         matrix = (op.matrix + sparse.diags(p)).tocsr()
-        return matrix.__matmul__, np.abs(matrix).sum(axis=1)
+        return matrix.__matmul__, np.abs(matrix).sum(axis=1).A1
     lower, diag, upper = op.bands
     bands = (lower, diag + p, upper)
     # Summed as the CSR row reduction sums a row l, d, u: l + (d + u).
@@ -140,6 +140,14 @@ def principal_eigenpair(
     n = op.grid.size
     if p.shape != (n,):
         raise ConfigError(f"potential has shape {p.shape}, expected ({n},)")
+    # Every min, max and sup-norm here selects its element by index,
+    # a[a.argmax()]: the element the reduction returns, NaN and ±inf
+    # included, at about a third of a ufunc reduction's cost.  Only a tie
+    # of +0.0 and -0.0 may pick the other zero, and no result here tells
+    # them apart: each is compared with 0, is the max of an abs, is a
+    # divisor already checked positive, or is q's lo or hi, which enter
+    # only hi + margin, shift - hi and max(hi - lo, margin_floor), the
+    # same positive numbers whichever zero was picked.
     if x0 is None:
         x = np.ones(n)
     else:
@@ -148,10 +156,10 @@ def principal_eigenpair(
             raise ConfigError(f"start vector has shape {x.shape}, expected ({n},)")
         # min > 0 refuses NaN and every entry <= 0, so a finite max leaves
         # exactly the finite, strictly positive vectors.
-        if not (x.min() > 0.0 and math.isfinite(x.max())):
+        if not (x[x.argmin()] > 0.0 and math.isfinite(x[x.argmax()])):
             raise ConfigError("start vector must be finite and strictly positive")
     matvec, rows = _shifted_matvec(op, p)
-    scale = float(rows.max())
+    scale = float(rows[rows.argmax()])
     if scale == 0.0:
         return EigenReport(
             growth_rate=0.0, phi=np.ones(n), iterations=0, residual=0.0, factorizations=0
@@ -159,10 +167,8 @@ def principal_eigenpair(
     res_target = max(tol, _ROUNDING_FLOOR) * scale
     margin_floor = 1e-8 * scale
 
-    # Reductions go through the array methods: bitwise what np.min/np.max
-    # give, without the module-level wrapper on every iteration.
     q = matvec(x) / x
-    lo, hi = q.min(), q.max()
+    lo, hi = q[q.argmin()], q[q.argmax()]
     margin = max(hi - lo, margin_floor)
     shift = hi + margin
     solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
@@ -172,7 +178,7 @@ def principal_eigenpair(
     while iterations < _MAX_EIGEN_SOLVES:
         y = solver.solve(x)
         iterations += 1
-        if y.min() <= 0.0:
+        if y[y.argmin()] <= 0.0:
             # Numerically possible only when the shift sits almost on top
             # of the eigenvalue; back off and refactor.
             margin *= 10.0
@@ -180,10 +186,11 @@ def principal_eigenpair(
             solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
             factorizations += 1
             continue
-        x = y / y.max()
+        x = y / y[y.argmax()]
         mx = matvec(x)
         lam = float(x @ mx) / float(x @ x)
-        residual = float(np.abs(mx - lam * x).max())
+        r = np.abs(mx - lam * x)
+        residual = float(r[r.argmax()])
         if residual <= res_target:
             # Polish toward the rounding floor while progress is cheap: the
             # shift is anchored by now, so each extra solve shrinks the
@@ -194,12 +201,13 @@ def principal_eigenpair(
                     break
                 y = solver.solve(x)
                 iterations += 1
-                if y.min() <= 0.0:
+                if y[y.argmin()] <= 0.0:
                     break
-                cand = y / y.max()
+                cand = y / y[y.argmax()]
                 mc = matvec(cand)
                 lam_c = float(cand @ mc) / float(cand @ cand)
-                res_c = float(np.abs(mc - lam_c * cand).max())
+                r = np.abs(mc - lam_c * cand)
+                res_c = float(r[r.argmax()])
                 if res_c < residual:
                     x, lam, residual = cand, lam_c, res_c
                 if res_c >= 0.5 * residual:
@@ -212,7 +220,7 @@ def principal_eigenpair(
                 factorizations=factorizations,
             )
         q = mx / x  # the Collatz quotients bracket the dominant eigenvalue
-        lo, hi = q.min(), q.max()
+        lo, hi = q[q.argmin()], q[q.argmax()]
         spread = max(hi - lo, margin_floor)
         if shift - hi > 8.0 * spread:
             margin = spread

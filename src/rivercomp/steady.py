@@ -93,9 +93,18 @@ class CoexistencePair:
     jacobian_near_singular: bool
 
 
+# The min, max and sup-norm taken per Newton or march update, and the
+# washout tests, select their element by index, a[a.argmax()]: the element
+# the reduction returns, NaN and ±inf included, at about a third of a ufunc
+# reduction's cost.  A tie of +0.0 and -0.0 may pick the other zero; each
+# such result here is the max of an abs, or is only compared with a
+# threshold, which reads both zeros alike.
+
+
 def positivity_floor(eff: EffectiveParams) -> float:
     """Strict-positivity threshold used to reject washed-out profiles."""
-    return 1e-8 * float(eff.K1.max())
+    K1 = eff.K1
+    return 1e-8 * float(K1[K1.argmax()])
 
 
 # ---------------------------------------------------------------------
@@ -121,7 +130,8 @@ def _damped_newton(
     ``_MIN_DAMPING`` helps, or after ``max_iter`` updates.
     """
     res = residual(x)
-    res_norm = float(np.abs(res).max())
+    a = np.abs(res)
+    res_norm = float(a[a.argmax()])
     for updates in range(max_iter):
         if res_norm < tol:
             return x, res_norm, updates
@@ -130,7 +140,8 @@ def _damped_newton(
         trial = x + delta  # the full update: 1.0·delta is delta exactly
         while True:
             trial_res = residual(trial)
-            trial_norm = float(np.abs(trial_res).max())
+            a = np.abs(trial_res)
+            trial_norm = float(a[a.argmax()])
             if trial_norm <= (1.0 - _ARMIJO_SLOPE * s) * res_norm:
                 x, res, res_norm = trial, trial_res, trial_norm
                 break
@@ -177,7 +188,8 @@ def _march(
     for k in range(1, _MAX_MARCH_STEPS + 1):
         u_next = solve.solve(u + dt_rr1 * u * (1.0 - u / K1))
         np.maximum(u_next, 0.0, out=u_next)
-        rate = float(np.abs(u_next - u).max()) / dt
+        a = np.abs(u_next - u)
+        rate = float(a[a.argmax()]) / dt
         u = u_next
         if rate < rate_tol:
             return u, k
@@ -253,7 +265,7 @@ def solve_single_steady(
                 iterations += steps
                 method = "long-time"
 
-    if float(u.min()) <= positivity_floor(eff):
+    if float(u[u.argmin()]) <= positivity_floor(eff):
         raise SolverError(
             "no strictly positive steady profile: the population washes out "
             "at these movement/harvest parameters"
@@ -465,7 +477,7 @@ def solve_coexistence(
     )
     u, v = x[:n], x[n:]
     floor = positivity_floor(eff)
-    if float(np.min(u)) <= floor or float(np.min(v)) <= floor:
+    if float(u[u.argmin()]) <= floor or float(v[v.argmin()]) <= floor:
         return None
     return CoexistencePair(
         grid=op1.grid,

@@ -22,10 +22,11 @@ the coordinates its implicit solve works in: z = S⁻¹·[u; v] for the
 solve's positive diagonal S (the symmetrizer along x, tiled over the
 y-modes in 2-D, or the identity; see ``linsolve.StepSolve``).  A step
 is four passes that write S⁻¹·(w + dt·R(w)) over the state (see
-``Stepper``), one solve of the stacked system and one clamp check.  The
-fields, S·z, are formed only when ``integrate`` samples or snapshots
-them.  ``model.reaction`` and ``model.raw_reaction`` stay as the oracles
-the fused pass matches to rounding.
+``Stepper``), one solve of the stacked system and one clamp check on
+the smallest entry of z, selected by index.  The fields, S·z, are
+formed only when ``integrate`` samples or snapshots them.
+``model.reaction`` and ``model.raw_reaction`` stay as the oracles the
+fused pass matches to rounding.
 
 Trajectories record sup-norms and masses at a fixed sample cadence, plus
 full snapshots at requested times; the classifier turns the recorded
@@ -181,9 +182,6 @@ class Stepper:
         if form == "folded" and not params.equal_harvest:
             raise ConfigError("the folded reaction form needs mu1 == mu2; use form='raw'")
         self.grid = op1.grid
-        self.params = params
-        self.eff = eff
-        self.form = form
         if form == "folded":
             rate, cap, keep = eff.rr1, eff.K1, 1.0
         else:
@@ -238,7 +236,7 @@ class Stepper:
         crowding, growth, floor, shape = self._crowding, self._growth, self._floor, rows.shape
         solve = self._solve.solve
         multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
-        smallest, count_nonzero = np.minimum.reduce, np.count_nonzero
+        count_nonzero = np.count_nonzero
         clamps = 0
         try:
             for _ in range(steps):
@@ -249,7 +247,10 @@ class Stepper:
                 x = solve(z)
                 if x is not z:  # a solve that returns a new array: it becomes the state
                     z, rows = x, x.reshape(shape)
-                if smallest(z) < 0.0:
+                # The smallest entry, selected by index: the element a min
+                # reduction returns, NaN included, at about a third of its
+                # cost on a 1-D state; a zero of either sign fails the test.
+                if z[z.argmin()] < 0.0:
                     clamps += int(count_nonzero(z < floor))
                     maximum(z, 0.0, out=z)
         finally:

@@ -1,6 +1,7 @@
 """Semi-implicit stepping: mass balance, positivity, order, classification."""
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rivercomp import experiments, stepping
 from rivercomp.config import parse_config
 from rivercomp.errors import ConfigError
 from rivercomp.grid import Grid
-from rivercomp.model import ModelParams, build_effective_params, raw_reaction, reaction
+from rivercomp.model import EffectiveParams, ModelParams, build_effective_params, raw_reaction, reaction
 from rivercomp.operators import transport_for
 from rivercomp.stepping import (
     CLAMP_TOLERANCE,
@@ -32,22 +33,40 @@ from rivercomp.stepping import (
 WEAK_HARVEST = dict(d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04)
 
 
-def make_stepper(n=64, mu=0.009, dt=None, form="folded", dim=1, mu2=None, **kw):
+class Model(NamedTuple):
+    """What a stepper is built from, as the oracles below read it: the
+    parameters, the folded coefficients and the reaction form."""
+
+    params: ModelParams
+    eff: EffectiveParams
+    form: str
+
+
+def make_model(n=64, mu=0.009, form="folded", dim=1, mu2=None, **kw):
+    """A ``Model`` on the weak-harvest family, updated by ``kw``, and its grid."""
     pars = dict(WEAK_HARVEST)
     pars.update(kw)
     p = ModelParams(mu1=mu, mu2=mu if mu2 is None else mu2, dim=dim, **pars)
     grid = Grid(dim, p.a, p.b, n)
-    eff = build_effective_params(p, grid, mu=min(p.mu1, p.mu2))
-    op1 = transport_for(grid, p.d1, p.alpha1)
-    op2 = transport_for(grid, p.d2, p.alpha2)
-    return Stepper(op1, op2, p, eff, dt=dt, form=form), grid, eff
+    return Model(p, build_effective_params(p, grid, mu=min(p.mu1, p.mu2)), form), grid
 
 
-def _reactions(stepper, u, v):
-    """Both species' growth at (u, v) in ``stepper``'s reaction form, from
+def stepper_for(model, grid, dt=None):
+    p = model.params
+    ops = transport_for(grid, p.d1, p.alpha1), transport_for(grid, p.d2, p.alpha2)
+    return Stepper(*ops, p, model.eff, dt=dt, form=model.form)
+
+
+def make_stepper(n=64, mu=0.009, dt=None, form="folded", dim=1, mu2=None, **kw):
+    model, grid = make_model(n, mu, form, dim, mu2, **kw)
+    return stepper_for(model, grid, dt), grid, model.eff
+
+
+def _reactions(model, u, v):
+    """Both species' growth at (u, v) in ``model``'s reaction form, from
     the model's own evaluations: the oracles of the fused step."""
-    eff, p = stepper.eff, stepper.params
-    if stepper.form == "folded":
+    eff, p = model.eff, model.params
+    if model.form == "folded":
         return reaction(u, v, eff), reaction(v, u, eff)
     return raw_reaction(u, v, eff.r, eff.K, p.mu1), raw_reaction(v, u, eff.r, eff.K, p.mu2)
 
@@ -91,10 +110,11 @@ def test_integrate_refuses_a_horizon_that_is_not_finite_and_nonnegative(t_end):
 def test_mass_identity_single_step():
     # transport columns sum to zero, so one step changes each species'
     # mass by exactly dt times its integrated growth (up to the solve)
-    stepper, grid, eff = make_stepper(n=64, dt=0.1)
+    model, grid = make_model(n=64)
+    stepper = stepper_for(model, grid, dt=0.1)
     u = np.full(grid.size, 0.5)
     v = np.full(grid.size, 0.5)
-    ru, rv = _reactions(stepper, u, v)
+    ru, rv = _reactions(model, u, v)
     un, vn = _step_from(stepper, u, v)
     h = grid.cell_volume
     assert abs(h * (un - u).sum() - 0.1 * h * ru.sum()) < 1e-12
@@ -102,22 +122,24 @@ def test_mass_identity_single_step():
 
 
 def test_mass_identity_along_trajectory():
-    _assert_mass_identity_along_trajectory(*make_stepper(n=48, dt=0.05)[:2])
+    model, grid = make_model(n=48)
+    _assert_mass_identity_along_trajectory(stepper_for(model, grid, dt=0.05), model, grid)
 
 
 def test_mass_identity_along_trajectory_2d():
     # the 2-D symmetrized solve conserves mass to rounding like the banded one
-    stepper, grid, _ = make_stepper(n=12, dim=2, dt=0.05)
+    model, grid = make_model(n=12, dim=2)
+    stepper = stepper_for(model, grid, dt=0.05)
     assert stepper.implicit_solve == "symmetrized"
-    _assert_mass_identity_along_trajectory(stepper, grid)
+    _assert_mass_identity_along_trajectory(stepper, model, grid)
 
 
-def _assert_mass_identity_along_trajectory(stepper, grid):
+def _assert_mass_identity_along_trajectory(stepper, model, grid):
     h = grid.cell_volume
     u = np.full(grid.size, 0.4)
     v = 0.3 + 0.2 * np.linspace(0.0, 1.0, grid.size)
     for _ in range(50):
-        ru, rv = _reactions(stepper, u, v)
+        ru, rv = _reactions(model, u, v)
         un, vn = _step_from(stepper, u, v)
         assert abs(h * (un - u).sum() - stepper.dt * h * ru.sum()) < 1e-11
         assert abs(h * (vn - v).sum() - stepper.dt * h * rv.sum()) < 1e-11
@@ -305,22 +327,23 @@ def _two_scan_clamp(w, events):
 class _TwoSolveStepper:
     """The old path, as an oracle with the stepper's interface.
 
-    Each species' right-hand side comes from the model's reaction
-    oracles (``_reactions``), is solved by its own
-    ``_reference_solver`` and clamped by the two-scan clamp.
+    ``model`` is what ``stepper`` was built from.  Each species'
+    right-hand side comes from the model's reaction oracles
+    (``_reactions``), is solved by its own ``_reference_solver`` and
+    clamped by the two-scan clamp.
     """
 
     implicit_solve = "two-solve"
 
-    def __init__(self, stepper):
-        p, self.stepper = stepper.params, stepper
+    def __init__(self, stepper, model):
+        p, self.model = model.params, model
         self.grid, self.dt, self.clamp_events = stepper.grid, stepper.dt, 0
         self.matrices = [_implicit_matrix(self.grid, d, a, self.dt) for d, a in ((p.d1, p.alpha1), (p.d2, p.alpha2))]
         self.solves = [_reference_solver(m, self.grid.dim) for m in self.matrices]
 
     def unclamped(self, w):
         u, v = w
-        ru, rv = _reactions(self.stepper, u, v)
+        ru, rv = _reactions(self.model, u, v)
         rhs = u + self.dt * ru, v + self.dt * rv
         return [solve(b) for solve, b in zip(self.solves, rhs)]
 
@@ -340,13 +363,13 @@ class _TwoSolveStepper:
         return self.w[0].copy(), self.w[1].copy()
 
 
-def _rhs_magnitude(stepper, w):
+def _rhs_magnitude(model, dt, w):
     """Componentwise sum of the magnitudes of the explicit half's terms:
     w + dt·rate·w·(1 + mu_s + (u + v)/cap) for the stacked state w >= 0."""
-    eff, dt, total = stepper.eff, stepper.dt, w[0] + w[1]
-    if stepper.form == "folded":
+    eff, total = model.eff, w[0] + w[1]
+    if model.form == "folded":
         return w + dt * eff.rr1 * w * (1.0 + total / eff.K1)
-    mu = np.array([[stepper.params.mu1], [stepper.params.mu2]])
+    mu = np.array([[model.params.mu1], [model.params.mu2]])
     return w + dt * eff.r * w * (1.0 + mu + total / eff.K)
 
 
@@ -377,7 +400,7 @@ def _one_step_bound(oracle, w):
     """
     eps = np.finfo(float).eps
     magnitude = [abs(m) @ np.abs(x) for m, x in zip(oracle.matrices, oracle.unclamped(w))]
-    carried = _RHS_ULPS * _rhs_magnitude(oracle.stepper, w) + 8 * np.stack(magnitude)
+    carried = _RHS_ULPS * _rhs_magnitude(oracle.model, oracle.dt, w) + 8 * np.stack(magnitude)
     return eps * np.stack([solve(c) for solve, c in zip(oracle.solves, carried)])
 
 
@@ -401,9 +424,10 @@ def test_stacked_step_matches_two_solve_reference(kw, rtol):
     # rounding bound (``_one_step_bound``); along its own trajectory the
     # difference grows with the steps (up to 4.4e2*eps of the sup-norm
     # over these 300 steps), which the fig1 run below bounds.
-    stepper, _, eff = make_stepper(**kw)
-    stepper, grid, eff = make_stepper(dt=max_stable_dt(eff.rr1), **kw)
-    oracle = _TwoSolveStepper(stepper)
+    model, grid = make_model(**kw)
+    eff = model.eff
+    stepper = stepper_for(model, grid, dt=max_stable_dt(eff.rr1))
+    oracle = _TwoSolveStepper(stepper, model)
     hump = 8.0 * float(np.max(eff.K1)) * np.exp(-40.0 * (np.arange(grid.size) / grid.size - 0.3) ** 2)
     w = ref = np.stack((hump, np.full(grid.size, 0.5)))
     stepper.start(*w)
@@ -433,7 +457,7 @@ def test_fig1_run_matches_the_two_solve_oracle():
     cfg = experiments.preset_config("fig1")
     problem = experiments.Problem(cfg)
     stepper = Stepper(problem.op1, problem.op2, cfg.params, problem.eff, dt=cfg.dt, form=cfg.reaction_form)
-    oracle = _TwoSolveStepper(stepper)
+    oracle = _TwoSolveStepper(stepper, Model(cfg.params, problem.eff, cfg.reaction_form))
     u0, v0 = cfg.initial_fields(problem.grid)
     runs = [integrate(s, u0, v0, cfg.t_end, n_samples=cfg.samples) for s in (stepper, oracle)]
     steps = round(cfg.t_end / cfg.dt)
@@ -468,19 +492,21 @@ def test_fused_rhs_matches_the_oracle_reactions(monkeypatch, dim, n):
     # _RHS_ULPS*eps of the magnitudes of their terms.
     eps = np.finfo(float).eps
     rng = np.random.default_rng(dim)
-    folded, grid, eff = make_stepper(n=n, dim=dim, mu=0.3)
-    raw, _, _ = make_stepper(n=n, dim=dim, mu=0.1, mu2=0.25, form="raw")
-    r, K = raw.eff.r, raw.eff.K
+    folded_model, grid = make_model(n=n, dim=dim, mu=0.3)
+    raw_model, _ = make_model(n=n, dim=dim, mu=0.1, mu2=0.25, form="raw")
+    folded, raw = stepper_for(folded_model, grid), stepper_for(raw_model, grid)
+    eff = folded_model.eff
+    r, K = raw_model.eff.r, raw_model.eff.K
     for _ in range(5):
         w = 2.0 * rng.random((2, grid.size))
         u, v = w
         dt = folded.dt
         oracle = np.stack((u + dt * reaction(u, v, eff), v + dt * reaction(v, u, eff)))
-        bound = _RHS_ULPS * eps * _rhs_magnitude(folded, w)
+        bound = _RHS_ULPS * eps * _rhs_magnitude(folded_model, dt, w)
         assert np.all(np.abs(_explicit_rhs(monkeypatch, folded, w) - oracle) <= bound)
         dt = raw.dt
         oracle = np.stack((u + dt * raw_reaction(u, v, r, K, 0.1), v + dt * raw_reaction(v, u, r, K, 0.25)))
-        bound = _RHS_ULPS * eps * _rhs_magnitude(raw, w)
+        bound = _RHS_ULPS * eps * _rhs_magnitude(raw_model, dt, w)
         assert np.all(np.abs(_explicit_rhs(monkeypatch, raw, w) - oracle) <= bound)
 
 
@@ -595,19 +621,49 @@ def _reference_step(stepper):
         np.maximum(z, 0.0, out=z)
 
 
+def frozen_advance(stepper, steps):
+    """``Stepper.advance`` as it was while its clamp check took the min
+    reduction np.minimum.reduce(z); the loop now selects the smallest entry
+    by index, z[z.argmin()], and must stay bitwise this copy."""
+    z, rows, work, g, diff = stepper._z, stepper._rows, stepper._work, stepper._sum, stepper._diff
+    g_u, g_v = stepper._work_rows
+    crowding, growth, floor, shape = stepper._crowding, stepper._growth, stepper._floor, rows.shape
+    solve = stepper._solve.solve
+    multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
+    smallest, count_nonzero = np.minimum.reduce, np.count_nonzero
+    clamps = 0
+    try:
+        for _ in range(steps):
+            multiply(crowding, rows, out=work)
+            add(g_u, g_v, out=g)
+            subtract(growth, g, out=diff)
+            multiply(rows, diff, out=rows)
+            x = solve(z)
+            if x is not z:
+                z, rows = x, x.reshape(shape)
+            if smallest(z) < 0.0:
+                clamps += int(count_nonzero(z < floor))
+                maximum(z, 0.0, out=z)
+    finally:
+        stepper._z, stepper._rows = z, rows
+        stepper.clamp_events += clamps
+
+
 @pytest.mark.parametrize("kw,solve", _STRATEGIES, ids=_STRATEGY_IDS)
 def test_advance_is_bitwise_the_per_step_loop(kw, solve):
-    # advance(k) against k lone steps and k steps of the reference body,
-    # chunk by chunk from a clamping start: the same state bit for bit
-    # and the same clamp count after every chunk, advance(0) included.
-    # At four times the cap the drift-dominated (banded, modal-banded)
-    # runs go on clamping now and then, several times within one chunk.
+    # advance(k) against k lone steps, k steps of the reference body and
+    # the frozen loop, chunk by chunk from a clamping start: the same
+    # state bit for bit and the same clamp count after every chunk,
+    # advance(0) included.  At four times the cap the drift-dominated
+    # (banded, modal-banded) runs go on clamping now and then, several
+    # times within one chunk.
     stepper, start = _clamping_start(kw, solve, over_cap=4.0)
     chunks = (1, 7, 0, 42, 150)
     runs = []
     for advance in (stepper.advance,
                     lambda k: [stepper.step() for _ in range(k)],
-                    lambda k: [_reference_step(stepper) for _ in range(k)]):
+                    lambda k: [_reference_step(stepper) for _ in range(k)],
+                    lambda k: frozen_advance(stepper, k)):
         stepper.start(*start)
         clamps_before, seen = stepper.clamp_events, []
         for k in chunks:
@@ -619,6 +675,33 @@ def test_advance_is_bitwise_the_per_step_loop(kw, solve):
         for (z, clamps), (z_ref, clamps_ref) in zip(runs[0], other):
             np.testing.assert_array_equal(z, z_ref)
             assert clamps == clamps_ref
+
+
+@pytest.mark.parametrize("dim,n,clamps", [(1, 64, 66), (2, 16, 264)], ids=["1d", "2d"])
+def test_advance_is_bitwise_the_frozen_min_reduction_loop(dim, n, clamps):
+    # The compare-matrix run sim_clamp: the slow family at dt 1.28, far
+    # above the cap, from u0 = v0 = 1.5, 16 steps.  It clamps 66 times in
+    # 1-D and 264 times on 16x16 cells.  advance and the frozen loop reach
+    # the same state bit for bit and the same clamp count after every
+    # chunk, advance(0) included.
+    cfg = parse_config(overrides=dict(
+        d1=0.002, d2=0.001, alpha1=0.001, alpha2=0.0006, mu=0.3, dim=dim, n=n, t_end=20.0,
+        dt=1.28, u0=1.5, v0=1.5,
+    ))
+    problem = experiments.Problem(cfg)
+    start = cfg.initial_fields(problem.grid)
+    runs = []
+    for advance in (Stepper.advance, frozen_advance):
+        stepper = Stepper(problem.op1, problem.op2, cfg.params, problem.eff, dt=cfg.dt, form=cfg.reaction_form)
+        stepper.start(*start)
+        seen = []
+        for k in (1, 4, 0, 11):
+            advance(stepper, k)
+            seen.append((stepper._z.copy(), stepper.clamp_events))
+        runs.append(seen)
+    assert runs[0][-1][1] == clamps
+    for (z, count), (z_ref, count_ref) in zip(*runs):
+        assert z.tobytes() == z_ref.tobytes() and count == count_ref
 
 
 def _reference_integrate(stepper, u0, v0, t_end, n_samples=100, snapshot_times=()):
@@ -763,10 +846,18 @@ def test_dt_cap_is_bitwise_the_two_form_formula(expr, scale, mu1, mu2, n, form):
 
 
 def test_mismatched_harvest_needs_raw_form():
+    # The folded form is refused at mu1 != mu2; the raw form's step is the
+    # two-solve oracle's step from model.raw_reaction with each species'
+    # own fraction, to within one step's rounding bound.
     with pytest.raises(ConfigError):
         make_stepper(mu=0.1, mu2=0.2, form="folded")
-    stepper, _, _ = make_stepper(mu=0.1, mu2=0.2, form="raw")
-    assert stepper.form == "raw"
+    model, grid = make_model(mu=0.1, mu2=0.2, form="raw")
+    stepper = stepper_for(model, grid)
+    oracle = _TwoSolveStepper(stepper, model)
+    x = np.linspace(0.0, 1.0, grid.size)
+    w = np.stack((0.4 + 0.3 * x, 0.9 - 0.5 * x))
+    got, want = np.stack(_step_from(stepper, *w)), np.stack(_step_from(oracle, *w))
+    assert np.all(np.abs(got - want) <= _one_step_bound(oracle, w))
 
 
 # ---------------------------------------------------------------------

@@ -20,12 +20,15 @@ and sizes compare exactly), keys, columns and lengths.
 
 The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``
 (the symmetrized step solve, in 1-D and 2-D); ``simulate`` in raw form
-with mu1 != mu2, and a drift-dominated ``simulate`` in 1-D (the banded
-step solve) and in 2-D (the modal-banded one); ``steady`` and ``eigen`` in
-1-D and 2-D, ``steady`` at a steady tolerance of 1e-14 (whose lone states
-fall back from Newton to the march), ``steady`` runs that find a pair in
-1-D (n 64 and n 1024, the second flagged near-singular) and 2-D, and
-``eigen`` at an eigen tolerance of 1e-6;
+with mu1 != mu2, a drift-dominated ``simulate`` in 1-D (the banded
+step solve) and in 2-D (the modal-banded one), and a ``simulate`` on the
+slow family at dt 1.28 from u0 = v0 = 1.5, whose explicit half
+overshoots so that the clamp fires (66 clamp events in its report);
+``steady`` and ``eigen`` in 1-D and 2-D, ``steady`` at a steady
+tolerance of 1e-14 (whose lone states fall back from Newton to the
+march), ``steady`` runs that find a pair in 1-D (n 64 and n 1024, the
+second flagged near-singular) and 2-D, and ``eigen`` at an eigen
+tolerance of 1e-6;
 ``sweep`` on the criterion-6 family at mu 0.3, mu 0.997 and
 ``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
 marginal tolerance 1e-9: the one sweep with a found window, edge probes
@@ -37,7 +40,7 @@ enter the halved grid), on the weak family at n 129 (odd, so no halved
 grid: the two-grid comparison is skipped with a note), on the weak
 family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
-identity residuals across them): 42 runs, a few minutes on a 2-core
+identity residuals across them): 43 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -78,6 +81,10 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["sim_2d_modal_banded"] = [
         "simulate", *PLANE, "--d1", "0.025", "--d2", "0.025", "--alpha1", "1.0",
         "--alpha2", "1.0", "--mu", "0.009", "--t-end", "5",
+    ]
+    # A dt far above the cap: the clamp zeroes negative output 66 times.
+    runs["sim_clamp"] = [
+        "simulate", *SLOW, "--n", "64", "--t-end", "20", "--dt", "1.28", "--u0", "1.5", "--v0", "1.5",
     ]
     for mode in ("steady", "eigen"):
         runs[f"{mode}_1d"] = [mode, *WEAK, "--n", "128"]
