@@ -65,12 +65,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     m.add_argument("--a", type=float, help="habitat left endpoint")
     m.add_argument("--b", type=float, help="habitat right endpoint")
     m.add_argument("--dim", type=int, choices=(1, 2), help="habitat dimension")
-    m.add_argument(
-        "--reaction-form",
-        dest="reaction_form",
-        choices=("folded", "raw"),
-        help="fold equal harvest into the growth law, or keep the explicit term",
-    )
     d = sub.add_argument_group("discretization and run")
     d.add_argument("--n", type=int, help="cells per axis")
     d.add_argument("--dt", type=float, help="time step")

@@ -6,10 +6,9 @@ type- and range-checked with a message naming the key, and every module
 precondition that can be checked before compute (harvest range, grid
 Peclet, positivity of sampled fields) is checked here.  The steady,
 eigen, sweep and verify modes analyse the folded model, so they need
-mu1 == mu2.  The reaction form defaults to "folded" for equal harvest
-fractions and to "raw" otherwise; an explicit "folded" needs them equal.
-Overrides go on top of file or preset values through
-``merge_config``, one tolerance at a time.
+mu1 == mu2.  The reaction form is no key: it follows the harvest
+fractions (``RunConfig.reaction_form``).  Overrides go on top of file
+or preset values through ``merge_config``, one tolerance at a time.
 
 Nothing defaults silently.  Every value the parser fills in is recorded
 in the "_defaulted" list, and the canonical echo written next to run
@@ -17,8 +16,10 @@ outputs materializes all values (including derived defaults such as dt
 and the initial densities), so re-running from an echo reproduces the
 run and re-echoes byte-identically.
 
-Both reaction forms share one harvest fold (``_fold_harvest``, with
-mu = min(mu1, mu2)) and so one dt cap: a given dt must lie in
+Equal harvest fractions fold into the growth law (the "folded" form);
+unequal ones keep the explicit harvest terms (the "raw" form).  Both
+share one harvest fold (``_fold_harvest``, with mu = min(mu1, mu2)) and
+so one dt cap: a given dt must lie in
 (0, 0.9 / max r·(1 - min(mu1, mu2))], and the default is that cap or
 0.1, whichever is smaller (``stepping.max_stable_dt``/``default_dt``).
 The keys of the "tolerances" object are the fields of ``Tolerances``.
@@ -38,6 +39,8 @@ from .errors import ConfigError
 from .grid import Grid, sample_expression
 from .model import EffectiveParams, ModelParams, build_effective_params
 from .operators import check_peclet
+from .spectral import TOL_EIGEN, TOL_MARGINAL
+from .steady import TOL_STEADY
 from .stepping import default_dt, default_eps_extinct, max_stable_dt
 
 __all__ = ["Tolerances", "RunConfig", "merge_config", "parse_config", "MODES"]
@@ -45,12 +48,11 @@ __all__ = ["Tolerances", "RunConfig", "merge_config", "parse_config", "MODES"]
 MODES = ("simulate", "steady", "eigen", "sweep", "figure", "verify")
 # The modes whose steady and invasion analysis is of the folded model.
 _FOLDED_MODES = ("steady", "eigen", "sweep", "verify")
-REACTION_FORMS = ("folded", "raw")
 
 _TOL_DEFAULTS = {
-    "steady": 1e-10,
-    "eigen": 1e-12,
-    "marginal": 1e-7,
+    "steady": TOL_STEADY,
+    "eigen": TOL_EIGEN,
+    "marginal": TOL_MARGINAL,
     "settle": 1e-4,
     # "extinct" is derived from the folded capacity when not given.
 }
@@ -60,7 +62,6 @@ _TOL_DEFAULTS = {
 _ECHO_ORDER = (
     "mode",
     "figure",
-    "reaction_form",
     "d1",
     "d2",
     "alpha1",
@@ -104,7 +105,6 @@ _DEFAULTABLE = set(_ECHO_ORDER) - {"figure", "tolerances"} | {f"tolerances.{k}" 
 class RunConfig:
     mode: str
     params: ModelParams
-    reaction_form: str
     n: int
     dt: float
     t_end: float
@@ -118,6 +118,11 @@ class RunConfig:
     tolerances: Tolerances
     defaulted: tuple[str, ...]
 
+    @property
+    def reaction_form(self) -> str:
+        """The form the harvest fractions take: "folded" when equal, else "raw"."""
+        return "folded" if self.params.equal_harvest else "raw"
+
     def grid(self) -> Grid:
         return Grid(self.params.dim, self.params.a, self.params.b, self.n)
 
@@ -130,7 +135,6 @@ class RunConfig:
     def echo_dict(self) -> dict:
         d: dict = {
             "mode": self.mode,
-            "reaction_form": self.reaction_form,
             "d1": self.params.d1,
             "d2": self.params.d2,
             "alpha1": self.params.alpha1,
@@ -355,22 +359,10 @@ def parse_config(
         b=b,
         dim=dim,
     )
-    # The folded form needs equal harvest fractions, so the default follows them.
-    default_form = "folded" if params.equal_harvest else "raw"
-    reaction_form = _as_str("reaction_form", take("reaction_form", default_form))
-    if reaction_form not in REACTION_FORMS:
-        raise ConfigError(
-            f"reaction_form must be one of {', '.join(REACTION_FORMS)}; got {reaction_form!r}"
-        )
     if mode in _FOLDED_MODES and not params.equal_harvest:
         raise ConfigError(
             f"mode {mode!r} analyses the folded model and needs equal harvest "
             "fractions; use simulate for mu1 != mu2"
-        )
-    if reaction_form == "folded" and not params.equal_harvest:
-        raise ConfigError(
-            "reaction_form 'folded' needs equal harvest fractions; "
-            "use reaction_form 'raw' for mu1 != mu2"
         )
 
     n = _as_int("n", take("n", 256 if dim == 1 else 64))
@@ -450,7 +442,6 @@ def parse_config(
     return RunConfig(
         mode=mode,
         params=params,
-        reaction_form=reaction_form,
         n=n,
         dt=dt,
         t_end=t_end,

@@ -96,15 +96,22 @@ class Problem:
         self.op1 = transport_for(self.grid, p.d1, p.alpha1)
         self.op2 = transport_for(self.grid, p.d2, p.alpha2)
 
+    def _lone_state(self, op) -> SteadyState:
+        """The lone state of the species moving with ``op``, refused at
+        mu1 != mu2, where the folded model it solves is not the model."""
+        if not self.cfg.params.equal_harvest:
+            raise ConfigError("the analyses need equal harvest fractions, not mu1 != mu2")
+        return solve_single_steady(op, self.eff, tol=self.cfg.tolerances.steady)
+
     @cached_property
     def u_hat(self) -> SteadyState:
         """The first species' lone state."""
-        return solve_single_steady(self.op1, self.eff, tol=self.cfg.tolerances.steady)
+        return self._lone_state(self.op1)
 
     @cached_property
     def v_hat(self) -> SteadyState:
         """The second species' lone state."""
-        return solve_single_steady(self.op2, self.eff, tol=self.cfg.tolerances.steady)
+        return self._lone_state(self.op2)
 
     def _invasion(self, invader_op, resident: np.ndarray, x0=None) -> StabilityVerdict:
         """Stability of a lone ``resident`` profile against the species moving
@@ -278,7 +285,6 @@ PRESETS: dict[str, FigurePreset] = {
             alpha2=1.0,
             mu1=0.01,
             mu2=0.0076,
-            reaction_form="raw",
             dim=2,
             n=64,
             t_end=80.0,

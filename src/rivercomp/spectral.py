@@ -60,9 +60,13 @@ __all__ = [
     "EigenDifferenceReport",
     "drift_band_excess",
     "TOL_MARGINAL",
+    "TOL_EIGEN",
 ]
 
+# Default half-width of the marginal band about a zero stability index,
+# and default residual tolerance of the eigen solves.
 TOL_MARGINAL = 1e-7
+TOL_EIGEN = 1e-12
 
 _DENSE_SIZE_LIMIT = 128
 # Cap on the inverse-iteration solves of one eigen solve.
@@ -118,7 +122,7 @@ def _shifted_matvec(op: TransportOperator, p: np.ndarray):
 def principal_eigenpair(
     op: TransportOperator,
     potential: np.ndarray,
-    tol: float = 1e-12,
+    tol: float = TOL_EIGEN,
     x0: np.ndarray | None = None,
 ) -> EigenReport:
     """Dominant eigenpair of L + diag(potential) by guarded inverse iteration.
@@ -287,7 +291,7 @@ def semitrivial_stability(
     resident: np.ndarray,
     eff: EffectiveParams,
     tol_marginal: float = TOL_MARGINAL,
-    eigen_tol: float = 1e-12,
+    eigen_tol: float = TOL_EIGEN,
     x0: np.ndarray | None = None,
 ) -> StabilityVerdict:
     """Linear stability of a single-species state against the other species.
@@ -328,7 +332,7 @@ def eigen_difference_residual(
     op1: TransportOperator,
     op2: TransportOperator,
     potential: np.ndarray,
-    eigen_tol: float = 1e-12,
+    eigen_tol: float = TOL_EIGEN,
     second: EigenReport | None = None,
 ) -> EigenDifferenceReport:
     """Weighted-integral identity for the gap between two stability indices.

@@ -63,8 +63,11 @@ __all__ = [
     "per_capita_balance_residual",
     "coexistence_identity_residuals",
     "positivity_floor",
+    "TOL_STEADY",
 ]
 
+# Default residual tolerance of the steady solves.
+TOL_STEADY = 1e-10
 _ARMIJO_SLOPE = 1e-4
 _MIN_DAMPING = 2.0**-10
 # Iteration caps: Newton updates of a lone state and of a pair, and steps
@@ -226,7 +229,7 @@ def _newton_single(
 def solve_single_steady(
     op: TransportOperator,
     eff: EffectiveParams,
-    tol: float = 1e-10,
+    tol: float = TOL_STEADY,
     method: str = "hybrid",
     u0: np.ndarray | None = None,
 ) -> SteadyState:
@@ -448,7 +451,7 @@ def solve_coexistence(
     op2: TransportOperator,
     eff: EffectiveParams,
     guess: tuple[np.ndarray, np.ndarray] | None = None,
-    tol: float = 1e-10,
+    tol: float = TOL_STEADY,
 ) -> CoexistencePair | None:
     """Damped Newton search for a strictly positive coexistence pair.
 
@@ -490,7 +493,7 @@ def solve_coexistence(
 
 
 def constant_capacity_companion(
-    op: TransportOperator, eff: EffectiveParams, tol: float = 1e-10
+    op: TransportOperator, eff: EffectiveParams, tol: float = TOL_STEADY
 ) -> tuple[SteadyState, EffectiveParams]:
     """Steady profile of the same species over a flattened capacity.
 

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from rivercomp import cli
+from rivercomp import cli, experiments
 from rivercomp.cli import _parser, main
+from rivercomp.config import parse_config
 from rivercomp.errors import SolverError
 from rivercomp.experiments import SweepPoint, SweepResult
 from rivercomp.stepping import Verdict
@@ -134,7 +135,7 @@ def test_every_flag_reaches_the_echo(tmp_path):
     flags = {
         "--d1": "0.08", "--d2": "0.07", "--alpha1": "0.05", "--alpha2": "0.04",
         "--mu1": "0.01", "--mu2": "0.02", "--r": "1 + 0.5*x", "--K": "2 - x",
-        "--a": "0.25", "--b": "1.5", "--dim": "1", "--reaction-form": "raw",
+        "--a": "0.25", "--b": "1.5", "--dim": "1",
         "--n": "24", "--dt": "0.05", "--t-end": "0.5", "--u0": "0.3",
         "--v0": "0.2 + 0.1*x", "--snapshot-times": "0.1,0.2", "--samples": "5",
         "--points": "9", "--out-dir": str(out), "--tol-steady": "1e-9",
@@ -142,7 +143,7 @@ def test_every_flag_reaches_the_echo(tmp_path):
         "--tol-settle": "0.001",
     }
     expected = {
-        "mode": "simulate", "reaction_form": "raw", "d1": 0.08, "d2": 0.07,
+        "mode": "simulate", "d1": 0.08, "d2": 0.07,
         "alpha1": 0.05, "alpha2": 0.04, "mu1": 0.01, "mu2": 0.02, "r": "1 + 0.5*x",
         "K": "2 - x", "a": 0.25, "b": 1.5, "dim": 1, "n": 24, "dt": 0.05, "t_end": 0.5,
         "u0": 0.3, "v0": "0.2 + 0.1*x", "snapshot_times": [0.1, 0.2], "samples": 5,
@@ -208,25 +209,38 @@ def test_echo_reruns_with_derived_defaults_and_another_harvest(tmp_path):
 UNEQUAL_FLAGS = [*WEAK_FLAGS[:-2], "--mu1", "0.009", "--mu2", "0.02", "--n", "16", "--t-end", "1.0"]
 
 
-def test_unequal_harvest_defaults_to_the_raw_form(tmp_path, capsys):
-    # Without --reaction-form, unequal fractions run in the raw form, listed
-    # as defaulted; re-run from the echo with --mu, the form is derived
-    # again and folds the now equal fractions.
+def test_unequal_harvest_runs_the_raw_form(tmp_path, monkeypatch):
+    # Unequal fractions run in the raw form, and the echo names no form;
+    # re-run from the echo with --mu, the now equal fractions fold.
+    forms = []
+    real_stepper = experiments.Stepper
+
+    def recording_stepper(*args, form, **kwargs):
+        forms.append(form)
+        return real_stepper(*args, form=form, **kwargs)
+
+    monkeypatch.setattr(experiments, "Stepper", recording_stepper)
     first, second = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", *UNEQUAL_FLAGS, "--out-dir", str(first)]) == 0
-    echo = json.loads((first / "config.echo.json").read_text())
-    assert echo["reaction_form"] == "raw"
-    assert "reaction_form" in echo["_defaulted"]
-    argv = ["simulate", "--config", str(first / "config.echo.json"), "--mu", "0.009"]
+    echo_path = first / "config.echo.json"
+    echo = json.loads(echo_path.read_text())
+    assert "reaction_form" not in echo and "reaction_form" not in echo["_defaulted"]
+    assert parse_config(echo_path).reaction_form == "raw"
+    argv = ["simulate", "--config", str(echo_path), "--mu", "0.009"]
     assert main([*argv, "--out-dir", str(second)]) == 0
     again = json.loads((second / "config.echo.json").read_text())
-    assert (again["reaction_form"], again["mu1"], again["mu2"]) == ("folded", 0.009, 0.009)
-    assert "reaction_form" in again["_defaulted"]
-    out = tmp_path / "folded"
-    assert main(["simulate", *UNEQUAL_FLAGS, "--reaction-form", "folded", "--out-dir", str(out)]) == 2
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert record["error"] == "config"
-    assert "reaction_form 'folded' needs equal harvest" in record["message"]
+    assert (again["mu1"], again["mu2"]) == (0.009, 0.009)
+    assert "reaction_form" not in again and "reaction_form" not in again["_defaulted"]
+    assert parse_config(second / "config.echo.json").reaction_form == "folded"
+    assert forms == ["raw", "folded"]
+
+
+def test_reaction_form_flag_is_gone(tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--reaction-form", "raw", *UNEQUAL_FLAGS, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "--reaction-form" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -235,7 +249,7 @@ def test_analyses_refuse_unequal_harvest(tmp_path, capsys, mode):
     # The steady and invasion analysis is of the folded model, so unequal
     # harvest fractions are refused rather than analysed at min(mu1, mu2).
     flags = ["--d1", "0.08", "--d2", "0.07", "--alpha1", "0.05", "--alpha2", "0.04",
-             "--mu1", "0.01", "--mu2", "0.5", "--reaction-form", "raw", "--n", "64"]
+             "--mu1", "0.01", "--mu2", "0.5", "--n", "64"]
     assert main([mode, *flags, "--out-dir", str(tmp_path / "run")]) == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "config"

@@ -55,13 +55,13 @@ def test_override_harvest_form_replaces_the_file_s(tmp_path):
     # In both directions: --mu over a file's mu1/mu2, and mu1/mu2 over a
     # file's mu.  Both forms in one source stay an error.
     pair, single, both = tmp_path / "pair.json", tmp_path / "single.json", tmp_path / "both.json"
-    pair.write_text(json.dumps(dict(WEAK, mu1=0.1, mu2=0.2, reaction_form="raw")))
+    pair.write_text(json.dumps(dict(WEAK, mu1=0.1, mu2=0.2)))
     single.write_text(json.dumps(dict(WEAK, mu=0.3)))
     both.write_text(json.dumps(dict(WEAK, mu=0.3, mu1=0.3, mu2=0.3)))
     cfg = parse_config(pair, {"mu": 0.25})
     assert (cfg.params.mu1, cfg.params.mu2) == (0.25, 0.25)
     assert not {"mu1", "mu2"} & set(cfg.defaulted)
-    cfg = parse_config(single, {"mu1": 0.1, "mu2": 0.2, "reaction_form": "raw"})
+    cfg = parse_config(single, {"mu1": 0.1, "mu2": 0.2})
     assert (cfg.params.mu1, cfg.params.mu2) == (0.1, 0.2)
     with pytest.raises(ConfigError, match="not both"):
         parse_config(both, {"mu": 0.25})
@@ -108,17 +108,35 @@ def test_harvest_fraction_at_or_above_one_rejected():
         parse_config(overrides=dict(WEAK, mu=1.2))
 
 
-def test_folded_form_requires_equal_harvest():
-    # Unequal fractions default to the raw form; an explicit folded one is refused.
-    cfg = parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2))
-    assert cfg.reaction_form == "raw"
-    assert "reaction_form" in cfg.defaulted
-    with pytest.raises(ConfigError, match="equal harvest"):
-        parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2, reaction_form="folded"))
-    cfg = parse_config(overrides=dict(WEAK, mu1=0.1, mu2=0.2, reaction_form="raw"))
-    assert cfg.reaction_form == "raw"
-    assert "reaction_form" not in cfg.defaulted
-    assert parse_config(overrides=dict(WEAK, mu=0.1)).reaction_form == "folded"
+def test_reaction_form_follows_the_harvest_fractions():
+    # Folded exactly when mu1 == mu2, however the fractions are given; the
+    # form is derived, so it is neither defaulted nor echoed.
+    for harvest, form in (
+        ({"mu1": 0.1, "mu2": 0.2}, "raw"),
+        ({"mu1": 0.2, "mu2": 0.1}, "raw"),
+        ({"mu1": 0.1, "mu2": 0.1}, "folded"),
+        ({"mu": 0.1}, "folded"),
+        ({}, "folded"),
+    ):
+        cfg = parse_config(overrides=dict(WEAK, **harvest))
+        assert cfg.reaction_form == form
+        assert "reaction_form" not in cfg.defaulted
+        assert "reaction_form" not in json.loads(cfg.echo_json())
+
+
+@pytest.mark.parametrize("form", ["folded", "raw"])
+def test_reaction_form_is_an_unknown_key(tmp_path, form):
+    # In a file, an old echo or an override, at equal or unequal fractions.
+    echo = json.loads(parse_config(overrides=dict(WEAK, mu=0.1)).echo_json())
+    old_echo = dict(echo, reaction_form=form, _defaulted=[*echo["_defaulted"], "reaction_form"])
+    for i, data in enumerate((dict(WEAK, mu=0.1, reaction_form=form), old_echo)):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="unknown config key 'reaction_form'"):
+            parse_config(path)
+    for harvest in ({"mu": 0.1}, {"mu1": 0.1, "mu2": 0.2}):
+        with pytest.raises(ConfigError, match="unknown config key 'reaction_form'"):
+            parse_config(overrides=dict(WEAK, reaction_form=form, **harvest))
 
 
 def test_peclet_guard_names_the_required_resolution():

@@ -233,6 +233,21 @@ def test_problem_solves_each_lone_state_once(monkeypatch):
     assert solved == [0.05, 0.04]
 
 
+def test_problem_refuses_lone_states_at_unequal_harvest(monkeypatch):
+    # The lone states and indices are of the folded model; at fig17's
+    # mu1 != mu2 they are refused before any solve, while the operators
+    # and coefficients a simulation reads are still built.
+    solved = []
+    monkeypatch.setattr(experiments, "solve_single_steady", lambda *a, **k: solved.append(a))
+    problem = experiments.Problem(preset_config("fig17"))
+    assert problem.cfg.reaction_form == "raw"
+    for name in ("kappa", "tau", "u_hat", "v_hat"):
+        with pytest.raises(ConfigError, match="the analyses need equal harvest fractions"):
+            getattr(problem, name)
+    assert solved == []
+    assert problem.eff.K1.shape == (problem.grid.size,)
+
+
 @pytest.mark.parametrize("n, coarse_n", [(64, 32), (6, 3), (63, None), (4, None)])
 def test_problem_halves_even_grids_of_at_least_six_cells(n, coarse_n):
     problem = experiments.Problem(parse_config(overrides=dict(WEAK_FAMILY, n=n)))

@@ -71,8 +71,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs = {f"fig_{p}": ["figure", p] for p in presets}
     runs["fig17_5000"] = ["figure", "fig17", "--t-end", "5000"]
     runs["sim_raw_unequal_mu"] = [
-        "simulate", *WEAK[:-2], "--mu1", "0.01", "--mu2", "0.02", "--reaction-form", "raw",
-        "--n", "64", "--t-end", "50",
+        "simulate", *WEAK[:-2], "--mu1", "0.01", "--mu2", "0.02", "--n", "64", "--t-end", "50",
     ]
     runs["sim_1d_banded"] = [
         "simulate", "--d1", "0.02", "--d2", "0.02", "--alpha1", "0.2", "--alpha2", "0.1",
