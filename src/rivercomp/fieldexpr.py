@@ -14,48 +14,39 @@ from __future__ import annotations
 import ast
 import math
 import operator
+from collections.abc import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["compile_field_expression", "FieldExpression"]
+__all__ = ["compile_field_expression"]
 
 _FUNCTIONS = {"cos": np.cos, "sin": np.sin}
 _BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
 _UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
-class FieldExpression:
-    """A compiled coefficient expression, callable on coordinate arrays."""
-
-    def __init__(self, text: str, names: tuple[str, ...]):
-        self.text = text
-        self.names = names
-        try:
-            tree = ast.parse(text, mode="eval")
-        except SyntaxError as exc:
-            raise ConfigError(f"cannot parse field expression {text!r}: {exc.msg}") from None
-        self._evaluate = _compile(tree.body, names, text)
-
-    def __call__(self, x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
-        env: dict[str, np.ndarray | float] = {"pi": math.pi, "x": x}
-        if y is not None:
-            env["y"] = y
-        value = self._evaluate(env)
-        # Constant expressions evaluate to a scalar; broadcast to the grid.
-        return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FieldExpression({self.text!r})"
-
-
-def compile_field_expression(text: str, names: tuple[str, ...] = ("x",)) -> FieldExpression:
-    """Compile ``text`` into a callable, rejecting anything off-grammar.
+def compile_field_expression(
+    text: str, names: tuple[str, ...] = ("x",)
+) -> Callable[..., np.ndarray]:
+    """Compile ``text`` into a function of the coordinate arrays, ``f(x)``
+    or ``f(x, y)``, rejecting anything off-grammar.
 
     ``names`` lists the coordinate names in scope ("x", or "x" and "y").
     """
-    return FieldExpression(text, names)
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"cannot parse field expression {text!r}: {exc.msg}") from None
+    evaluate = _compile(tree.body, names, text)
+
+    def field(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+        value = evaluate({"pi": math.pi, "x": x, "y": y})
+        # Constant expressions evaluate to a scalar; broadcast to the grid.
+        return np.broadcast_to(np.asarray(value, dtype=float), np.shape(x)).copy()
+
+    return field
 
 
 def _compile(node: ast.AST, names: tuple[str, ...], text: str):
@@ -92,13 +83,7 @@ def _compile(node: ast.AST, names: tuple[str, ...], text: str):
                 f"unknown name {node.id!r} in field expression {text!r} "
                 f"(allowed: {allowed})"
             )
-
-        def lookup(env):
-            if node.id not in env:
-                raise ConfigError(f"coordinate {node.id!r} is not available on this grid")
-            return env[node.id]
-
-        return lookup
+        return lambda env: env[node.id]
     if isinstance(node, ast.Constant):
         if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
             raise ConfigError(f"non-numeric literal in field expression {text!r}")

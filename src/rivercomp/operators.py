@@ -52,7 +52,6 @@ __all__ = [
     "TransportOperator",
     "transport_for",
     "band_matvec",
-    "face_fluxes",
     "dct_basis",
 ]
 
@@ -150,19 +149,3 @@ def dct_basis(n: int) -> np.ndarray:
     c = np.sqrt(2.0 / n) * np.cos(np.pi * j * (k + 0.5) / n)
     c[0] = np.sqrt(1.0 / n)
     return c
-
-
-def face_fluxes(op: TransportOperator, values: np.ndarray) -> np.ndarray:
-    """The n+1 face fluxes d·u_x - alpha·u underlying a 1-D operator row.
-
-    Both boundary faces carry exactly zero by construction.  Useful for
-    flux-sign diagnostics and for boundary terms of integral identities,
-    where the face value is second-order accurate.
-    """
-    if op.grid.dim != 1:
-        raise ConfigError("face_fluxes is defined for 1-D operators")
-    u = np.asarray(values, dtype=float)
-    h = op.grid.h
-    fluxes = np.zeros(op.grid.n + 1)
-    fluxes[1:-1] = op.d * np.diff(u) / h - op.alpha * 0.5 * (u[:-1] + u[1:])
-    return fluxes

@@ -26,8 +26,9 @@ The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
 refined grids: the growth-weighted capacity gap and its quadratic twin,
 log-slope bands, per-capita transport balance, and a pair of weighted
-integral-vs-boundary identities for coexistence pairs.  Face fluxes
-themselves come from ``operators.face_fluxes``.
+integral identities for coexistence pairs.  Those are whole-habitat
+integrals: integrated by parts, each becomes boundary flux terms, which
+vanish under no-flux walls.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import ConfigError, SolverError
 from .grid import Grid
 from .linsolve import factor_shifted
 from .model import EffectiveParams
-from .operators import TransportOperator, face_fluxes
+from .operators import TransportOperator
 from .stepping import max_stable_dt
 
 __all__ = [
@@ -606,51 +607,27 @@ def per_capita_balance_residual(
 
 @dataclass
 class IdentityReport:
-    lhs_first: float
-    rhs_first: float
-    lhs_second: float
-    rhs_second: float
-    window: tuple[float, float]
-
-    @property
-    def residual_first(self) -> float:
-        return abs(self.lhs_first - self.rhs_first)
-
-    @property
-    def residual_second(self) -> float:
-        return abs(self.lhs_second - self.rhs_second)
+    residual_first: float
+    residual_second: float
 
 
 def coexistence_identity_residuals(
-    pair: CoexistencePair,
-    op1: TransportOperator,
-    op2: TransportOperator,
-    window: tuple[float, float] | None = None,
+    pair: CoexistencePair, op1: TransportOperator, op2: TransportOperator
 ) -> IdentityReport:
-    """Weighted integral-vs-boundary identities for a coexistence pair.
+    """Weighted whole-habitat integral identities for a coexistence pair.
 
     Each species' equation, multiplied by the other species' density and
-    an exponential weight, integrates by parts into pure boundary flux
-    terms.  Evaluated with midpoint quadrature over the cells of a face-
-    aligned window and flux values at its faces; both residuals are
+    an exponential weight, integrates by parts into boundary flux terms,
+    which vanish under no-flux walls.  The integrals, evaluated with
+    midpoint quadrature over every cell, are the residuals: both are
     second-order small for a converged pair.
     """
     grid = pair.grid
     if grid.dim != 1:
         raise ConfigError("the integral identities are a 1-D diagnostic")
     h = grid.h
-    if window is None:
-        i_lo, i_hi = 0, grid.n
-    else:
-        i_lo = int(round((window[0] - grid.a) / h))
-        i_hi = int(round((window[1] - grid.a) / h))
-        if not 0 <= i_lo < i_hi <= grid.n:
-            raise ConfigError(f"identity window {window} does not fit the habitat")
-    x_lo, x_hi = grid.a + i_lo * h, grid.a + i_hi * h
-
     u, v = pair.u, pair.v
     x = grid.centers
-    cells = slice(i_lo, i_hi)
     du = np.gradient(u, h, edge_order=2)
     dv = np.gradient(v, h, edge_order=2)
     d1, d2, a1, a2 = op1.d, op2.d, op1.alpha, op2.alpha
@@ -660,36 +637,6 @@ def coexistence_identity_residuals(
     flux_u = d1 * du - a1 * u  # cell-centered version of the u flux
     flux_v = d2 * dv - a2 * v
 
-    lhs_first = h / d1 * float(
-        np.sum((((d1 - d2) * dv - (a1 - a2) * v) * flux_u * w1)[cells])
-    )
-    lhs_second = h / d2 * float(
-        np.sum((((d1 - d2) * du - (a1 - a2) * u) * flux_v * w2)[cells])
-    )
-
-    # Face values: operator fluxes are second-order accurate at faces and
-    # exactly zero at the domain boundary; densities average across faces.
-    fa = face_fluxes(op1, u)
-    fb = face_fluxes(op2, v)
-    u_face = np.empty(grid.n + 1)
-    v_face = np.empty(grid.n + 1)
-    u_face[1:-1] = 0.5 * (u[:-1] + u[1:])
-    v_face[1:-1] = 0.5 * (v[:-1] + v[1:])
-    u_face[0], u_face[-1] = u[0], u[-1]  # irrelevant: boundary fluxes vanish
-    v_face[0], v_face[-1] = v[0], v[-1]
-
-    def boundary(term_face: np.ndarray, weight_rate: float, density: np.ndarray) -> float:
-        lo = term_face[i_lo] * math.exp(-weight_rate * x_lo) * density[i_lo]
-        hi = term_face[i_hi] * math.exp(-weight_rate * x_hi) * density[i_hi]
-        return hi - lo
-
-    rhs_first = boundary(fa, a1 / d1, v_face) - boundary(fb, a1 / d1, u_face)
-    rhs_second = boundary(fb, a2 / d2, u_face) - boundary(fa, a2 / d2, v_face)
-
-    return IdentityReport(
-        lhs_first=lhs_first,
-        rhs_first=rhs_first,
-        lhs_second=lhs_second,
-        rhs_second=rhs_second,
-        window=(x_lo, x_hi),
-    )
+    first = h / d1 * float(np.sum(((d1 - d2) * dv - (a1 - a2) * v) * flux_u * w1))
+    second = h / d2 * float(np.sum(((d1 - d2) * du - (a1 - a2) * u) * flux_v * w2))
+    return IdentityReport(residual_first=abs(first), residual_second=abs(second))

@@ -302,6 +302,18 @@ def test_verification_builds_its_halved_grid_once(monkeypatch):
     assert built == [64, 32]
 
 
+def test_identity_check_judges_an_asymmetric_pair():
+    # The narrow-sliver family inside its coexistence window: the species
+    # move at different rates, so the weighted integrals are small but not
+    # exact zeros, as they are for the symmetric family's pairs.
+    cfg = parse_config(overrides=dict(SLOW, alpha2=7.314e-4, mu=0.997, mode="verify"))
+    identities = run_verification(cfg)["checks"]["coexistence_identities"]
+    assert identities["skipped"] is False
+    assert identities["pass"] is True
+    assert 0.0 < identities["residual_first"] < 1e-10
+    assert 0.0 < identities["residual_second"] < 1e-10
+
+
 @pytest.mark.parametrize("family, pair", [(dict(WEAK_FAMILY, n=129), False), (dict(SYMMETRIC, n=63), True)])
 def test_verification_notes_the_skipped_two_grid_comparison(family, pair):
     # An odd n has no halved grid: the checks that compare against it judge

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rivercomp.errors import ConfigError, GridResolutionError
 from rivercomp.grid import Grid
-from rivercomp.operators import check_peclet, dct_basis, face_fluxes, transport_for
+from rivercomp.operators import check_peclet, dct_basis, transport_for
 
 
 def test_hand_assembled_3x3():
@@ -114,14 +114,6 @@ def test_interior_consistency_second_order():
         interior = slice(2, n - 2)
         errs.append(np.abs(op.apply(u) - exact)[interior].max())
     assert errs[0] / errs[1] > 3.0
-
-
-def test_face_fluxes_boundary_zero():
-    g = Grid(1, 0.0, 1.0, 12)
-    op = transport_for(g, d=0.08, alpha=0.05)
-    f = face_fluxes(op, np.exp(g.centers))
-    assert f[0] == 0.0 and f[-1] == 0.0
-    assert f.shape == (13,)
 
 
 def test_2d_constant_annihilated_and_conservative():

@@ -160,33 +160,16 @@ class TestSymmetricFamily:
         single = solve_single_steady(op, eff)
         pair = solve_coexistence(op, op, eff, guess=(0.25 * single.u, 0.75 * single.u))
         report = coexistence_identity_residuals(pair, op, op)
-        # Equal movement rates zero the prefactors and the boundary fluxes
-        # are exact zeros by construction, so no rounding survives.
+        # Equal movement rates make both integrands' prefactors d1 - d2 and
+        # a1 - a2 exact zeros, so no rounding survives in either sum.
         assert report.residual_first == 0.0
         assert report.residual_second == 0.0
-
-    def test_identity_residuals_on_an_interior_window(self):
-        cfg, grid, eff, op = symmetric_setup()
-        single = solve_single_steady(op, eff)
-        pair = solve_coexistence(op, op, eff, guess=(0.25 * single.u, 0.75 * single.u))
-        report = coexistence_identity_residuals(pair, op, op, window=(0.25, 0.75))
-        assert report.window == (0.25, 0.75)
-        assert report.residual_first < 1e-12
-        assert report.residual_second < 1e-12
 
     def test_per_capita_balance_cancels(self):
         cfg, grid, eff, op = symmetric_setup()
         single = solve_single_steady(op, eff)
         balance = per_capita_balance_residual(0.25 * single.u, 0.75 * single.u, op, op)
         assert balance.max_abs < 1e-10
-
-
-def test_identity_window_outside_domain_rejected():
-    cfg, grid, eff, op = symmetric_setup()
-    single = solve_single_steady(op, eff)
-    pair = solve_coexistence(op, op, eff, guess=(0.5 * single.u, 0.5 * single.u))
-    with pytest.raises(ConfigError):
-        coexistence_identity_residuals(pair, op, op, window=(0.5, 1.5))
 
 
 def test_coexistence_pair_survives_near_total_harvest():

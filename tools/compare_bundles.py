@@ -40,7 +40,9 @@ enter the halved grid), on the weak family at n 129 (odd, so no halved
 grid: the two-grid comparison is skipped with a note), on the weak
 family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
-identity residuals across them): 43 runs, a few minutes on a 2-core
+identity residuals across them) and on the narrow sliver at alpha2
+7.314e-4, inside its window (an asymmetric pair, whose identity
+residuals are not exact zeros): 44 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -111,6 +113,9 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["verify_weak_129"] = ["verify", *WEAK, "--n", "129"]
     runs["verify_2d"] = ["verify", *WEAK, *PLANE]
     runs["verify_symmetric_64"] = ["verify", *SYMMETRIC, "--n", "64"]
+    runs["verify_sliver_64"] = [
+        "verify", *SWEEP[:6], "--alpha2", "7.314e-4", "--mu", "0.997", "--n", "64",
+    ]
     return runs
 
 
