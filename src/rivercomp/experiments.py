@@ -821,9 +821,12 @@ def _identity_check(problem: Problem) -> dict:
     else:
         try:
             cpair = solve_coexistence(coarse.op1, coarse.op2, coarse.eff, tol=tol)
-        except SolverError:
-            cpair = None
-        if cpair is not None:
+            why = "no strictly positive pair"
+        except SolverError as exc:
+            cpair, why = None, str(exc)
+        if cpair is None:
+            entry["note"] = f"two-grid comparison skipped: on the halved grid, {why}"
+        else:
             creport = coexistence_identity_residuals(cpair, coarse.op1, coarse.op2)
             ratios = []
             for fine_r, coarse_r in (

@@ -11,41 +11,55 @@ bitwise equal to ``scipy.linalg.solve_banded``.
 
 ``implicit_solver`` builds the time stepper's solve of
 I - dt·blockdiag(L_1, ..., L_S), the species' fields stacked, as one
-``StepSolve``; it works the same way in both dimensions.  In 1-D each
-species is one tridiagonal block I - dt·L_s.  In 2-D, L_s = I⊗Lx_s +
-Ly_s⊗I and the DCT C along y diagonalizes Ly_s, so each species splits
-into one tridiagonal block I - dt·Lx_s - dt·λ_sj·I per y-mode j.  The
-blocks are stacked with zero coupling entries and factored once, F.  A
-solve is F⁻¹·c in 1-D and Cᵀ·F⁻¹(C·c) in 2-D: two batched n×n products
-around one sweep over the stacked rows.
+``StepSolve``.  In 1-D each species is one tridiagonal block
+I - dt·L_s.  In 2-D, L_s = I⊗Lx_s + Ly_s⊗I and the DCT C along y
+diagonalizes Ly_s, so each species splits into one tridiagonal block
+I - dt·Lx_s - dt·λ_sj·I per y-mode j.
 
-The factor comes in two kinds, and the stepper names it by
+The solve comes in two kinds, and the stepper names it by
 ``implicit_solve``:
 
-- ``"symmetrized"``: a diagonal scaling S makes each block symmetric,
-  S⁻¹·block·S, a symmetric positive definite tridiagonal M-matrix with
-  off-diagonals -dt·√(lᵢuᵢ).  The stack is factored as LDLᵀ (``pttrf``)
-  and solved by ``pttrs``, in place.  S acts along x and C along y, so
-  they commute: the solve works in scaled coordinates, ``solve(c)``
-  returning z with S⁻¹·(I - dt·L)·S·z = c, and x = S·z solves the system
-  for b = S·c.  ``scale`` is the stacked diagonal of S, each species'
+- ``"symmetrized"``: a diagonal scaling S makes each Lx_s (L_s in 1-D)
+  symmetric, S⁻¹·Lx_s·S = T_s, a tridiagonal matrix with the diagonal of
+  Lx_s and off-diagonals √(lᵢuᵢ).  S acts along x and C along y, so they
+  commute: the solve works in scaled coordinates, ``solve(c)`` returning
+  z with S⁻¹·(I - dt·L)·S·z = c, and x = S·z solves the system for
+  b = S·c.  ``scale`` is the stacked diagonal of S, each species'
   symmetrizer tiled over its y-modes; the stepper keeps its state in
-  these coordinates, so no scaling runs per step.  The LDLᵀ sweeps carry
-  no chain of dependent divides (two species on 256 cells: about 5 µs,
-  against 9–10 µs for ``gttrs``, on a 2-core VM).
+  these coordinates, so no scaling runs per step.  In 1-D the blocks
+  I - dt·T_s, symmetric positive definite M-matrices, are stacked with
+  zero coupling entries, factored once as LDLᵀ (``pttrf``) and solved by
+  ``pttrs`` in place; the LDLᵀ sweeps carry no chain of dependent
+  divides (two species on 256 cells: about 5 µs, against 9–10 µs for
+  ``gttrs``, on a 2-core VM).  In 2-D each T_s is diagonalized once,
+  T_s = Q_s·diag(θ_s)·Q_sᵀ with Q_s orthogonal (``eigh_tridiagonal``;
+  fast diagonalization, Lynch, Rice & Thomas 1964), and a solve is
+  Cᵀ·(D_s ∘ (C·Z·Q_s))·Q_sᵀ on each species' (y, x) array Z, for the
+  reciprocal denominators D_s[j, k] = 1/(1 - dt·(λ_sj + θ_sk)): four
+  batched n×n products and one scaling, with no serial sweep (two
+  species on 64×64 cells: about 88 µs, against 110 µs for ``pttrs`` over
+  the 8,192 stacked rows of the modal blocks, on a 2-core VM).  θ and λ
+  are eigenvalues of generators (≤ 0 up to rounding), so every
+  denominator is at least about 1.
 - ``"banded"`` (1-D) and ``"modal-banded"`` (2-D): the blocks as they
-  are, in field units (``scale`` 1.0), to one ``Factorization``.
+  are, in field units (``scale`` 1.0), stacked with zero coupling
+  entries and factored once by one ``Factorization``.  A solve is one
+  sweep over the stacked rows in 1-D and Cᵀ·F⁻¹(C·c) in 2-D: two batched
+  n×n products around the sweep.
 
 S carries the off-diagonal ratios of L (1-D) or Lx (2-D),
 s_{i+1}/s_i = √(l_i/u_i) (``_symmetrizer``), so its spread
-max(s)/min(s) grows like exp(|α|·(b - a)/(2d)).  The matrix the
+max(s)/min(s) grows like exp(|α|·(b - a)/(2d)).  The matrix the 1-D
 symmetrized solve inverts, S·B·S⁻¹ with B rounded, differs from each
 block by a few ε relative to each entry (about (2 + ln(spread))·ε/2 from
 the rounding of s), so S·``solve``(S⁻¹·b) agrees with the banded solve
-componentwise to rounding, not bitwise.  The symmetrized factor is used
-only while the spread of every species stays within
-``MAX_SYMMETRIZER_SPREAD``; drift-dominated input goes to the banded
-one.
+componentwise to rounding, not bitwise.  The 2-D solve's products
+round normwise in z, not componentwise, and S turns that into an error
+in field units that grows with the spread: forced to a spread of 800 it
+breaks the sparse-LU residual bound of tests/test_linsolve.py.  The
+symmetrized solve is used only while the spread of every species stays
+within ``MAX_SYMMETRIZER_SPREAD``; drift-dominated input goes to the
+banded one.
 
 Every solver reads an operator's bands, and in 2-D its ``y_modes``; the
 2-D steady and eigen systems alone read its sparse matrix and go to
@@ -58,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import SolverError
 from .operators import TransportOperator, dct_basis
@@ -72,12 +86,13 @@ __all__ = [
     "sparse_lu",
 ]
 
-# Largest symmetrizer spread the symmetrized factor accepts.  It guards no
-# error that grows with the spread: within it the 1-D symmetrized solve's
-# worst over 3,000 random draws was 2.0ε of the componentwise bound
-# A⁻¹(|A||x|), a quarter of the bound in tests/test_linsolve.py, and the
-# 2-D one met that file's sparse-LU bounds on 300 random draws with spreads
-# up to 1e8.  The limit keeps every run on the solve it has; raising it
+# Largest symmetrizer spread the symmetrized solve accepts.  Within it the
+# 1-D symmetrized solve's worst over 3,000 random draws was 2.0ε of the
+# componentwise bound A⁻¹(|A||x|), a quarter of the bound in
+# tests/test_linsolve.py, and the 2-D one's worst over 300 random draws
+# (n 3–64) was 0.09 of that file's sparse-LU residual bound, against 0.09
+# for the modal-banded solve.  The 2-D error grows with the spread: at a
+# spread of 800 it breaks that bound (see the tests).  Raising the limit
 # moves runs to the symmetrized solve and their output by rounding.  |α|/d
 # up to about 4.6 on a unit domain qualifies.
 MAX_SYMMETRIZER_SPREAD = 10.0
@@ -162,45 +177,51 @@ def _symmetrizer(bands) -> np.ndarray:
 class StepSolve:
     """A reusable solve of I - dt·blockdiag(L_1, ..., L_S) for operators on one grid.
 
-    The species' blocks, one per species in 1-D and one per species and
-    y-mode in 2-D, are stacked with zero coupling entries and factored
-    once (see the module docstring).  ``symmetric`` factors the
-    symmetrized blocks S⁻¹·block·S as LDLᵀ, ``scale`` being S's diagonal
-    (the stacked fields' symmetrizers, each tiled over the y-modes);
-    otherwise the blocks go to one ``Factorization`` and ``scale`` is 1.0.
-    ``solve(c)`` returns z with S⁻¹·(I - dt·L)·S·z = c, and may write over
-    c and return it; in 1-D it is the stacked solve itself, so a step
-    pays for no other call.  ``name`` is "symmetrized", "banded" (1-D) or
-    "modal-banded" (2-D).
+    ``symmetrizers``, one per species (from ``_symmetrizer``), give the
+    symmetrized solve, ``scale`` being S's diagonal (the stacked fields'
+    symmetrizers, each tiled over the y-modes): its blocks S⁻¹·block·S
+    are factored as LDLᵀ in 1-D and diagonalized in 2-D.  ``None`` stacks
+    the blocks, one per species in 1-D and one per species and y-mode in
+    2-D, into one ``Factorization``, and ``scale`` is 1.0 (see the module
+    docstring).  ``solve(c)`` returns z with S⁻¹·(I - dt·L)·S·z = c, and
+    may write over c and return it; in 1-D it is the stacked solve
+    itself, so a step pays for no other call.  ``name`` is "symmetrized",
+    "banded" (1-D) or "modal-banded" (2-D).
     """
 
-    def __init__(self, ops: tuple[TransportOperator, ...], dt: float, symmetric: bool):
+    def __init__(
+        self,
+        ops: tuple[TransportOperator, ...],
+        dt: float,
+        symmetrizers: list[np.ndarray] | None,
+    ):
         grid = ops[0].grid
         modes = [op.y_modes if grid.dim == 2 else np.zeros(1) for op in ops]
         bands = [op.bands for op in ops]
-        if symmetric:
-            self.name = "symmetrized"
-            s = [np.tile(_symmetrizer(b), len(lam)) for b, lam in zip(bands, modes)]
-            self.scale = np.concatenate(s)
-            bands = [(np.sqrt(lo * up), d, np.sqrt(lo * up)) for lo, d, up in bands]
-        else:
+        if symmetrizers is None:
             self.name = "banded" if grid.dim == 1 else "modal-banded"
             self.scale = 1.0
+        else:
+            self.name = "symmetrized"
+            self.scale = np.concatenate([np.tile(s, len(lam)) for s, lam in zip(symmetrizers, modes)])
+            bands = [(np.sqrt(lo * up), d, np.sqrt(lo * up)) for lo, d, up in bands]
+        if grid.dim == 2:
+            self._shape, self._basis = (len(ops), grid.n, grid.n), dct_basis(grid.n)
+            self._modal = np.empty(self._shape)
+        if grid.dim == 2 and symmetrizers is not None:
+            self._diagonalize(bands, modes, dt)
+            self.solve = self._diagonal_solve
+            return
         blocks = [_implicit_blocks(b, lam, dt) for b, lam in zip(bands, modes)]
         lower, diag, upper = (np.stack(band).ravel() for band in zip(*blocks))
-        if symmetric:
+        if symmetrizers is not None:
             *self._factors, info = lapack.dpttrf(diag, upper[:-1])
             if info > 0:
                 raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
-            self._stacked = self._ldlt_solve
+            self.solve = self._ldlt_solve
         else:
             self._stacked = Factorization(diag, lower[1:], upper[:-1]).solve
-        if grid.dim == 1:
-            self.solve = self._stacked
-        else:
-            self._shape, self._basis = (len(ops), grid.n, grid.n), dct_basis(grid.n)
-            self._modal = np.empty(self._shape)
-            self.solve = self._modal_solve
+            self.solve = self._stacked if grid.dim == 1 else self._modal_solve
 
     def _ldlt_solve(self, rhs: np.ndarray) -> np.ndarray:
         z, _ = lapack.dpttrs(*self._factors, rhs, overwrite_b=1)
@@ -218,15 +239,40 @@ class StepSolve:
         np.matmul(self._basis.T, x.reshape(self._shape), out=rows)
         return rhs
 
+    def _diagonalize(self, bands, modes, dt: float) -> None:
+        """Each species' symmetric Lx as Q·diag(θ)·Qᵀ, and the reciprocal denominators."""
+        eigen = [eigh_tridiagonal(d, off) for off, d, _ in bands]
+        self._q = np.stack([q for _, q in eigen])
+        self._qt = self._q.transpose(0, 2, 1)
+        self._recip = np.stack(
+            [1.0 / (1.0 - dt * (lam[:, None] + theta[None, :])) for (theta, _), lam in zip(eigen, modes)]
+        )
+        self._spectral = np.empty(self._shape)
+
+    def _diagonal_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Cᵀ·(D ∘ (C·Z·Q))·Qᵀ for each species' (y, x) array Z of ``rhs``.
+
+        The solution is written over ``rhs`` (a contiguous float array),
+        which is returned.
+        """
+        rows = rhs.reshape(self._shape)
+        modal, spectral = self._modal, self._spectral
+        np.matmul(self._basis, rows, out=modal)
+        np.matmul(modal, self._q, out=spectral)
+        np.multiply(spectral, self._recip, out=spectral)
+        np.matmul(spectral, self._qt, out=modal)
+        np.matmul(self._basis.T, modal, out=rows)
+        return rhs
+
 
 def implicit_solver(ops: tuple[TransportOperator, ...], dt: float) -> StepSolve:
     """The time stepper's ``StepSolve`` of I - dt·blockdiag(L_1, ..., L_S).
 
-    It is symmetric when every species' symmetrizer spread (of L in 1-D,
-    of Lx in 2-D) is at most ``MAX_SYMMETRIZER_SPREAD``.  Otherwise its
-    coupling entries are zero and no row is interchanged, so in 1-D it is
-    bitwise equal to solving the species apart.
+    It is symmetrized when every species' symmetrizer spread (of L in
+    1-D, of Lx in 2-D) is at most ``MAX_SYMMETRIZER_SPREAD``.  Otherwise
+    its coupling entries are zero and no row is interchanged, so in 1-D
+    it is bitwise equal to solving the species apart.
     """
-    symmetrizers = (_symmetrizer(op.bands) for op in ops)
+    symmetrizers = [_symmetrizer(op.bands) for op in ops]
     symmetric = all(s.max() / s.min() <= MAX_SYMMETRIZER_SPREAD for s in symmetrizers)
-    return StepSolve(ops, dt, symmetric)
+    return StepSolve(ops, dt, symmetrizers if symmetric else None)

@@ -314,6 +314,19 @@ def test_identity_check_judges_an_asymmetric_pair():
     assert 0.0 < identities["residual_second"] < 1e-10
 
 
+def test_identity_check_notes_a_halved_grid_without_a_pair():
+    # The same sliver pair: on its 32-cell halved grid the pair Newton hits
+    # its iteration cap, so the fine pair is judged alone and the entry
+    # says why the two-grid comparison was skipped.
+    cfg = parse_config(overrides=dict(SLOW, alpha2=7.314e-4, mu=0.997, mode="verify"))
+    identities = run_verification(cfg)["checks"]["coexistence_identities"]
+    assert identities["skipped"] is False
+    assert identities["pass"] is True
+    assert "ratios" not in identities
+    assert identities["note"].startswith("two-grid comparison skipped: on the halved grid, ")
+    assert "coexistence Newton hit the iteration cap" in identities["note"]
+
+
 @pytest.mark.parametrize("family, pair", [(dict(WEAK_FAMILY, n=129), False), (dict(SYMMETRIC, n=63), True)])
 def test_verification_notes_the_skipped_two_grid_comparison(family, pair):
     # An odd n has no halved grid: the checks that compare against it judge

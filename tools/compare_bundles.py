@@ -21,7 +21,9 @@ and sizes compare exactly), keys, columns and lengths.
 The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``
 (the symmetrized step solve, in 1-D and 2-D); ``simulate`` in raw form
 with mu1 != mu2, a drift-dominated ``simulate`` in 1-D (the banded
-step solve) and in 2-D (the modal-banded one), and a ``simulate`` on the
+step solve) and in 2-D (the modal-banded one), a 2-D ``simulate`` whose
+symmetrizer spread, 8.28, lies just inside the limit of 10 (the
+symmetrized 2-D solve near its edge), and a ``simulate`` on the
 slow family at dt 1.28 from u0 = v0 = 1.5, whose explicit half
 overshoots so that the clamp fires (66 clamp events in its report);
 ``steady`` and ``eigen`` in 1-D and 2-D, ``steady`` at a steady
@@ -42,7 +44,7 @@ family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
 identity residuals across them) and on the narrow sliver at alpha2
 7.314e-4, inside its window (an asymmetric pair, whose identity
-residuals are not exact zeros): 44 runs, a few minutes on a 2-core
+residuals are not exact zeros): 45 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -82,6 +84,11 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["sim_2d_modal_banded"] = [
         "simulate", *PLANE, "--d1", "0.025", "--d2", "0.025", "--alpha1", "1.0",
         "--alpha2", "1.0", "--mu", "0.009", "--t-end", "5",
+    ]
+    # Spread 8.28 along x, just inside the limit: the symmetrized 2-D solve.
+    runs["sim_2d_symmetrized_edge"] = [
+        "simulate", *PLANE, "--d1", "0.025", "--d2", "0.025", "--alpha1", "0.11",
+        "--alpha2", "0.05", "--mu", "0.009", "--t-end", "5",
     ]
     # A dt far above the cap: the clamp zeroes negative output 66 times.
     runs["sim_clamp"] = [
