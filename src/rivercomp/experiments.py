@@ -819,9 +819,9 @@ def _identity_check(problem: Problem) -> dict:
     if coarse is None:
         entry["note"] = _NO_HALVED_GRID
     else:
+        why = "no strictly positive pair"
         try:
             cpair = solve_coexistence(coarse.op1, coarse.op2, coarse.eff, tol=tol)
-            why = "no strictly positive pair"
         except SolverError as exc:
             cpair, why = None, str(exc)
         if cpair is None:

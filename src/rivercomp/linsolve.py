@@ -149,14 +149,17 @@ def factor_shifted(
     return sparse_lu(scale * off + sparse.diags(shifted(diag)))
 
 
-def _implicit_blocks(bands, lam: np.ndarray, dt: float):
-    """Row-aligned bands of the blocks I - dt·(T + λ_j·I), one per λ_j, of a tridiagonal T."""
-    lower, diag, upper = bands
-    shape = (len(lam), len(diag))
-    lo, up = np.zeros(shape), np.zeros(shape)
-    lo[:, 1:] = -dt * lower
-    up[:, :-1] = -dt * upper
-    return lo, 1.0 - dt * (diag[None, :] + lam[:, None]), up
+def _stacked_blocks(bands, modes, dt: float):
+    """Row-aligned bands of the blocks I - dt·(T_s + λ·I), one per species s
+    (T_s with ``bands``) and λ in its ``modes``, stacked with zero coupling."""
+    blocks = []
+    for (lower, diag, upper), lam in zip(bands, modes):
+        shape = (len(lam), len(diag))
+        lo, up = np.zeros(shape), np.zeros(shape)
+        lo[:, 1:] = -dt * lower
+        up[:, :-1] = -dt * upper
+        blocks.append((lo, 1.0 - dt * (diag[None, :] + lam[:, None]), up))
+    return tuple(np.stack(band).ravel() for band in zip(*blocks))
 
 
 def _symmetrizer(bands) -> np.ndarray:
@@ -208,20 +211,19 @@ class StepSolve:
         if grid.dim == 2:
             self._shape, self._basis = (len(ops), grid.n, grid.n), dct_basis(grid.n)
             self._modal = np.empty(self._shape)
-        if grid.dim == 2 and symmetrizers is not None:
-            self._diagonalize(bands, modes, dt)
-            self.solve = self._diagonal_solve
-            return
-        blocks = [_implicit_blocks(b, lam, dt) for b, lam in zip(bands, modes)]
-        lower, diag, upper = (np.stack(band).ravel() for band in zip(*blocks))
-        if symmetrizers is not None:
+        if symmetrizers is None:
+            lower, diag, upper = _stacked_blocks(bands, modes, dt)
+            self._stacked = Factorization(diag, lower[1:], upper[:-1]).solve
+            self.solve = self._stacked if grid.dim == 1 else self._modal_solve
+        elif grid.dim == 1:
+            _, diag, upper = _stacked_blocks(bands, modes, dt)
             *self._factors, info = lapack.dpttrf(diag, upper[:-1])
             if info > 0:
                 raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
             self.solve = self._ldlt_solve
         else:
-            self._stacked = Factorization(diag, lower[1:], upper[:-1]).solve
-            self.solve = self._stacked if grid.dim == 1 else self._modal_solve
+            self._diagonalize(bands, modes, dt)
+            self.solve = self._diagonal_solve
 
     def _ldlt_solve(self, rhs: np.ndarray) -> np.ndarray:
         z, _ = lapack.dpttrs(*self._factors, rhs, overwrite_b=1)
