@@ -41,7 +41,7 @@ from .model import EffectiveParams, ModelParams, build_effective_params
 from .operators import check_peclet
 from .spectral import TOL_EIGEN, TOL_MARGINAL
 from .steady import TOL_STEADY
-from .stepping import default_dt, default_eps_extinct, max_stable_dt
+from .stepping import EPS_SETTLE, default_dt, default_eps_extinct, max_stable_dt
 
 __all__ = ["Tolerances", "RunConfig", "merge_config", "parse_config", "MODES"]
 
@@ -53,7 +53,7 @@ _TOL_DEFAULTS = {
     "steady": TOL_STEADY,
     "eigen": TOL_EIGEN,
     "marginal": TOL_MARGINAL,
-    "settle": 1e-4,
+    "settle": EPS_SETTLE,
     # "extinct" is derived from the folded capacity when not given.
 }
 

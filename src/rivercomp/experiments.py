@@ -758,12 +758,12 @@ def run_verification(cfg: RunConfig) -> dict:
             entry["note"] = _NO_HALVED_GRID
         else:
             coarse = _eigen_difference(problem.coarse)
-            ratio = coarse.residual / fine.residual if fine.residual > 0.0 else math.inf
+            ratio = coarse.residual / fine.residual if fine.residual > 0.0 else None
             entry["coarse_residual"] = coarse.residual
-            entry["ratio"] = ratio
-            entry["pass"] = bool(_RATIO_WINDOW[0] <= ratio <= _RATIO_WINDOW[1]) or (
-                fine.residual <= 1e-12 and coarse.residual <= 1e-12
-            )
+            entry["ratio"] = ratio  # null at a zero fine residual: JSON has no inf
+            entry["pass"] = bool(
+                ratio is not None and _RATIO_WINDOW[0] <= ratio <= _RATIO_WINDOW[1]
+            ) or (fine.residual <= 1e-12 and coarse.residual <= 1e-12)
             lone["u_hat_halved_grid"] = problem.coarse.u_hat
         if np.all(np.diff(invasion_potential(resident.u, eff)) < 0.0):
             excess = drift_band_excess(kappa.report.phi, problem.op2)

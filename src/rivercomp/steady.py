@@ -15,12 +15,12 @@ residuals apply the bands (``TransportOperator.apply``), with no sparse
 matrix built; on a 2-D grid they go to sparse LU.  The coexistence
 Newton assembles its 2n-by-2n Jacobian directly in CSC form, from a
 pattern fixed once per solve by the operator bands (the CSR matrix in
-2-D), and factors it with ``splu``: the first Jacobian of a solve with
-SuperLU's COLAMD ordering, the later ones, while no exact zero changes
-the pattern, in the column order COLAMD chose for the first.  A found
-pair's near-singular flag factors its Jacobian the same way and
-estimates the 1-norm condition number with a one-column ``onenormest``,
-in both dimensions.
+2-D) that stores every entry, an exact zero included, and factors it
+with ``splu``: the first Jacobian of a solve with SuperLU's COLAMD
+ordering, the later ones in the column order COLAMD chose for the
+first.  A found pair's near-singular flag factors its Jacobian the same
+way and estimates the 1-norm condition number with a one-column
+``onenormest``, in both dimensions.
 
 The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
@@ -318,21 +318,20 @@ def _split(op: TransportOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 class _PairJacobian:
     """The pair Jacobian [[L1 + D11, D12], [D21, L2 + D22]] in CSC form.
 
-    The D blocks are diagonal, so the pattern is fixed by the operators:
-    the entries are filled in a fixed order, and the permutation into CSC
-    order and the row indices are built once.  A call drops exact zeros
-    the way ``sparse.bmat`` does, so its arrays, and so the ``splu``
-    factors, are the same as those of the ``bmat`` assembly.
+    The pattern is the operators': the off-diagonals of L1 and L2 and the
+    diagonals of the four blocks, every entry stored, an exact zero
+    included.  Each CSC layout is built once, and a matrix only gathers
+    its values into one.  Without zeros, its arrays and ``splu`` factors
+    are those of the ``sparse.bmat`` assembly.
 
-    ``solve`` factors the first Jacobian of a solve with ``splu`` and keeps
-    the column order SuperLU chose for it (``perm_c``), together with the
-    entries' zero mask.  While the mask holds, each later Jacobian is laid
-    out with rows and columns both relabelled by that order and factored
-    with ``permc_spec="NATURAL"``: SuperLU runs the same elimination on the
-    same numbers, so the solution is bitwise that of a plain ``splu``,
-    without ordering the same pattern again.  An exact zero that changes
-    the mask takes a fresh ``splu`` and a fresh order.  ``near_singular``
-    estimates the condition number from a factor taken the same way.
+    ``factor`` factors the first Jacobian of a solve with ``splu`` and
+    keeps SuperLU's column order (``perm_c``), which COLAMD chose from the
+    pattern alone.  Each later Jacobian is laid out with rows and columns
+    both relabelled by that order and factored with
+    ``permc_spec="NATURAL"``: SuperLU runs the same elimination on the
+    same numbers, so the solution is bitwise that of a plain ``splu``.
+    ``near_singular`` estimates the condition number from a factor taken
+    the same way.
     """
 
     def __init__(self, op1: TransportOperator, op2: TransportOperator, eff: EffectiveParams):
@@ -346,14 +345,24 @@ class _PairJacobian:
         # of the four blocks (11, 22, 12, 21).
         self._entry_rows = np.concatenate([rows1, rows2 + n, idx, idx + n, idx, idx + n])
         self._entry_cols = np.concatenate([cols1, cols2 + n, idx, idx + n, idx + n, idx])
-        self._order = np.lexsort((self._entry_rows, self._entry_cols))
-        self._rows, self._cols = self._entry_rows[self._order], self._entry_cols[self._order]
         self._shape = (2 * n, 2 * n)
-        # The reused order: the zero mask it was chosen for, its labels, and
-        # the relabelled CSC layout (entry order, row labels, column pointers).
-        self._mask = None
+        self._natural = self._layout(np.arange(2 * n, dtype=np.int32))
+        # The reused order: its labels and its relabelled layout.
         self._label = None
-        self._layout = None
+        self._relabelled = None
+
+    def _layout(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entry order, row labels and column pointers of B[label[i], label[j]] = J[i, j].
+
+        Each column keeps its rows in natural order: SuperLU's symbolic
+        search follows the stored order, and that order settles ties
+        between equally large pivot candidates.
+        """
+        cols = label[self._entry_cols]
+        order = np.lexsort((self._entry_rows, cols))
+        indptr = np.zeros(self._shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self._shape[1]), out=indptr[1:])
+        return order, label[self._entry_rows[order]], indptr
 
     def _values(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The entries in the fixed entry order."""
@@ -368,47 +377,33 @@ class _PairJacobian:
             ]
         )
 
-    def _natural(self, values: np.ndarray) -> sparse.csc_matrix:
-        values = values[self._order]
-        keep = values != 0.0
-        indptr = np.zeros(self._shape[1] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self._cols[keep], minlength=self._shape[1]), out=indptr[1:])
-        return sparse.csc_matrix((values[keep], self._rows[keep], indptr), shape=self._shape)
+    def _matrix(self, values: np.ndarray, layout: tuple) -> sparse.csc_matrix:
+        order, rows, indptr = layout
+        jac = sparse.csc_matrix((values[order], rows, indptr), shape=self._shape)
+        # The flag keeps splu from sorting the relabelled rows.
+        jac.has_canonical_format = True
+        return jac
 
     def __call__(self, u: np.ndarray, v: np.ndarray) -> sparse.csc_matrix:
-        return self._natural(self._values(u, v))
+        return self._matrix(self._values(u, v), self._natural)
 
     def factor(self, u: np.ndarray, v: np.ndarray) -> tuple[spla.SuperLU, np.ndarray | None]:
         """SuperLU factors of J(u, v) and the labels of the unknowns in them.
 
-        The labels are None for a plain ``splu`` of the natural-order
-        matrix; otherwise the factored matrix B has B[label[i], label[j]] =
-        J[i, j].  Raises ``RuntimeError`` for a singular Jacobian.
+        The labels are None for the first factor, a plain ``splu`` of the
+        natural-order matrix; otherwise the factored matrix B has
+        B[label[i], label[j]] = J[i, j].  Raises ``RuntimeError`` for a
+        singular Jacobian.
         """
-        values = self._values(u, v)
-        keep = values != 0.0
-        if self._mask is not None and np.array_equal(keep, self._mask):
-            order, rows, indptr = self._layout
-            jac = sparse.csc_matrix((values[order], rows, indptr), shape=self._shape)
-            # Each column keeps its rows in natural order: SuperLU's symbolic
-            # search follows the stored order, and that order settles ties
-            # between equally large pivot candidates.  The flag keeps splu
-            # from sorting the relabelled rows.
-            jac.has_canonical_format = True
-            return spla.splu(jac, permc_spec="NATURAL"), self._label
-        lu = spla.splu(self._natural(values))
-        # Rows are relabelled along with the columns because SuperLU prefers
-        # the diagonal among tied pivot candidates and finds the diagonal
-        # through its column order, which NATURAL makes the identity.
-        label = lu.perm_c
-        kept = np.flatnonzero(keep)
-        cols = label[self._entry_cols[kept]]
-        order = kept[np.lexsort((self._entry_rows[kept], cols))]
-        indptr = np.zeros(self._shape[1] + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=self._shape[1]), out=indptr[1:])
-        self._mask, self._label = keep, label
-        self._layout = (order, label[self._entry_rows[order]], indptr)
-        return lu, None
+        if self._label is None:
+            lu = spla.splu(self(u, v))
+            # Rows are relabelled along with the columns because SuperLU prefers
+            # the diagonal among tied pivot candidates and finds the diagonal
+            # through its column order, which NATURAL makes the identity.
+            self._label, self._relabelled = lu.perm_c, self._layout(lu.perm_c)
+            return lu, None
+        jac = self._matrix(self._values(u, v), self._relabelled)
+        return spla.splu(jac, permc_spec="NATURAL"), self._label
 
     def solve(self, u: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """J(u, v)⁻¹·rhs; raises ``RuntimeError`` for a singular Jacobian."""

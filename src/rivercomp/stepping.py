@@ -68,12 +68,15 @@ __all__ = [
     "max_stable_dt",
     "default_dt",
     "CLAMP_TOLERANCE",
+    "EPS_SETTLE",
 ]
 
 # Values in (-CLAMP_TOLERANCE, 0) are treated as rounding noise and zeroed
 # silently; anything below it is a genuine positivity violation and counts
 # as a clamp event.
 CLAMP_TOLERANCE = 1e-13
+# Default relative change below which a norm history counts as settled.
+EPS_SETTLE = 1e-4
 
 
 class Verdict(str, enum.Enum):
@@ -363,7 +366,7 @@ def _settled(norms: np.ndarray, eps_settle: float, floor: float) -> bool:
 def classify_outcome(
     traj: Trajectory,
     eps_extinct: float,
-    eps_settle: float = 1e-4,
+    eps_settle: float = EPS_SETTLE,
 ) -> Outcome:
     """Map a trajectory onto a qualitative outcome.
 

@@ -103,8 +103,8 @@ def bmat_jacobian(op1, op2, eff, u, v):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pair_jacobian_csc_matches_bmat(n, dim, zeros, seed):
-    # Exact zeros in u or v empty the coupling diagonals there; bmat drops
-    # those entries, and so must the direct assembly.
+    # Exact zeros in u or v zero the coupling diagonals there; bmat drops
+    # those entries, and the direct assembly stores them.
     grid, eff, op1, op2 = setup(n=n if dim == 1 else min(n, 12), dim=dim, **dict(SLOW, alpha1=-0.003))
     rng = np.random.default_rng(seed)
     u, v = 2.0 * rng.random(grid.size), 2.0 * rng.random(grid.size)
@@ -112,11 +112,20 @@ def test_pair_jacobian_csc_matches_bmat(n, dim, zeros, seed):
     v[rng.random(grid.size) < zeros] = 0.0
     got = steady._PairJacobian(op1, op2, eff)(u, v)
     want = bmat_jacobian(op1, op2, eff, u, v)
+    np.testing.assert_array_equal(got.toarray(), want.toarray())
+    # The whole pattern: both operators' and the two coupling diagonals.
+    assert got.nnz == op1.matrix.nnz + op2.matrix.nnz + 2 * grid.size
+    if dim == 1:
+        assert got.nnz == 8 * grid.size - 4
+    # Stored zeros aside, the arrays are bmat's, bit for bit: all of them
+    # where no value is exactly zero.
+    kept = got.copy()
+    kept.eliminate_zeros()
     for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        np.testing.assert_array_equal(getattr(kept, name), getattr(want, name))
 
 
-def test_pair_jacobian_drops_a_zero_diagonal_entry_like_bmat():
+def test_pair_jacobian_stores_a_cancelled_diagonal_entry():
     # A diagonal entry of L1 + D11 that cancels to exactly zero.
     grid, eff, op1, op2 = setup(n=8)
     u, v = np.full(grid.size, 0.5), np.full(grid.size, 0.5)
@@ -126,9 +135,11 @@ def test_pair_jacobian_drops_a_zero_diagonal_entry_like_bmat():
     assert op1.matrix.diagonal()[3] + rr1[3] * (1.0 - (2.0 * u[3] + v[3]) / K1[3]) == 0.0
     got = steady._PairJacobian(op1, op2, eff)(u, v)
     want = bmat_jacobian(op1, op2, eff, u, v)
-    assert got.nnz == want.nnz == 8 * grid.size - 4 - 1
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.nnz == 8 * grid.size - 4 == want.nnz + 1
+    start, stop = got.indptr[3], got.indptr[4]
+    assert 3 in got.indices[start:stop]
+    assert got.data[start:stop][got.indices[start:stop] == 3] == 0.0
+    np.testing.assert_array_equal(got.toarray(), want.toarray())
 
 
 # ---------------------------------------------------------------------
@@ -244,10 +255,10 @@ def test_pair_newton_factors_in_its_first_order_bitwise(monkeypatch, case):
     if isinstance(case, str) or case[0] is SYMMETRIC:
         assert isinstance(got, steady.CoexistencePair)
 
-    # COLAMD orders the first Jacobian alone; no exact zero changes the
-    # pattern, so every later one is factored in that order.  A found
-    # pair's near-singular flag, in either dimension, takes the last
-    # factor: the pair's own Jacobian, in that order too.
+    # COLAMD orders the first Jacobian alone; every later one is factored
+    # in that order.  A found pair's near-singular flag, in either
+    # dimension, takes the last factor: the pair's own Jacobian, in that
+    # order too.
     assert len(factors) >= 3
     assert [label is None for *_, label in factors] == [True] + [False] * (len(factors) - 1)
     assert specs == ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
@@ -261,27 +272,40 @@ def test_pair_newton_factors_in_its_first_order_bitwise(monkeypatch, case):
         assert_same_factor(lu, label, spla.splu(jacobian(u, v)), rhs)
 
 
-def test_a_zero_in_the_start_takes_a_fresh_order(monkeypatch):
-    # u = 0 at every fourth cell empties D12 there, so the first Jacobian
-    # lacks those entries; the first update fills them, and the changed
-    # pattern is ordered again before the order is reused.
-    _, eff, op1, op2 = setup(n=128, **WEAK)
-    K1 = eff.K1
+def every_fourth_u_zero(K1):
     u = K1 / 3.0
     u[::4] = 0.0
-    guess = (u, K1 / 3.0)
+    return u, K1 / 3.0
+
+
+@pytest.mark.parametrize(
+    "start, zeros",
+    [
+        # u = 0 at every fourth cell zeroes D12 there, until the first
+        # update fills it.
+        pytest.param(every_fourth_u_zero, 32, id="u-zero-every-fourth-cell"),
+        # A lone state's start: v = 0 zeroes the whole D21 block.
+        pytest.param(lambda K1: (K1 / 3.0, np.zeros_like(K1)), 128, id="v-zero-lone-start"),
+    ],
+)
+def test_a_zero_in_the_start_keeps_the_first_order(monkeypatch, start, zeros):
+    # The zeros are stored: the pattern, and so COLAMD's order, is the
+    # operators', whatever the values.
+    _, eff, op1, op2 = setup(n=128, **WEAK)
+    guess = start(eff.K1)
     got, factors, specs = pair_newton(monkeypatch, op1, op2, eff, guess)
     want, _, _ = pair_newton(monkeypatch, op1, op2, eff, guess, solve=plain_splu_solve)
     assert_same_outcome(got, want)
 
     jacobian = factors[0][0]
-    full = jacobian(K1 / 3.0, K1 / 3.0).nnz
-    assert jacobian(*guess).nnz == full - 32
+    first = jacobian(*guess)
+    assert first.nnz == 8 * op1.grid.size - 4
+    assert np.count_nonzero(first.data == 0.0) == zeros
     assert len(factors) >= 4
-    assert [label is None for *_, label in factors] == [True, True] + [False] * (len(factors) - 2)
-    assert specs == ["COLAMD", "COLAMD"] + ["NATURAL"] * (len(factors) - 2)
+    assert [label is None for *_, label in factors] == [True] + [False] * (len(factors) - 1)
+    assert specs == ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
     rhs = np.cos(np.arange(2 * op1.grid.size))
-    for jacobian, u, v, lu, label in factors[2:]:
+    for jacobian, u, v, lu, label in factors[1:]:
         assert_same_factor(lu, label, spla.splu(jacobian(u, v)), rhs)
 
 

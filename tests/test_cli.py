@@ -116,6 +116,21 @@ def test_verify_prints_one_line_per_check(tmp_path, capsys):
     assert lines[-1].startswith("all checks pass")
 
 
+def test_verify_report_is_strict_json_at_a_zero_fine_residual(tmp_path):
+    # Equal movement makes the fine eigen-difference residual exactly 0:
+    # the two-grid ratio is null, never the non-JSON Infinity.
+    def refuse(name):
+        raise ValueError(f"report.json holds {name}")
+
+    out = tmp_path / "verify"
+    flags = ["--d1", "0.05", "--d2", "0.05", "--alpha1", "0.02", "--alpha2", "0.02", "--mu", "0.1"]
+    assert main(["verify", *flags, "--n", "64", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    entry = report["checks"]["eigen_difference"]
+    assert entry["residual"] == 0.0
+    assert entry["ratio"] is None and entry["pass"] is True
+
+
 def test_eigen_subcommand_prints_verdicts(tmp_path, capsys):
     out = tmp_path / "eigen"
     code = main(["eigen", *WEAK_FLAGS, "--n", "64", "--out-dir", str(out)])

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from rivercomp.config import parse_config
+from rivercomp.spectral import TOL_EIGEN, TOL_MARGINAL
+from rivercomp.steady import TOL_STEADY
+from rivercomp.stepping import EPS_SETTLE, classify_outcome
 from rivercomp.errors import ConfigError, GridResolutionError
 
 WEAK = dict(d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04)
@@ -159,6 +162,17 @@ def test_t_end_must_be_positive():
 def test_unknown_tolerance_key_rejected():
     with pytest.raises(ConfigError, match="unknown tolerances key 'slack'"):
         parse_config(overrides=dict(WEAK, tolerances={"slack": 1e-3}))
+
+
+def test_default_tolerances_are_the_solvers_defaults():
+    tol = parse_config(overrides=WEAK).tolerances
+    assert (tol.steady, tol.eigen, tol.marginal, tol.settle) == (
+        TOL_STEADY,
+        TOL_EIGEN,
+        TOL_MARGINAL,
+        EPS_SETTLE,
+    )
+    assert classify_outcome.__defaults__ == (EPS_SETTLE,)
 
 
 def test_explicit_tolerance_not_marked_defaulted():
