@@ -37,8 +37,7 @@ The solve comes in two kinds, and the stepper names it by
   Cᵀ·(D_s ∘ (C·Z·Q_s))·Q_sᵀ on each species' (y, x) array Z, for the
   reciprocal denominators D_s[j, k] = 1/(1 - dt·(λ_sj + θ_sk)): four
   batched n×n products and one scaling, with no serial sweep (two
-  species on 64×64 cells: about 88 µs, against 110 µs for ``pttrs`` over
-  the 8,192 stacked rows of the modal blocks, on a 2-core VM).  θ and λ
+  species on 64×64 cells: about 88 µs on a 2-core VM).  θ and λ
   are eigenvalues of generators (≤ 0 up to rounding), so every
   denominator is at least about 1.
 - ``"banded"`` (1-D) and ``"modal-banded"`` (2-D): the blocks as they

@@ -78,7 +78,6 @@ class EffectiveParams:
     Each coefficient is a float array of shape (grid.size,)."""
 
     grid: Grid
-    mu: float
     r1: float  # 1 - mu, exact
     r: np.ndarray  # growth rate r(x)
     K: np.ndarray  # raw carrying capacity K(x)
@@ -115,7 +114,7 @@ def build_effective_params(params: ModelParams, grid: Grid, mu: float) -> Effect
     if np.any(K <= 0.0):
         raise ConfigError(f"carrying capacity {params.K_expr!r} must be positive on the habitat")
     r1 = 1.0 - mu
-    return EffectiveParams(grid=grid, mu=mu, r1=r1, r=r, K=K, K1=K * r1, rr1=r * r1)
+    return EffectiveParams(grid=grid, r1=r1, r=r, K=K, K1=K * r1, rr1=r * r1)
 
 
 def reaction(u: np.ndarray, v: np.ndarray, eff: EffectiveParams) -> np.ndarray:

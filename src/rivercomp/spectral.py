@@ -283,7 +283,6 @@ def invasion_potential(resident: np.ndarray, eff: EffectiveParams) -> np.ndarray
 class StabilityVerdict:
     verdict: str  # "stable" | "unstable" | "marginal"
     report: EigenReport
-    tol_marginal: float
 
 
 def semitrivial_stability(
@@ -312,7 +311,7 @@ def semitrivial_stability(
         verdict = "unstable"
     else:
         verdict = "marginal"
-    return StabilityVerdict(verdict=verdict, report=report, tol_marginal=tol_marginal)
+    return StabilityVerdict(verdict=verdict, report=report)
 
 
 # ---------------------------------------------------------------------

@@ -16,11 +16,12 @@ matrix built; on a 2-D grid they go to sparse LU.  The coexistence
 Newton assembles its 2n-by-2n Jacobian directly in CSC form, from a
 pattern fixed once per solve by the operator bands (the CSR matrix in
 2-D) that stores every entry, an exact zero included, and factors it
-with ``splu``: the first Jacobian of a solve with SuperLU's COLAMD
-ordering, the later ones in the column order COLAMD chose for the
-first.  A found pair's near-singular flag factors its Jacobian the same
-way and estimates the 1-norm condition number with a one-column
-``onenormest``, in both dimensions.
+with ``splu`` through one order state: the first Jacobian of a solve
+under identity labels with SuperLU's COLAMD ordering, the later ones
+relabelled by the column order COLAMD chose for the first, with no
+further ordering.  A found pair's near-singular flag factors its
+Jacobian the same way and estimates the 1-norm condition number with a
+one-column ``onenormest``, in both dimensions.
 
 The diagnostic helpers evaluate quantities that are exact for the
 continuous steady states and must therefore shrink at second order on
@@ -80,7 +81,6 @@ _MAX_MARCH_STEPS = 500_000
 
 @dataclass
 class SteadyState:
-    grid: Grid
     u: np.ndarray
     residual: float
     method: str  # "long-time" | "newton" | "hybrid"
@@ -89,7 +89,6 @@ class SteadyState:
 
 @dataclass
 class CoexistencePair:
-    grid: Grid
     u: np.ndarray
     v: np.ndarray
     residual: float
@@ -276,7 +275,7 @@ def solve_single_steady(
         )
     if residual is None:
         residual = float(np.abs(_single_residual(op, eff, u)).max())
-    return SteadyState(grid=op.grid, u=u, residual=residual, method=method, iterations=iterations)
+    return SteadyState(u=u, residual=residual, method=method, iterations=iterations)
 
 
 # ---------------------------------------------------------------------
@@ -324,12 +323,13 @@ class _PairJacobian:
     its values into one.  Without zeros, its arrays and ``splu`` factors
     are those of the ``sparse.bmat`` assembly.
 
-    ``factor`` factors the first Jacobian of a solve with ``splu`` and
-    keeps SuperLU's column order (``perm_c``), which COLAMD chose from the
-    pattern alone.  Each later Jacobian is laid out with rows and columns
-    both relabelled by that order and factored with
-    ``permc_spec="NATURAL"``: SuperLU runs the same elimination on the
-    same numbers, so the solution is bitwise that of a plain ``splu``.
+    One order state, ``_order = (label, layout, permc_spec)``, says how
+    ``factor`` lays out and orders a Jacobian.  It starts as the identity
+    labels, the natural layout and COLAMD, which chooses its column order
+    (``perm_c``) from the pattern alone.  After that first factor it holds
+    ``perm_c``, the layout with rows and columns both relabelled by it and
+    ``permc_spec="NATURAL"``: SuperLU runs the same elimination on the same
+    numbers, so each solution is bitwise that of a plain ``splu``.
     ``near_singular`` estimates the condition number from a factor taken
     the same way.
     """
@@ -346,10 +346,9 @@ class _PairJacobian:
         self._entry_rows = np.concatenate([rows1, rows2 + n, idx, idx + n, idx, idx + n])
         self._entry_cols = np.concatenate([cols1, cols2 + n, idx, idx + n, idx + n, idx])
         self._shape = (2 * n, 2 * n)
-        self._natural = self._layout(np.arange(2 * n, dtype=np.int32))
-        # The reused order: its labels and its relabelled layout.
-        self._label = None
-        self._relabelled = None
+        identity = np.arange(2 * n, dtype=np.int32)
+        self._natural = self._layout(identity)
+        self._order = (identity, self._natural, "COLAMD")
 
     def _layout(self, label: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Entry order, row labels and column pointers of B[label[i], label[j]] = J[i, j].
@@ -387,23 +386,20 @@ class _PairJacobian:
     def __call__(self, u: np.ndarray, v: np.ndarray) -> sparse.csc_matrix:
         return self._matrix(self._values(u, v), self._natural)
 
-    def factor(self, u: np.ndarray, v: np.ndarray) -> tuple[spla.SuperLU, np.ndarray | None]:
+    def factor(self, u: np.ndarray, v: np.ndarray) -> tuple[spla.SuperLU, np.ndarray]:
         """SuperLU factors of J(u, v) and the labels of the unknowns in them.
 
-        The labels are None for the first factor, a plain ``splu`` of the
-        natural-order matrix; otherwise the factored matrix B has
-        B[label[i], label[j]] = J[i, j].  Raises ``RuntimeError`` for a
-        singular Jacobian.
+        The factored matrix B has B[label[i], label[j]] = J[i, j].  Raises
+        ``RuntimeError`` for a singular Jacobian.
         """
-        if self._label is None:
-            lu = spla.splu(self(u, v))
+        label, layout, spec = self._order
+        lu = spla.splu(self._matrix(self._values(u, v), layout), permc_spec=spec)
+        if spec == "COLAMD":
             # Rows are relabelled along with the columns because SuperLU prefers
             # the diagonal among tied pivot candidates and finds the diagonal
             # through its column order, which NATURAL makes the identity.
-            self._label, self._relabelled = lu.perm_c, self._layout(lu.perm_c)
-            return lu, None
-        jac = self._matrix(self._values(u, v), self._relabelled)
-        return spla.splu(jac, permc_spec="NATURAL"), self._label
+            self._order = (lu.perm_c, self._layout(lu.perm_c), "NATURAL")
+        return lu, label
 
     def solve(self, u: np.ndarray, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """J(u, v)⁻¹·rhs; raises ``RuntimeError`` for a singular Jacobian."""
@@ -431,12 +427,10 @@ class _PairJacobian:
 
 
 def _labelled_solve(
-    lu: spla.SuperLU, label: np.ndarray | None, rhs: np.ndarray, trans: str = "N"
+    lu: spla.SuperLU, label: np.ndarray, rhs: np.ndarray, trans: str = "N"
 ) -> np.ndarray:
     """J⁻¹·rhs (Jᵀ⁻¹·rhs for ``trans="T"``) from ``_PairJacobian.factor``'s
     factors and labels, in the unknowns' natural order."""
-    if label is None:
-        return lu.solve(rhs, trans)
     b = np.empty_like(rhs)
     b[label] = rhs
     return lu.solve(b, trans)[label]
@@ -479,7 +473,6 @@ def solve_coexistence(
     if float(u[u.argmin()]) <= floor or float(v[v.argmin()]) <= floor:
         return None
     return CoexistencePair(
-        grid=op1.grid,
         u=u,
         v=v,
         residual=res_norm,
@@ -617,7 +610,7 @@ def coexistence_identity_residuals(
     midpoint quadrature over every cell, are the residuals: both are
     second-order small for a converged pair.
     """
-    grid = pair.grid
+    grid = op1.grid
     if grid.dim != 1:
         raise ConfigError("the integral identities are a 1-D diagnostic")
     h = grid.h

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .grid import Grid
 from .linsolve import implicit_solver
 from .model import EffectiveParams, ModelParams
@@ -282,7 +282,9 @@ def integrate(
     holding only the initial sample.  The steps between two of these
     events run in one ``Stepper.advance``; sampling reads the stepper's
     fields and never changes its state.  The trajectory counts the
-    clamps of this run alone.
+    clamps of this run alone.  Raises ``SolverError`` when a sampled
+    sup-norm or mass is not finite; a NaN stays NaN, so the final sample
+    sees one that any step made.
     """
     if not 0.0 <= t_end < math.inf:
         raise ConfigError(f"t_end must be finite and nonnegative, got {t_end}")
@@ -297,7 +299,10 @@ def integrate(
 
     def sample(t: float, w: tuple[np.ndarray, np.ndarray]) -> None:
         norms = (float(np.max(np.abs(x))) for x in w)
-        samples.append((t, *norms, *(vol * float(x.sum()) for x in w)))
+        row = (t, *norms, *(vol * float(x.sum()) for x in w))
+        if not all(map(math.isfinite, row)):
+            raise SolverError(f"the state stopped being finite by t={t!r}: sup-norms and masses {row[1:]}")
+        samples.append(row)
 
     snapshots: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     w = (np.array(u0, dtype=float), np.array(v0, dtype=float))

@@ -213,8 +213,7 @@ def assert_same_outcome(got, want):
 
 def assert_same_factor(lu, label, plain, rhs):
     """A factor of the relabelled Jacobian against ``splu`` of the natural one."""
-    size = len(rhs)
-    np.testing.assert_array_equal(lu.perm_c, np.arange(size))
+    np.testing.assert_array_equal(lu.perm_c[label], plain.perm_c)
     np.testing.assert_array_equal(lu.perm_r[label], plain.perm_r)
     for factor in ("L", "U"):
         got, want = getattr(lu, factor), getattr(plain, factor)
@@ -223,6 +222,15 @@ def assert_same_factor(lu, label, plain, rhs):
     b = np.empty_like(rhs)
     b[label] = rhs
     np.testing.assert_array_equal(lu.solve(b)[label], plain.solve(rhs))
+
+
+def assert_first_order_labels(factors):
+    """The first factor's labels are the identity, every later one's its ``perm_c``."""
+    first_lu, first_label = factors[0][3:]
+    np.testing.assert_array_equal(first_label, np.arange(len(first_label)))
+    for *_, lu, label in factors[1:]:
+        np.testing.assert_array_equal(lu.perm_c, np.arange(len(label)))
+        np.testing.assert_array_equal(label, first_lu.perm_c)
 
 
 def newton_case(case):
@@ -260,7 +268,7 @@ def test_pair_newton_factors_in_its_first_order_bitwise(monkeypatch, case):
     # dimension, takes the last factor: the pair's own Jacobian, in that
     # order too.
     assert len(factors) >= 3
-    assert [label is None for *_, label in factors] == [True] + [False] * (len(factors) - 1)
+    assert_first_order_labels(factors)
     assert specs == ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
     if isinstance(got, steady.CoexistencePair):
         _, u, v, _, _ = factors[-1]
@@ -268,7 +276,7 @@ def test_pair_newton_factors_in_its_first_order_bitwise(monkeypatch, case):
         np.testing.assert_array_equal(v, got.v)
 
     rhs = np.sin(np.arange(2 * op1.grid.size) + 0.5)
-    for jacobian, u, v, lu, label in factors[1:]:
+    for jacobian, u, v, lu, label in factors:
         assert_same_factor(lu, label, spla.splu(jacobian(u, v)), rhs)
 
 
@@ -302,10 +310,10 @@ def test_a_zero_in_the_start_keeps_the_first_order(monkeypatch, start, zeros):
     assert first.nnz == 8 * op1.grid.size - 4
     assert np.count_nonzero(first.data == 0.0) == zeros
     assert len(factors) >= 4
-    assert [label is None for *_, label in factors] == [True] + [False] * (len(factors) - 1)
+    assert_first_order_labels(factors)
     assert specs == ["COLAMD"] + ["NATURAL"] * (len(factors) - 1)
     rhs = np.cos(np.arange(2 * op1.grid.size))
-    for jacobian, u, v, lu, label in factors[1:]:
+    for jacobian, u, v, lu, label in factors:
         assert_same_factor(lu, label, spla.splu(jacobian(u, v)), rhs)
 
 

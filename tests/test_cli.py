@@ -327,3 +327,14 @@ def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
         "error": "numerical", "type": "SolverError", "message": "Newton stalled at residual 1e-3"
     }
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_state_that_overflows_exits_three_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    args = ["simulate", "--u0", "1e300", "--v0", "1e300", "--n", "16", "--t-end", "1"]
+    assert main([*args, "--out-dir", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (record["error"], record["type"]) == ("numerical", "SolverError")
+    assert "stopped being finite" in record["message"]
+    assert not out.exists()

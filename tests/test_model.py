@@ -64,7 +64,7 @@ def test_fold_needs_single_fraction():
     p = params(mu1=0.3, mu2=0.1)
     for mu in (0.1, 0.3):
         eff = build_effective_params(p, GRID, mu=mu)
-        assert eff.mu == mu and eff.r1 == 1.0 - mu
+        assert eff.r1 == 1.0 - mu
         np.testing.assert_array_equal(eff.K1, eff.K * eff.r1)
 
 

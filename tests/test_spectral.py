@@ -104,7 +104,6 @@ def test_equal_movement_resident_is_marginal():
     verdict = semitrivial_stability(op, resident.u, eff)
     assert verdict.verdict == "marginal"
     assert abs(verdict.report.growth_rate) < TOL_MARGINAL
-    assert verdict.tol_marginal == TOL_MARGINAL
 
 
 def test_index_gap_identity_residual_shrinks_at_second_order():

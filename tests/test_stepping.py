@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from rivercomp import experiments, stepping
 from rivercomp.config import parse_config
-from rivercomp.errors import ConfigError
+from rivercomp.errors import ConfigError, SolverError
 from rivercomp.grid import Grid
 from rivercomp.model import EffectiveParams, ModelParams, build_effective_params, raw_reaction, reaction
 from rivercomp.operators import transport_for
@@ -105,6 +105,16 @@ def test_integrate_refuses_a_horizon_that_is_not_finite_and_nonnegative(t_end):
     w = np.full(grid.size, 0.5)
     with pytest.raises(ConfigError, match="t_end must be finite and nonnegative"):
         integrate(stepper, w, w, t_end)
+
+
+def test_integrate_raises_once_the_state_stops_being_finite():
+    # The explicit half overflows at 1e300 and the solve turns -inf into
+    # NaN, which the clamp's test (NaN < 0 is false) lets through.
+    stepper, grid, _ = make_stepper(n=16)
+    w = np.full(grid.size, 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolverError, match="stopped being finite by t="):
+            integrate(stepper, w, w, 1.0)
 
 
 def test_mass_identity_single_step():

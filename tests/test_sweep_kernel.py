@@ -228,7 +228,7 @@ def frozen_solve_single_steady(op, eff, tol=1e-10, method="hybrid", u0=None):
             "at these movement/harvest parameters"
         )
     residual = float(np.max(np.abs(frozen_single_residual(op, eff, u))))
-    return SteadyState(grid=op.grid, u=u, residual=residual, method=method, iterations=iterations)
+    return SteadyState(u=u, residual=residual, method=method, iterations=iterations)
 
 
 def frozen_secant(last, before):
