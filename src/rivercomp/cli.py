@@ -50,6 +50,20 @@ def _number_or_expression(text: str) -> float | str:
         return text
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Each ``--flag -1e-05`` as ``--flag=-1e-05``: argparse takes a token that
+    starts with "-" for an option unless its negative-number pattern, which
+    has no exponent, matches it."""
+    out: list[str] = []
+    for token in argv:
+        negative = token[:1] == "-" and isinstance(_number_or_expression(token), float)
+        if negative and out and out[-1][:2] == "--" and len(out[-1]) > 2 and "=" not in out[-1]:
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=Path, default=None, help="JSON config file")
     m = sub.add_argument_group("model parameters")
@@ -218,7 +232,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return _dispatch(args)
     except AnomalyError as exc:

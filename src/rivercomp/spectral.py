@@ -47,7 +47,6 @@ from .errors import ConfigError, SolverError
 from .linsolve import factor_shifted
 from .model import EffectiveParams
 from .operators import TransportOperator, band_matvec
-from .steady import log_slope
 
 __all__ = [
     "EigenReport",
@@ -58,7 +57,6 @@ __all__ = [
     "semitrivial_stability",
     "eigen_difference_residual",
     "EigenDifferenceReport",
-    "drift_band_excess",
     "TOL_MARGINAL",
     "TOL_EIGEN",
 ]
@@ -372,21 +370,3 @@ def eigen_difference_residual(
         residual=abs(gap - estimate),
     )
 
-
-@dataclass
-class DriftBandExcess:
-    max_excess: float
-    band: float
-
-
-def drift_band_excess(phi: np.ndarray, op: TransportOperator) -> DriftBandExcess:
-    """How far the eigenvector log slope pokes above the drift ratio.
-
-    For a strictly decreasing potential the dominant eigenvector of
-    ``op`` plus that potential keeps d*(phi_x/phi) at or below alpha; the
-    excess is measured on interior cells against a 10 h^2 allowance for
-    discretization error.
-    """
-    grid = op.grid
-    excess = float(np.max(op.d * log_slope(phi, grid)[1:-1] - op.alpha))
-    return DriftBandExcess(max_excess=excess, band=10.0 * grid.h * grid.h)

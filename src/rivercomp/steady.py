@@ -508,9 +508,9 @@ class CapacityGapReport:
 
     ``linear`` is the integral of r·(K1 - u); ``quadratic`` integrates
     r·(K1 - u)²/K1.  For an exact single-species steady state the two
-    are equal, and both are strictly positive whenever K1 varies in
-    space (``degenerate`` marks the constant-capacity case where both
-    vanish).
+    are equal, and both are strictly positive unless u = K1
+    (``degenerate`` marks constant capacity, where both vanish without
+    drift).
     """
 
     linear: float

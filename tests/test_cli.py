@@ -329,12 +329,28 @@ def test_solver_failure_exits_three(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_state_that_overflows_exits_three_and_writes_nothing(tmp_path, capsys):
+    # NumPy's overflow warnings stay silent: one JSON record is all of stderr.
     out = tmp_path / "run"
     args = ["simulate", "--u0", "1e300", "--v0", "1e300", "--n", "16", "--t-end", "1"]
     assert main([*args, "--out-dir", str(out)]) == 3
-    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
     assert (record["error"], record["type"]) == ("numerical", "SolverError")
     assert "stopped being finite" in record["message"]
     assert not out.exists()
+
+
+def test_a_negative_value_with_an_exponent_parses(tmp_path, monkeypatch):
+    # argparse's own negative-number pattern has no exponent.
+    bundles = []
+    for k, alpha1 in enumerate((["--alpha1", "-1e-05"], ["--alpha1=-1e-05"], ["--alpha1", "-0.00001"])):
+        cwd = tmp_path / str(k)
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        flags = ["--d1", "0.08", "--d2", "0.07", *alpha1, "--alpha2", "0.04", "--mu", "0.009"]
+        assert main(["eigen", *flags, "--n", "32", "--out-dir", "run"]) == 0
+        bundles.append({p.name: p.read_bytes() for p in (cwd / "run").iterdir()})
+    assert bundles[0] == bundles[1] == bundles[2]
+    assert json.loads(bundles[0]["config.echo.json"])["alpha1"] == -1e-05

@@ -13,6 +13,7 @@ point from the last point's solutions is the oracle for that.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -392,6 +393,40 @@ def test_fast_family_stall_note_matches_the_benchmark_reference(n):
         state = report["lone_states"][name]
         assert state["method"] == "long-time"
         assert 1e-10 < state["residual"] < 1e-7
+
+
+# ---------------------------------------------------------------------
+# capacity gap
+# ---------------------------------------------------------------------
+
+
+def test_capacity_gap_passes_at_constant_capacity_with_drift():
+    # Drift against no-flux walls keeps u off the constant capacity, so
+    # both integrals are positive; they agree to the lone state's residual.
+    cfg = parse_config(overrides=dict(WEAK_FAMILY, mode="verify", n=128, K="1"))
+    report = run_verification(cfg)
+    gap = report["checks"]["capacity_gap"]
+    assert gap["pass"] is True and gap["degenerate"] is True
+    assert gap["linear"] > 1e-3
+    assert report["all_pass"] is True
+
+
+@pytest.mark.parametrize("n", [128, 256, 512, 1024])
+def test_capacity_gap_passes_without_drift_at_constant_capacity(n):
+    # u sits 4.4e-14 above K1.  At n >= 256 the gap, 4.389e-14, is 0.3%
+    # under the bound's residual term, 4.40e-14: about what the rounding of
+    # u/K1 moves the recorded residual by, and what the rounding term covers.
+    cfg = parse_config(overrides=dict(WEAK_FAMILY, mode="verify", n=n, alpha1=0.0, alpha2=0.0, K="1"))
+    assert run_verification(cfg)["checks"]["capacity_gap"]["pass"] is True
+
+
+def test_capacity_gap_fails_when_the_recorded_residual_understates_the_state():
+    # u scaled by 1 + 1e-10 has residual 2.4e-10, not the recorded 1.05e-11,
+    # and moves the gap to 1.9e-10, only 1.7e-9 of the integrals.
+    problem = experiments.Problem(parse_config(overrides=dict(WEAK_FAMILY, n=128)))
+    state, check = problem.u_hat, experiments._capacity_gap_check
+    assert check(state, problem.eff)["pass"] is True
+    assert check(replace(state, u=state.u * (1.0 + 1e-10)), problem.eff)["pass"] is False
 
 
 # ---------------------------------------------------------------------

@@ -12,13 +12,12 @@ from rivercomp.spectral import (
     TOL_MARGINAL,
     _shifted_matvec,
     dense_principal_eigenpair,
-    drift_band_excess,
     eigen_difference_residual,
     invasion_potential,
     principal_eigenpair,
     semitrivial_stability,
 )
-from rivercomp.steady import solve_single_steady
+from rivercomp.steady import log_slope, log_slope_report, solve_single_steady
 
 WEAK = dict(d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04)
 
@@ -141,10 +140,13 @@ def test_drift_band_holds_for_decreasing_potential():
     resident = solve_single_steady(op1, eff)
     potential = invasion_potential(resident.u, eff)
     assert bool(np.all(np.diff(potential) < 0.0))
+    # ``verify``'s drift band: d2·phi_x/phi stays at or below alpha2, up to
+    # the slope report's band.
     report = principal_eigenpair(op2, potential)
-    excess = drift_band_excess(report.phi, op2)
-    assert excess.band == pytest.approx(10.0 / 128 ** 2)
-    assert excess.max_excess <= excess.band
+    slope = log_slope_report(report.phi, op2)
+    excess = float(np.max(op2.d * slope.slope - op2.alpha))
+    assert slope.band == pytest.approx(10.0 / 128 ** 2)
+    assert excess <= slope.band
 
 
 def test_drift_band_needs_positive_input():
@@ -153,7 +155,9 @@ def test_drift_band_needs_positive_input():
     from rivercomp.errors import SolverError
 
     with pytest.raises(SolverError):
-        drift_band_excess(phi, transport_for(grid, 0.1, 0.05))
+        log_slope_report(phi, transport_for(grid, 0.1, 0.05))
+    with pytest.raises(SolverError):
+        log_slope(phi, grid)
 
 
 # ---------------------------------------------------------------------

@@ -35,7 +35,9 @@ tolerance of 1e-6;
 ``K="1 + x"``, and on its narrow sliver (n 64, 120 points, mu 0.997,
 marginal tolerance 1e-9: the one sweep with a found window, edge probes
 and a pair); ``verify`` on the weak and fast families at n 128, 256, 512
-and 1024, on the slow family at n 1024, on the weak family at n 130
+and 1024, on the weak family at n 128 with constant capacity ``--K 1``
+(drift keeps the lone state off it, so both capacity-gap integrals are
+positive), on the slow family at n 1024, on the weak family at n 130
 with r peaked mid-river (once with dt defaulted, once given at the fine
 grid's default, which lies above the halved grid's dt cap: dt does not
 enter the halved grid), on the weak family at n 129 (odd, so no halved
@@ -44,7 +46,7 @@ family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
 identity residuals across them) and on the narrow sliver at alpha2
 7.314e-4, inside its window (an asymmetric pair, whose identity
-residuals are not exact zeros): 45 runs, a few minutes on a 2-core
+residuals are not exact zeros): 46 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -113,6 +115,7 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     for family, flags in (("weak", WEAK), ("fast", FAST)):
         for n in (128, 256, 512, 1024):
             runs[f"verify_{family}_{n}"] = ["verify", *flags, "--n", str(n)]
+    runs["verify_weak_K1_128"] = ["verify", *WEAK, "--n", "128", "--K", "1"]
     runs["verify_slow_1024"] = ["verify", *SLOW, "--n", "1024"]
     runs["verify_peaked_r_130"] = ["verify", *WEAK, "--r", "1 + 9*sin(pi*x)", "--n", "130"]
     # The fine grid's default dt, given: above the 65-cell grid's dt cap.
