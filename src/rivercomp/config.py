@@ -41,7 +41,7 @@ from .model import EffectiveParams, ModelParams, build_effective_params
 from .operators import check_peclet
 from .spectral import TOL_EIGEN, TOL_MARGINAL
 from .steady import TOL_STEADY
-from .stepping import EPS_SETTLE, default_dt, default_eps_extinct, max_stable_dt
+from .stepping import EPS_SETTLE, default_dt, max_stable_dt
 
 __all__ = ["Tolerances", "RunConfig", "merge_config", "parse_config", "MODES"]
 
@@ -428,7 +428,8 @@ def parse_config(
         if key in tol_raw:
             value = _as_float(f"tolerances.{key}", tol_raw[key])
         elif key == "extinct":
-            value = default_eps_extinct(eff)
+            # One thousandth of the folded capacity peak.
+            value = 1e-3 * float(np.max(eff.K1))
             defaulted.add(f"tolerances.{key}")
         else:
             value = _TOL_DEFAULTS[key]

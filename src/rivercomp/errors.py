@@ -24,7 +24,6 @@ class GridResolutionError(ConfigError):
     """
 
     def __init__(self, peclet: float, n_min: int):
-        self.peclet = peclet
         self.n_min = n_min
         super().__init__(
             f"grid Peclet number {peclet:.6g} >= 2; the off-diagonal sign "

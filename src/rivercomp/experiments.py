@@ -815,7 +815,7 @@ def _identity_check(problem: Problem) -> dict:
         "skipped": False,
         "residual_first": report.residual_first,
         "residual_second": report.residual_second,
-        "balance_max": balance.max_abs,
+        "balance_max": balance,
     }
     coarse = problem.coarse
     if coarse is None:

@@ -80,7 +80,6 @@ class TransportOperator:
     grid: Grid
     d: float
     alpha: float
-    peclet: float
     bands: Bands  # (lower, diag, upper) of L in 1-D, of Lx in 2-D
 
     @cached_property
@@ -137,9 +136,9 @@ def _matrix(bands: Bands) -> sparse.csr_matrix:
 
 def transport_for(grid: Grid, d: float, alpha: float) -> TransportOperator:
     """The drift-diffusion operator on ``grid``: drift along x, diffusion along both axes."""
-    peclet = check_peclet(grid, d, alpha)
+    check_peclet(grid, d, alpha)
     bands = _tridiagonal(grid.n, grid.h, d, alpha)
-    return TransportOperator(grid=grid, d=d, alpha=alpha, peclet=peclet, bands=bands)
+    return TransportOperator(grid=grid, d=d, alpha=alpha, bands=bands)
 
 
 def dct_basis(n: int) -> np.ndarray:

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 
 from .errors import ConfigError, SolverError
@@ -52,7 +51,6 @@ __all__ = [
     "EigenReport",
     "StabilityVerdict",
     "principal_eigenpair",
-    "dense_principal_eigenpair",
     "invasion_potential",
     "semitrivial_stability",
     "eigen_difference_residual",
@@ -66,7 +64,6 @@ __all__ = [
 TOL_MARGINAL = 1e-7
 TOL_EIGEN = 1e-12
 
-_DENSE_SIZE_LIMIT = 128
 # Cap on the inverse-iteration solves of one eigen solve.
 _MAX_EIGEN_SOLVES = 10_000
 # Residual floor near the rounding level, relative to the matrix sup-norm.
@@ -82,7 +79,7 @@ class EigenReport:
     its negation, so positive values certify stability.  ``phi`` is the
     strictly positive eigenvector scaled to unit sup-norm.
     ``factorizations`` counts the shifted matrices factored: the first
-    shift plus every re-anchor and back-off (0 for the dense path).
+    shift plus every re-anchor and back-off.
     """
 
     growth_rate: float
@@ -161,11 +158,9 @@ def principal_eigenpair(
         if not (x[x.argmin()] > 0.0 and math.isfinite(x[x.argmax()])):
             raise ConfigError("start vector must be finite and strictly positive")
     matvec, rows = _shifted_matvec(op, p)
+    # Positive: with d > 0 and the grid Peclet number below 2, every row
+    # of L holds a positive off-diagonal entry.
     scale = float(rows[rows.argmax()])
-    if scale == 0.0:
-        return EigenReport(
-            growth_rate=0.0, phi=np.ones(n), iterations=0, residual=0.0, factorizations=0
-        )
     res_target = max(tol, _ROUNDING_FLOOR) * scale
     margin_floor = 1e-8 * scale
 
@@ -235,38 +230,6 @@ def principal_eigenpair(
     )
 
 
-def dense_principal_eigenpair(op: TransportOperator, potential: np.ndarray) -> EigenReport:
-    """Dense cross-check of the dominant eigenpair (small grids only).
-
-    Uses a full nonsymmetric eigendecomposition, an entirely different
-    algorithm from the iterative path, so agreement between the two is a
-    meaningful oracle.  Guarded to systems of at most 128 unknowns.
-    """
-    n = op.grid.size
-    if n > _DENSE_SIZE_LIMIT:
-        raise ConfigError(
-            f"dense eigen cross-check is limited to {_DENSE_SIZE_LIMIT} unknowns, got {n}"
-        )
-    p = np.asarray(potential, dtype=float)
-    if p.shape != (n,):
-        raise ConfigError(f"potential has shape {p.shape}, expected ({n},)")
-    matrix = (op.matrix + sparse.diags(p)).toarray()
-    values, vectors = scipy.linalg.eig(matrix)
-    k = int(np.argmax(values.real))
-    lam = values[k]
-    if abs(lam.imag) > 1e-9 * max(1.0, abs(lam.real)):
-        raise SolverError(f"dominant eigenvalue came out complex: {lam!r}")
-    phi = vectors[:, k].real
-    phi = phi / phi[int(np.argmax(np.abs(phi)))]
-    if float(np.min(phi)) <= 0.0:
-        raise SolverError("dense dominant eigenvector is not one-signed")
-    mx = matrix @ phi
-    residual = float(np.max(np.abs(mx - lam.real * phi)))
-    return EigenReport(
-        growth_rate=float(lam.real), phi=phi, iterations=0, residual=residual, factorizations=0
-    )
-
-
 # ---------------------------------------------------------------------
 # invasion analysis
 # ---------------------------------------------------------------------
@@ -321,7 +284,6 @@ def semitrivial_stability(
 class EigenDifferenceReport:
     growth_first: float
     growth_second: float
-    integral_estimate: float
     residual: float
 
 
@@ -366,7 +328,6 @@ def eigen_difference_residual(
     return EigenDifferenceReport(
         growth_first=rep1.growth_rate,
         growth_second=rep2.growth_rate,
-        integral_estimate=estimate,
         residual=abs(gap - estimate),
     )
 

@@ -64,7 +64,6 @@ __all__ = [
     "Stepper",
     "integrate",
     "classify_outcome",
-    "default_eps_extinct",
     "max_stable_dt",
     "default_dt",
     "CLAMP_TOLERANCE",
@@ -404,8 +403,3 @@ def classify_outcome(
         eps_settle=eps_settle,
         settled=settled,
     )
-
-
-def default_eps_extinct(eff: EffectiveParams) -> float:
-    """Extinction threshold: one thousandth of the folded capacity peak."""
-    return 1e-3 * float(np.max(eff.K1))

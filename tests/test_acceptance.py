@@ -20,7 +20,6 @@ from rivercomp.model import build_effective_params, reaction
 from rivercomp.operators import transport_for
 from rivercomp.output import write_bundle
 from rivercomp.spectral import (
-    dense_principal_eigenpair,
     eigen_difference_residual,
     invasion_potential,
     principal_eigenpair,
@@ -33,6 +32,8 @@ from rivercomp.steady import (
     solve_single_steady,
 )
 from rivercomp.stepping import Stepper, Verdict, integrate
+
+from oracles import dense_principal_eigenpair
 
 WEAK = dict(d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04)
 

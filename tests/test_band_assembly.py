@@ -24,6 +24,8 @@ from rivercomp.operators import transport_for
 from rivercomp.spectral import invasion_potential, principal_eigenpair, semitrivial_stability
 from rivercomp.stepping import Stepper, integrate
 
+from oracles import dense_principal_eigenpair
+
 SLOW = dict(d1=0.002, d2=0.001, alpha1=0.001, alpha2=0.0006, mu=0.3)
 
 
@@ -76,7 +78,7 @@ def test_1d_steady_and_eigen_layers_build_no_operator_matrix(monkeypatch):
     assert steady.solve_coexistence(sym_op, sym_op, sym_eff) is not None
     monkeypatch.undo()
     # The dense oracle reads the sparse matrix, built on this first read.
-    dense = spectral.dense_principal_eigenpair(op2, invasion_potential(u, eff))
+    dense = dense_principal_eigenpair(op2, invasion_potential(u, eff))
     assert abs(report.growth_rate - dense.growth_rate) <= 1e-9 * abs(dense.growth_rate)
 
 

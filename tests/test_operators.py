@@ -31,8 +31,9 @@ def test_constants_annihilated_without_drift():
 
 
 def test_column_sums_zero_with_drift():
-    op = transport_for(Grid(1, 0.0, 1.0, 4), d=0.08, alpha=0.05)
-    assert op.peclet == pytest.approx(0.15625)
+    grid = Grid(1, 0.0, 1.0, 4)
+    assert check_peclet(grid, 0.08, 0.05) == pytest.approx(0.15625)
+    op = transport_for(grid, d=0.08, alpha=0.05)
     sums = np.asarray(op.matrix.sum(axis=0)).ravel()
     assert np.max(np.abs(sums)) < 1e-14
     m = op.matrix.toarray()

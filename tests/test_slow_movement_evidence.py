@@ -23,12 +23,13 @@ import pytest
 from rivercomp.experiments import preset_config, simulate_run
 from rivercomp.operators import transport_for
 from rivercomp.spectral import (
-    dense_principal_eigenpair,
     invasion_potential,
     principal_eigenpair,
     semitrivial_stability,
 )
 from rivercomp.steady import solve_single_steady
+
+from oracles import dense_principal_eigenpair
 
 # Mesh-converged indices at alpha2=6e-4 (n=512; n=1024 moves them by < 1e-8).
 KAPPA_512 = -2.60884e-3

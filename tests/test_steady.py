@@ -169,7 +169,7 @@ class TestSymmetricFamily:
         cfg, grid, eff, op = symmetric_setup()
         single = solve_single_steady(op, eff)
         balance = per_capita_balance_residual(0.25 * single.u, 0.75 * single.u, op, op)
-        assert balance.max_abs < 1e-10
+        assert balance < 1e-10
 
 
 def test_coexistence_pair_survives_near_total_harvest():

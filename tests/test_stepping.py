@@ -25,7 +25,6 @@ from rivercomp.stepping import (
     Trajectory,
     Verdict,
     classify_outcome,
-    default_eps_extinct,
     integrate,
     max_stable_dt,
 )
@@ -909,5 +908,6 @@ def test_classify_outcome_table(nu, nv, settled, verdict):
 
 
 def test_default_extinction_threshold():
-    _, _, eff = make_stepper(n=16, mu=0.3)
-    assert default_eps_extinct(eff) == pytest.approx(1e-3 * eff.K1.max())
+    cfg = parse_config(overrides=dict(n=16, mu=0.3))
+    eff = cfg.effective(cfg.grid())
+    assert cfg.tolerances.extinct == pytest.approx(1e-3 * eff.K1.max())

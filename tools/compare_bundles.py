@@ -25,7 +25,10 @@ step solve) and in 2-D (the modal-banded one), a 2-D ``simulate`` whose
 symmetrizer spread, 8.28, lies just inside the limit of 10 (the
 symmetrized 2-D solve near its edge), and a ``simulate`` on the
 slow family at dt 1.28 from u0 = v0 = 1.5, whose explicit half
-overshoots so that the clamp fires (66 clamp events in its report);
+overshoots so that the clamp fires (66 clamp events in its report),
+a ``simulate`` on the weak family with the two species' movement
+rates swapped (n 64 to t 2000, which ends ``UWins``) and one from
+u0 = v0 = 0 (n 16 to t 1, which ends ``BothExtinct``);
 ``steady`` and ``eigen`` in 1-D and 2-D, ``steady`` at a steady
 tolerance of 1e-14 (whose lone states fall back from Newton to the
 march), ``steady`` runs that find a pair in 1-D (n 64 and n 1024, the
@@ -46,7 +49,7 @@ family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
 identity residuals across them) and on the narrow sliver at alpha2
 7.314e-4, inside its window (an asymmetric pair, whose identity
-residuals are not exact zeros): 46 runs, a few minutes on a 2-core
+residuals are not exact zeros): 48 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -96,6 +99,12 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     runs["sim_clamp"] = [
         "simulate", *SLOW, "--n", "64", "--t-end", "20", "--dt", "1.28", "--u0", "1.5", "--v0", "1.5",
     ]
+    # The two outcomes no other run reaches: species 2 dies out, and both do.
+    runs["sim_uwins_64"] = [
+        "simulate", "--d1", "0.07", "--d2", "0.08", "--alpha1", "0.04", "--alpha2", "0.05",
+        "--mu", "0.009", "--n", "64", "--t-end", "2000",
+    ]
+    runs["sim_zero_start"] = ["simulate", "--u0", "0", "--v0", "0", "--n", "16", "--t-end", "1"]
     for mode in ("steady", "eigen"):
         runs[f"{mode}_1d"] = [mode, *WEAK, "--n", "128"]
         runs[f"{mode}_2d"] = [mode, *WEAK, *PLANE]
