@@ -7,7 +7,7 @@ a ``--tol-<name>`` keeps the file's other tolerances.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including verification runs with failing checks), 4 anomaly gate.
-Errors also emit a one-line JSON record on stderr for scripting.
+Errors emit one JSON record on stderr for scripting, and nothing else does.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import json
 import sys
 from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from .config import Tolerances, parse_config
 from .errors import AnomalyError, ConfigError, RiverCompError, SolverError
@@ -50,14 +52,14 @@ def _number_or_expression(text: str) -> float | str:
         return text
 
 
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Each ``--flag -1e-05`` as ``--flag=-1e-05``: argparse takes a token that
-    starts with "-" for an option unless its negative-number pattern, which
-    has no exponent, matches it."""
+def _glue_dash_values(argv: list[str]) -> list[str]:
+    """Each ``--flag -x+2`` as ``--flag=-x+2``: argparse takes a value that
+    starts with "-" for an option unless it matches its negative-number
+    pattern, which has no exponent.  "--" tokens and ``-h`` stay options."""
     out: list[str] = []
     for token in argv:
-        negative = token[:1] == "-" and isinstance(_number_or_expression(token), float)
-        if negative and out and out[-1][:2] == "--" and len(out[-1]) > 2 and "=" not in out[-1]:
+        value = token[:1] == "-" and token[:2] != "--" and token != "-h"
+        if value and out and out[-1][:2] == "--" and len(out[-1]) > 2 and "=" not in out[-1]:
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -232,9 +234,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_glue_dash_values(sys.argv[1:] if argv is None else argv))
     try:
-        return _dispatch(args)
+        with np.errstate(all="ignore"):  # stderr holds the JSON record alone
+            return _dispatch(args)
     except AnomalyError as exc:
         _emit_error("anomaly", exc)
         return 4

@@ -22,9 +22,9 @@ The solve comes in two kinds, and the stepper names it by
 - ``"symmetrized"``: a diagonal scaling S makes each Lx_s (L_s in 1-D)
   symmetric, S⁻¹·Lx_s·S = T_s, a tridiagonal matrix with the diagonal of
   Lx_s and off-diagonals √(lᵢuᵢ).  S acts along x and C along y, so they
-  commute: the solve works in scaled coordinates, ``solve(c)`` returning
-  z with S⁻¹·(I - dt·L)·S·z = c, and x = S·z solves the system for
-  b = S·c.  ``scale`` is the stacked diagonal of S, each species'
+  commute: the solve works in scaled coordinates, ``solve(c)`` writing
+  over c the z with S⁻¹·(I - dt·L)·S·z = c; x = S·z solves the system
+  for b = S·c.  ``scale`` is the stacked diagonal of S, each species'
   symmetrizer tiled over its y-modes; the stepper keeps its state in
   these coordinates, so no scaling runs per step.  In 1-D the blocks
   I - dt·T_s, symmetric positive definite M-matrices, are stacked with
@@ -45,6 +45,9 @@ The solve comes in two kinds, and the stepper names it by
   entries and factored once by one ``Factorization``.  A solve is one
   sweep over the stacked rows in 1-D and Cᵀ·F⁻¹(C·c) in 2-D: two batched
   n×n products around the sweep.
+
+Every kind's ``solve(c)`` writes its solution over c, a contiguous float64
+array; in 1-D it is the bound LAPACK routine itself.
 
 S carries the off-diagonal ratios of L (1-D) or Lx (2-D),
 s_{i+1}/s_i = √(l_i/u_i) (``_symmetrizer``), so its spread
@@ -67,6 +70,8 @@ factored.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sparse
@@ -185,10 +190,9 @@ class StepSolve:
     are factored as LDLᵀ in 1-D and diagonalized in 2-D.  ``None`` stacks
     the blocks, one per species in 1-D and one per species and y-mode in
     2-D, into one ``Factorization``, and ``scale`` is 1.0 (see the module
-    docstring).  ``solve(c)`` returns z with S⁻¹·(I - dt·L)·S·z = c, and
-    may write over c and return it; in 1-D it is the stacked solve
-    itself, so a step pays for no other call.  ``name`` is "symmetrized",
-    "banded" (1-D) or "modal-banded" (2-D).
+    docstring).  ``solve(c)`` writes over c the z with
+    S⁻¹·(I - dt·L)·S·z = c; in 1-D it is ``pttrs`` or ``gttrs`` bound to
+    the factors.  ``name`` is "symmetrized", "banded" or "modal-banded".
     """
 
     def __init__(
@@ -212,33 +216,26 @@ class StepSolve:
             self._modal = np.empty(self._shape)
         if symmetrizers is None:
             lower, diag, upper = _stacked_blocks(bands, modes, dt)
-            self._stacked = Factorization(diag, lower[1:], upper[:-1]).solve
+            factors = Factorization(diag, lower[1:], upper[:-1])._factors
+            self._stacked = partial(lapack.dgttrs, *factors, overwrite_b=1)
             self.solve = self._stacked if grid.dim == 1 else self._modal_solve
         elif grid.dim == 1:
             _, diag, upper = _stacked_blocks(bands, modes, dt)
-            *self._factors, info = lapack.dpttrf(diag, upper[:-1])
+            d, e, info = lapack.dpttrf(diag, upper[:-1])
             if info > 0:
                 raise SolverError(f"symmetrized matrix is not positive definite (row {info})")
-            self.solve = self._ldlt_solve
+            self.solve = partial(lapack.dpttrs, d, e, overwrite_b=1)
         else:
             self._diagonalize(bands, modes, dt)
             self.solve = self._diagonal_solve
 
-    def _ldlt_solve(self, rhs: np.ndarray) -> np.ndarray:
-        z, _ = lapack.dpttrs(*self._factors, rhs, overwrite_b=1)
-        return z
-
-    def _modal_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Cᵀ·F⁻¹(C·``rhs``) on the (species, y, x) view, for the DCT C along y.
-
-        The solution is written over ``rhs`` (a contiguous float array),
-        which is returned.
-        """
+    def _modal_solve(self, rhs: np.ndarray) -> None:
+        """Cᵀ·F⁻¹(C·``rhs``) on the (species, y, x) view, for the DCT C along y,
+        written over ``rhs``; the stacked sweep runs in place on C·``rhs``."""
         rows = rhs.reshape(self._shape)
-        modal = np.matmul(self._basis, rows, out=self._modal)
-        x = self._stacked(modal.ravel())
-        np.matmul(self._basis.T, x.reshape(self._shape), out=rows)
-        return rhs
+        np.matmul(self._basis, rows, out=self._modal)
+        self._stacked(self._modal.ravel())
+        np.matmul(self._basis.T, self._modal, out=rows)
 
     def _diagonalize(self, bands, modes, dt: float) -> None:
         """Each species' symmetric Lx as Q·diag(θ)·Qᵀ, and the reciprocal denominators."""
@@ -250,12 +247,9 @@ class StepSolve:
         )
         self._spectral = np.empty(self._shape)
 
-    def _diagonal_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Cᵀ·(D ∘ (C·Z·Q))·Qᵀ for each species' (y, x) array Z of ``rhs``.
-
-        The solution is written over ``rhs`` (a contiguous float array),
-        which is returned.
-        """
+    def _diagonal_solve(self, rhs: np.ndarray) -> None:
+        """Cᵀ·(D ∘ (C·Z·Q))·Qᵀ for each species' (y, x) array Z of ``rhs``,
+        written over ``rhs``."""
         rows = rhs.reshape(self._shape)
         modal, spectral = self._modal, self._spectral
         np.matmul(self._basis, rows, out=modal)
@@ -263,7 +257,6 @@ class StepSolve:
         np.multiply(spectral, self._recip, out=spectral)
         np.matmul(spectral, self._qt, out=modal)
         np.matmul(self._basis.T, modal, out=rows)
-        return rhs
 
 
 def implicit_solver(ops: tuple[TransportOperator, ...], dt: float) -> StepSolve:

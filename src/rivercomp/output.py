@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .config import RunConfig
+from .errors import SolverError
 from .grid import Grid
 from .stepping import Trajectory
 
@@ -92,7 +93,11 @@ def write_bundle(
     traj: Trajectory | None = None,
     out_dir: str | Path | None = None,
 ) -> Path:
-    """Write a full run directory; returns its path."""
+    """Write a run directory, once the report passes as strict JSON; returns its path."""
+    try:
+        report_text = json.dumps(jsonable(report), indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise SolverError("the report holds a NaN or an infinity: not strict JSON") from None
     run_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
     _write_text(run_dir / "config.echo.json", cfg.echo_json())
     if traj is not None:
@@ -100,5 +105,5 @@ def write_bundle(
         for t in sorted(traj.snapshots):
             u, v = traj.snapshots[t]
             write_snapshot_csv(run_dir / f"snapshot_{format_float(t)}.csv", traj.grid, u, v)
-    _write_text(run_dir / "report.json", json.dumps(jsonable(report), indent=2) + "\n")
+    _write_text(run_dir / "report.json", report_text)
     return run_dir

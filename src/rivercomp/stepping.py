@@ -22,9 +22,10 @@ the coordinates its implicit solve works in: z = S⁻¹·[u; v] for the
 solve's positive diagonal S (the symmetrizer along x, tiled over the
 y-modes in 2-D, or the identity; see ``linsolve.StepSolve``).  A step
 is four passes that write S⁻¹·(w + dt·R(w)) over the state (see
-``Stepper``), one solve of the stacked system and one clamp check on
-the smallest entry of z, selected by index.  The fields, S·z, are
-formed only when ``integrate`` samples or snapshots them.
+``Stepper``), one solve of the stacked system, written over the state,
+and one clamp check on the smallest entry of z, selected by index.  The
+fields, S·z, are formed only when ``integrate`` samples or snapshots
+them.
 ``model.reaction`` and ``model.raw_reaction`` stay as the oracles the
 fused pass matches to rounding.
 
@@ -230,33 +231,30 @@ class Stepper:
         """Advance the state by ``steps`` steps of dt; clamps and counts negative output.
 
         Everything a step reads is bound to a local once per call, so the
-        loop reads no attribute; the state (rebound when the solve returns
-        a new array) and the clamp count are written back when it ends.
+        loop reads no attribute; the solve writes over the state, and the
+        clamp count is written back when the loop ends.
         """
         z, rows, work, g, diff = self._z, self._rows, self._work, self._sum, self._diff
         g_u, g_v = self._work_rows
-        crowding, growth, floor, shape = self._crowding, self._growth, self._floor, rows.shape
+        crowding, growth, floor = self._crowding, self._growth, self._floor
         solve = self._solve.solve
         multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
         count_nonzero = np.count_nonzero
         clamps = 0
         try:
             for _ in range(steps):
-                multiply(crowding, rows, out=work)
-                add(g_u, g_v, out=g)
-                subtract(growth, g, out=diff)
-                multiply(rows, diff, out=rows)
-                x = solve(z)
-                if x is not z:  # a solve that returns a new array: it becomes the state
-                    z, rows = x, x.reshape(shape)
+                multiply(crowding, rows, work)
+                add(g_u, g_v, g)
+                subtract(growth, g, diff)
+                multiply(rows, diff, rows)
+                solve(z)
                 # The smallest entry, selected by index: the element a min
                 # reduction returns, NaN included, at about a third of its
                 # cost on a 1-D state; a zero of either sign fails the test.
                 if z[z.argmin()] < 0.0:
                     clamps += int(count_nonzero(z < floor))
-                    maximum(z, 0.0, out=z)
+                    maximum(z, 0.0, out=z)  # NumPy deprecates a positional out here
         finally:
-            self._z, self._rows = z, rows
             self.clamp_events += clamps
 
     def fields(self) -> tuple[np.ndarray, np.ndarray]:

@@ -354,3 +354,44 @@ def test_a_negative_value_with_an_exponent_parses(tmp_path, monkeypatch):
         bundles.append({p.name: p.read_bytes() for p in (cwd / "run").iterdir()})
     assert bundles[0] == bundles[1] == bundles[2]
     assert json.loads(bundles[0]["config.echo.json"])["alpha1"] == -1e-05
+
+
+@pytest.mark.parametrize("flag,value", [("--K", "-x+2"), ("--u0", "-x+1")])
+def test_a_value_that_begins_with_a_dash_parses(tmp_path, monkeypatch, flag, value):
+    # "--K -x+2" is "--K=-x+2": an expression value that begins with "-"
+    # is glued to its flag, as a negative number is.
+    bundles = []
+    for k, spelling in enumerate(([flag, value], [f"{flag}={value}"])):
+        cwd = tmp_path / str(k)
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["simulate", *spelling, "--n", "16", "--t-end", "1", "--out-dir", "run"]) == 0
+        bundles.append({p.name: p.read_bytes() for p in (cwd / "run").iterdir()})
+    assert bundles[0] == bundles[1]
+    assert json.loads(bundles[0]["config.echo.json"])[flag[2:]] == value
+
+
+def test_help_and_double_dash_tokens_are_not_glued():
+    assert cli._glue_dash_values(["simulate", "--n", "-h"]) == ["simulate", "--n", "-h"]
+    assert cli._glue_dash_values(["--K", "--n", "16"]) == ["--K", "--n", "16"]
+    assert cli._glue_dash_values(["--K=1", "-x"]) == ["--K=1", "-x"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "args,kind",
+    [
+        (["simulate", "--u0", "1e200*1e200", "--n", "16"], "config"),
+        (["simulate", "--d1", "1e300", "--n", "16", "--t-end", "1"], "numerical"),
+        (["eigen", "--d1", "1e-300", "--d2", "1e-300", "--n", "16"], "numerical"),
+    ],
+    ids=["overflowing-expression", "overflowing-diffusion", "vanishing-diffusion"],
+)
+def test_floating_point_warnings_stay_off_stderr(tmp_path, capsys, args, kind):
+    # Each input overflows or divides 0/0 on its way to the error it
+    # raises; the one JSON record is all of stderr and no bundle is left.
+    out = tmp_path / "run"
+    assert main([*args, "--out-dir", str(out)]) == (2 if kind == "config" else 3)
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == kind
+    assert not out.exists()

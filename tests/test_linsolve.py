@@ -149,7 +149,15 @@ def test_tridiagonal_path_on_stepper_m_matrices(n, seed, dt):
 # the 2-D step solves against splu on the same stacked matrix
 # ---------------------------------------------------------------------
 
-_modal_banded = partial(StepSolve, symmetrizers=None)
+# The banded kind: "banded" in 1-D, "modal-banded" in 2-D.
+_banded = partial(StepSolve, symmetrizers=None)
+
+
+def _solve_in_field_units(solver, b):
+    """scale·z for the z that ``solver.solve`` writes over c = b/scale."""
+    c = b / solver.scale
+    solver.solve(c)
+    return solver.scale * c
 
 
 def _symmetrized(ops, dt):
@@ -173,7 +181,7 @@ _species = st.tuples(
 @example(n=3, species=((1e-3, 1.99), (1.0, -1.99)), dt=10.0, seed=0)
 @example(n=40, species=((1e-3, -1.99), (1.0, 1.99)), dt=10.0, seed=0)
 def test_separable_solve_matches_splu(n, species, dt, seed):
-    _assert_stacked_solve_matches_splu(_modal_banded, n, species, dt, seed)
+    _assert_stacked_solve_matches_splu(_banded, n, species, dt, seed)
 
 
 def _stacked_solve_errors(solver, n, species, dt, seed):
@@ -192,8 +200,7 @@ def _stacked_solve_errors(solver, n, species, dt, seed):
     eye = sparse.identity(grid.size, format="csr")
     m = sparse.block_diag([eye - dt * op.matrix for op in ops], format="csc")
     b = np.random.default_rng(seed).standard_normal(2 * grid.size)
-    solve = solver(ops, dt)
-    x = solve.scale * solve.solve(b / solve.scale)
+    x = _solve_in_field_units(solver(ops, dt), b)
 
     eps = np.finfo(float).eps
     x_inf = np.max(np.abs(x))
@@ -369,8 +376,7 @@ def _assert_matches_solve_banded(ops, ab, dt, b):
     two solves differ by at most about 6*eps of it.  The worst over 3,000
     random draws was 2.0*eps of it.
     """
-    solver = _symmetrized(ops, dt)
-    x = solver.scale * solver.solve(b / solver.scale)
+    x = _solve_in_field_units(_symmetrized(ops, dt), b)
     reference = scipy.linalg.solve_banded((1, 1), ab, b)
     magnitude = np.abs(ab[1]) * np.abs(reference)
     magnitude[:-1] += np.abs(ab[0, 1:]) * np.abs(reference[1:])
@@ -400,7 +406,8 @@ def test_symmetrized_solve_matches_solve_banded(n, species, dt, seed):
     _assert_matches_solve_banded(ops, ab, dt, rng.standard_normal(ab.shape[1]))
     b = rng.uniform(0.0, 1.0, ab.shape[1]) * (rng.random(ab.shape[1]) < 0.7)
     assert _assert_matches_solve_banded(ops, ab, dt, b).min() >= 0.0
-    np.testing.assert_array_equal(_symmetrized(ops, dt).solve(np.zeros(ab.shape[1])), 0.0)
+    zero = _solve_in_field_units(_symmetrized(ops, dt), np.zeros(ab.shape[1]))
+    np.testing.assert_array_equal(zero, 0.0)
 
 
 @pytest.mark.parametrize("n", [3, 12, 64])
@@ -415,8 +422,67 @@ def test_spread_rule_selects_the_1d_solve(n, factor):
     b = np.random.default_rng(n).uniform(0.0, 1.0, 2 * n)
     if factor < 1.0:
         assert solver.name == "symmetrized"
-        x = solver.scale * solver.solve(b / solver.scale)
+        x = _solve_in_field_units(solver, b)
         np.testing.assert_array_equal(x, _assert_matches_solve_banded(ops, ab, dt, b))
     else:
         assert solver.name == "banded"
-        np.testing.assert_array_equal(solver.solve(b), scipy.linalg.solve_banded((1, 1), ab, b))
+        x = _solve_in_field_units(solver, b)
+        np.testing.assert_array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+
+
+# ---------------------------------------------------------------------
+# every step solve writes its solution over its argument
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "dim,make,name",
+    [(1, _symmetrized, "symmetrized"), (1, _banded, "banded"),
+     (2, _symmetrized, "symmetrized"), (2, _banded, "modal-banded")],
+    ids=["symmetrized", "banded", "symmetrized-2d", "modal-banded"],
+)
+def test_step_solve_writes_its_solution_over_its_argument(dim, make, name):
+    # The stepper hands the solve its state and reads the state back,
+    # never a return value: every kind leaves the solution in c.
+    grid = Grid(dim, 0.0, 1.0, 12)
+    ops = (transport_for(grid, 0.5, 0.3), transport_for(grid, 0.05, -0.2))
+    solver = make(ops, 0.5)
+    assert solver.name == name
+    b = np.random.default_rng(dim).standard_normal(2 * grid.size)
+    c = b / solver.scale
+    solver.solve(c)
+    eye = sparse.identity(grid.size)
+    m = sparse.block_diag([eye - 0.5 * op.matrix for op in ops], format="csr")
+    np.testing.assert_allclose(m @ (solver.scale * c), b, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(3, 300),
+    species=st.lists(_symmetric_species, min_size=1, max_size=3),
+    dt=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["symmetrized", "banded"]),
+)
+@example(n=3, species=[(1e-3, 1.0, 1.0), (1.0, 1.0, -1.0)], dt=1e3, seed=0, kind="banded")
+@example(n=300, species=[(1e-3, 1.0, -1.0), (1.0, 0.0, 1.0)], dt=1e3, seed=0, kind="symmetrized")
+def test_1d_step_solves_keep_a_nonnegative_right_side_nonnegative(n, species, dt, seed, kind):
+    # I - dt*L is a column-dominant M-matrix: every multiplier of either
+    # LAPACK sweep is <= 0, so no sweep subtracts two positive numbers, and
+    # a nonnegative right side (zeros included, over 60 orders of
+    # magnitude) gives a solution that is exactly nonnegative, with no
+    # -0.0.  This is why a clamp event always comes from a negative
+    # explicit half.  The symmetrized kind takes every spread up to
+    # MAX_SYMMETRIZER_SPREAD; the banded one grid Peclet numbers up to 1.99.
+    if kind == "symmetrized":
+        pairs = [(d, sign * _peclet(n, MAX_SYMMETRIZER_SPREAD**f)) for d, f, sign in species]
+    else:
+        pairs = [(d, sign * 1.99 * f) for d, f, sign in species]
+    ops, _ = _stacked_1d(n, pairs, dt)
+    solver = (_symmetrized if kind == "symmetrized" else _banded)(ops, dt)
+    rng = np.random.default_rng(seed)
+    size = n * len(species)
+    c = np.where(rng.random(size) < 0.7, rng.uniform(0.0, 1.0, size), 0.0)
+    c *= 10.0 ** rng.uniform(-30.0, 30.0, size)
+    solver.solve(c)
+    assert np.all(c >= 0.0) and not np.any(np.signbit(c))

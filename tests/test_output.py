@@ -2,8 +2,10 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from rivercomp.config import parse_config
+from rivercomp.errors import SolverError
 from rivercomp.grid import Grid
 from rivercomp.output import (
     format_float,
@@ -143,3 +145,14 @@ def test_rewriting_same_bundle_is_byte_stable(tmp_path):
     write_bundle(cfg, {"outcome": "undecided"}, traj, out_dir=target)
     after = {p.name: p.read_bytes() for p in target.iterdir()}
     assert before == after
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), np.float64(-np.inf)])
+def test_a_report_holding_a_non_finite_number_writes_nothing(tmp_path, bad):
+    # Every bundle is strict JSON: the report is serialized before any file
+    # is written, so a NaN or infinity leaves no directory behind.
+    cfg, traj = small_run()
+    out = tmp_path / "run"
+    with pytest.raises(SolverError, match="not strict JSON"):
+        write_bundle(cfg, {"outcome": "Undecided", "nested": {"values": [1.0, bad]}}, traj=traj, out_dir=out)
+    assert not out.exists()

@@ -488,7 +488,7 @@ def _explicit_rhs(monkeypatch, stepper, w):
     """The right-hand side a step from the fields w hands the implicit
     solve, taken back to field units: s·(z·(a - g))."""
     handed = []
-    monkeypatch.setattr(stepper._solve, "solve", lambda b: handed.append(b.copy()) or b)
+    monkeypatch.setattr(stepper._solve, "solve", lambda b: handed.append(b.copy()))
     _step_from(stepper, *w)
     monkeypatch.undo()
     return stepper._scale * handed[0].reshape(w.shape)
@@ -535,7 +535,7 @@ def test_stepper_run_calls_no_reaction_oracle(monkeypatch, form, dim):
 
 
 def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance(monkeypatch):
-    # The solve hands back a state whose fields are w.  Where s != 1 the
+    # The solve writes a state whose fields are w.  Where s != 1 the
     # clamp judges the fields, not the solve's coordinates z = w/s: it
     # counts exactly the entries below -CLAMP_TOLERANCE in field units
     # and zeroes every negative one.
@@ -546,7 +546,7 @@ def test_clamp_zeroes_negatives_and_counts_only_those_below_tolerance(monkeypatc
     w[s > 1.5] = -1.5 * CLAMP_TOLERANCE  # counted, though z > -CLAMP_TOLERANCE there
     w[s < 0.5] = -0.6 * CLAMP_TOLERANCE  # not counted, though z < -CLAMP_TOLERANCE there
     w[1, :4] = 0.0, -CLAMP_TOLERANCE, -2.0 * CLAMP_TOLERANCE, -1.0
-    monkeypatch.setattr(stepper._solve, "solve", lambda b: (w / s).ravel())
+    monkeypatch.setattr(stepper._solve, "solve", lambda b: np.copyto(b, (w / s).ravel()))
     stepper.start(*np.zeros_like(w))
     stepper.step()
     assert stepper.clamp_events == np.count_nonzero(w < -CLAMP_TOLERANCE) == np.count_nonzero(s > 1.5) + 2
@@ -615,16 +615,15 @@ def _clamping_start(kw, solve, over_cap=1.0):
 
 def _reference_step(stepper):
     """One step as a lone ``step()`` made it before ``advance``: the same
-    passes, the solve, the rebind of a returned new array and the clamp,
-    read from the stepper's attributes each time."""
-    rows, (g_u, g_v), g, diff = stepper._rows, stepper._work_rows, stepper._sum, stepper._diff
+    passes, the solve over the state and the clamp, read from the
+    stepper's attributes each time."""
+    z, rows, g, diff = stepper._z, stepper._rows, stepper._sum, stepper._diff
+    g_u, g_v = stepper._work_rows
     np.multiply(stepper._crowding, rows, out=stepper._work)
     np.add(g_u, g_v, out=g)
     np.subtract(stepper._growth, g, out=diff)
     np.multiply(rows, diff, out=rows)
-    z = stepper._solve.solve(stepper._z)
-    if z is not stepper._z:
-        stepper._z, stepper._rows = z, z.reshape(rows.shape)
+    stepper._solve.solve(z)
     if np.minimum.reduce(z) < 0.0:
         stepper.clamp_events += int(np.count_nonzero(z < stepper._floor))
         np.maximum(z, 0.0, out=z)
@@ -636,7 +635,7 @@ def frozen_advance(stepper, steps):
     by index, z[z.argmin()], and must stay bitwise this copy."""
     z, rows, work, g, diff = stepper._z, stepper._rows, stepper._work, stepper._sum, stepper._diff
     g_u, g_v = stepper._work_rows
-    crowding, growth, floor, shape = stepper._crowding, stepper._growth, stepper._floor, rows.shape
+    crowding, growth, floor = stepper._crowding, stepper._growth, stepper._floor
     solve = stepper._solve.solve
     multiply, add, subtract, maximum = np.multiply, np.add, np.subtract, np.maximum
     smallest, count_nonzero = np.minimum.reduce, np.count_nonzero
@@ -647,14 +646,11 @@ def frozen_advance(stepper, steps):
             add(g_u, g_v, out=g)
             subtract(growth, g, out=diff)
             multiply(rows, diff, out=rows)
-            x = solve(z)
-            if x is not z:
-                z, rows = x, x.reshape(shape)
+            solve(z)
             if smallest(z) < 0.0:
                 clamps += int(count_nonzero(z < floor))
                 maximum(z, 0.0, out=z)
     finally:
-        stepper._z, stepper._rows = z, rows
         stepper.clamp_events += clamps
 
 

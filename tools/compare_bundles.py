@@ -26,6 +26,8 @@ symmetrizer spread, 8.28, lies just inside the limit of 10 (the
 symmetrized 2-D solve near its edge), and a ``simulate`` on the
 slow family at dt 1.28 from u0 = v0 = 1.5, whose explicit half
 overshoots so that the clamp fires (66 clamp events in its report),
+the same start and dt on a drift-dominated family (the banded step
+solve, in place, with 57 clamp events),
 a ``simulate`` on the weak family with the two species' movement
 rates swapped (n 64 to t 2000, which ends ``UWins``) and one from
 u0 = v0 = 0 (n 16 to t 1, which ends ``BothExtinct``);
@@ -49,7 +51,7 @@ family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
 identity residuals across them) and on the narrow sliver at alpha2
 7.314e-4, inside its window (an asymmetric pair, whose identity
-residuals are not exact zeros): 48 runs, a few minutes on a 2-core
+residuals are not exact zeros): 49 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -98,6 +100,11 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     # A dt far above the cap: the clamp zeroes negative output 66 times.
     runs["sim_clamp"] = [
         "simulate", *SLOW, "--n", "64", "--t-end", "20", "--dt", "1.28", "--u0", "1.5", "--v0", "1.5",
+    ]
+    # The banded step solve with clamps: 57 clamp events.
+    runs["sim_banded_clamp"] = [
+        "simulate", "--d1", "0.02", "--d2", "0.02", "--alpha1", "0.2", "--alpha2", "0.1",
+        "--mu", "0.3", "--n", "64", "--t-end", "20", "--dt", "1.28", "--u0", "1.5", "--v0", "1.5",
     ]
     # The two outcomes no other run reaches: species 2 dies out, and both do.
     runs["sim_uwins_64"] = [
