@@ -7,8 +7,9 @@ precondition that can be checked before compute (harvest range, grid
 Peclet, positivity of sampled fields) is checked here.  The steady,
 eigen, sweep and verify modes analyse the folded model, so they need
 mu1 == mu2.  The reaction form is no key: it follows the harvest
-fractions (``RunConfig.reaction_form``).  Overrides go on top of file
-or preset values through ``merge_config``, one tolerance at a time.
+fractions (``RunConfig.reaction_form``).  One layering path puts
+overrides on a config file, a figure preset or an echo alike, one
+tolerance at a time (``parse_config``).
 
 Nothing defaults silently.  Every value the parser fills in is recorded
 in the "_defaulted" list, and the canonical echo written next to run
@@ -43,7 +44,7 @@ from .spectral import TOL_EIGEN, TOL_MARGINAL
 from .steady import TOL_STEADY
 from .stepping import EPS_SETTLE, default_dt, max_stable_dt
 
-__all__ = ["Tolerances", "RunConfig", "merge_config", "parse_config", "MODES"]
+__all__ = ["Tolerances", "RunConfig", "parse_config", "MODES"]
 
 MODES = ("simulate", "steady", "eigen", "sweep", "figure", "verify")
 # The modes whose steady and invasion analysis is of the folded model.
@@ -242,42 +243,29 @@ def _load_file(path: str | Path) -> dict:
     return data
 
 
-def merge_config(base: Mapping[str, object], overrides: Mapping[str, object] | None) -> dict:
-    """``base`` with every non-None value of ``overrides`` on top.
-
-    A "tolerances" object is merged key by key, so overriding one
-    tolerance keeps the others ``base`` gives.
-    """
-    merged = dict(base)
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "tolerances" and isinstance(value, dict) and isinstance(merged.get(key), dict):
-            value = {**merged[key], **value}
-        merged[key] = value
-    return merged
-
-
 def parse_config(
-    path: str | Path | None = None,
+    source: str | Path | Mapping[str, object] | None = None,
     overrides: Mapping[str, object] | None = None,
 ) -> RunConfig:
     """Parse and fully validate a run configuration.
 
-    ``overrides`` (typically CLI flags) take precedence over file values
-    (``merge_config``).  Returns a RunConfig with every default
-    materialized and listed in its ``defaulted`` tuple.  Every key a
-    previous echo's "_defaulted" entry lists is derived again unless an
-    override sets it, so a derived default (dt, u0, v0,
-    tolerances.extinct) follows the overrides it derives from, and an
-    unchanged echo re-parses to the same echo.  An override's harvest
-    form, mu or the pair mu1/mu2, replaces the file's.
+    The one layering path, for a file, a preset and an echo alike:
+    ``source`` (a config file's path, a mapping of the same keys or
+    None) is the base layer, and the non-None ``overrides`` (typically
+    CLI flags) go on top key by key, a "tolerances" object one
+    tolerance at a time.  Returns a RunConfig with every default
+    materialized and listed in its ``defaulted`` tuple.  Every key the
+    base's "_defaulted" entry lists is derived again unless an override
+    sets it, so a derived default (dt, u0, v0, tolerances.extinct)
+    follows the overrides it derives from, and an unchanged echo
+    re-parses to the same echo.  An override's harvest form, mu or the
+    pair mu1/mu2, replaces the base's.
     """
-    file_data = _load_file(path) if path is not None else {}
-    unknown = sorted(set(file_data) - _TOP_KEYS)
+    base = _load_file(source) if isinstance(source, (str, Path)) else source or {}
+    unknown = sorted(set(base) - _TOP_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
-    carried = file_data.get("_defaulted", [])
+    carried = base.get("_defaulted", [])
     if not isinstance(carried, list) or not all(isinstance(k, str) for k in carried):
         raise ConfigError("_defaulted must be a list of key names")
     unknown = sorted(set(carried) - _DEFAULTABLE)
@@ -289,8 +277,8 @@ def parse_config(
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
     # Harvest fractions: a single "mu" is shorthand for equal fractions.
-    for source in (file_data, overrides):
-        if "mu" in source and ("mu1" in source or "mu2" in source):
+    for layer in (base, overrides):
+        if "mu" in layer and ("mu1" in layer or "mu2" in layer):
             raise ConfigError("give either mu or the pair mu1/mu2, not both")
 
     given = set(overrides)
@@ -299,19 +287,21 @@ def parse_config(
     if "mu" in overrides:
         given.update(("mu1", "mu2"))
     defaulted = set(carried) - given
-    # The file's defaults are derived again (mu1/mu2 default as a pair, so
-    # an override of one keeps the file's other), and an override's
-    # harvest form replaces the file's.
+    # The base's defaults are derived again (mu1/mu2 default as a pair, so
+    # an override of one keeps the base's other), an override's harvest
+    # form replaces the base's, and the tolerances merge key by key.
     stale = defaulted - {"mu1", "mu2"}
     if "mu" in overrides:
         stale.update(("mu1", "mu2"))
     if "mu1" in overrides or "mu2" in overrides:
         stale.add("mu")
-    base = {k: v for k, v in file_data.items() if k not in stale and k != "_defaulted"}
-    if isinstance(base.get("tolerances"), dict):
-        tolerances = base["tolerances"].items()
-        base["tolerances"] = {k: v for k, v in tolerances if f"tolerances.{k}" not in stale}
-    merged = merge_config(base, overrides)
+    merged = {k: v for k, v in base.items() if k not in stale and k != "_defaulted"}
+    if isinstance(merged.get("tolerances"), dict):
+        tolerances = merged["tolerances"].items()
+        merged["tolerances"] = {k: v for k, v in tolerances if f"tolerances.{k}" not in stale}
+        if isinstance(overrides.get("tolerances"), dict):
+            overrides["tolerances"] = {**merged["tolerances"], **overrides["tolerances"]}
+    merged.update(overrides)
 
     def take(key: str, default):
         if key in merged:

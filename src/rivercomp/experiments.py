@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import RunConfig, merge_config, parse_config
+from .config import RunConfig, parse_config
 from .errors import ConfigError, SolverError
 from .grid import Grid
 from .model import classify_regime
@@ -294,18 +294,17 @@ PRESETS: dict[str, FigurePreset] = {
 
 
 def preset_config(figure: str, overrides: dict | None = None) -> RunConfig:
-    """RunConfig for a catalog preset, with optional extra overrides."""
+    """RunConfig for a catalog preset, the base layer under ``overrides``."""
     if figure not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ConfigError(f"unknown figure preset {figure!r}; known presets: {known}")
-    preset = dict(PRESETS[figure].overrides)
-    preset.setdefault("out_dir", figure)
-    merged = merge_config(preset, overrides)
-    t_end = merged["t_end"]
-    if (overrides or {}).get("snapshot_times") is None and isinstance(t_end, (int, float)):
+    preset = {"out_dir": figure, **PRESETS[figure].overrides}
+    overrides = overrides or {}
+    t_end = overrides.get("t_end")
+    if overrides.get("snapshot_times") is None and isinstance(t_end, (int, float)):
         # The preset's own snapshot times past an overridden t_end are never reached.
-        merged["snapshot_times"] = [t for t in preset["snapshot_times"] if t <= t_end]
-    return parse_config(overrides=merged)
+        preset["snapshot_times"] = [t for t in preset["snapshot_times"] if t <= t_end]
+    return parse_config(preset, overrides)
 
 
 # ---------------------------------------------------------------------

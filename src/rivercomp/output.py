@@ -2,23 +2,25 @@
 
 Every run directory gets `config.echo.json`, `report.json`, and (for
 time-stepping runs) `norms.csv` plus one `snapshot_<t>.csv` per recorded
-time.  Numbers are written with the shortest decimal representation that
-round-trips exactly, files end with a newline, and nothing here depends
-on wall-clock time or iteration order of unordered containers, so
-identical configs yield byte-identical bundles.
+time, and no earlier run's norms or snapshots; an unwritable directory
+is a configuration error.  Numbers are written with the shortest decimal
+representation that round-trips exactly, files end with a newline, and
+nothing here depends on wall-clock time or iteration order of unordered
+containers, so identical configs yield byte-identical bundles.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .grid import Grid
 from .stepping import Trajectory
 
@@ -99,11 +101,17 @@ def write_bundle(
     except ValueError:
         raise SolverError("the report holds a NaN or an infinity: not strict JSON") from None
     run_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
-    _write_text(run_dir / "config.echo.json", cfg.echo_json())
-    if traj is not None:
-        write_norms_csv(run_dir / "norms.csv", traj)
-        for t in sorted(traj.snapshots):
-            u, v = traj.snapshots[t]
-            write_snapshot_csv(run_dir / f"snapshot_{format_float(t)}.csv", traj.grid, u, v)
-    _write_text(run_dir / "report.json", report_text)
+    try:
+        _write_text(run_dir / "config.echo.json", cfg.echo_json())
+        for path in run_dir.iterdir():  # an earlier run's norms and snapshots
+            if re.fullmatch(r"norms\.csv|snapshot_\d+(\.\d+)?(e[-+]\d+)?\.csv", path.name):
+                path.unlink()
+        if traj is not None:
+            write_norms_csv(run_dir / "norms.csv", traj)
+            for t in sorted(traj.snapshots):
+                u, v = traj.snapshots[t]
+                write_snapshot_csv(run_dir / f"snapshot_{format_float(t)}.csv", traj.grid, u, v)
+        _write_text(run_dir / "report.json", report_text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write the output directory {str(run_dir)!r}: {exc}") from None
     return run_dir

@@ -85,6 +85,70 @@ def test_preset_drops_its_snapshot_times_past_an_overridden_t_end(tmp_path):
     assert json.loads((full / "config.echo.json").read_text())["snapshot_times"] == [0.0, 80.0]
 
 
+@pytest.mark.parametrize(
+    "figure,flags,fractions",
+    [
+        ("fig1", ["--mu1", "0.01", "--mu2", "0.02"], (0.01, 0.02)),
+        ("fig17", ["--mu", "0.01"], (0.01, 0.01)),
+    ],
+)
+def test_a_preset_takes_the_other_harvest_form(tmp_path, figure, flags, fractions):
+    # fig1 gives mu and fig17 the pair mu1/mu2; the flags' form replaces
+    # the preset's, as it replaces a config file's.
+    out = tmp_path / figure
+    assert main(["figure", figure, *flags, "--t-end", "5", "--out-dir", str(out)]) == 0
+    echo = json.loads((out / "config.echo.json").read_text())
+    assert (echo["mu1"], echo["mu2"]) == fractions
+
+
+def test_a_preset_layers_flags_as_its_echo_does(tmp_path):
+    # Harvest flags over fig1 run what the same flags over fig1's echo
+    # run: the same norms and snapshots, and an echo that differs only in
+    # the mode and the directory.
+    preset, plain, echoed = tmp_path / "preset", tmp_path / "plain", tmp_path / "echoed"
+    harvest = ["--mu1", "0.01", "--mu2", "0.02"]
+    assert main(["figure", "fig1", *harvest, "--t-end", "5", "--out-dir", str(preset)]) == 0
+    assert main(["figure", "fig1", "--t-end", "5", "--out-dir", str(plain)]) == 0
+    argv = ["simulate", "--config", str(plain / "config.echo.json"), *harvest]
+    assert main([*argv, "--out-dir", str(echoed)]) == 0
+    csvs = sorted(p.name for p in preset.glob("*.csv"))
+    assert csvs == ["norms.csv", "snapshot_0.0.csv", "snapshot_5.0.csv"]
+    assert csvs == sorted(p.name for p in echoed.glob("*.csv"))
+    for name in csvs:
+        assert (preset / name).read_bytes() == (echoed / name).read_bytes()
+    one, other = (json.loads((d / "config.echo.json").read_text()) for d in (preset, echoed))
+    assert {k for k in one.keys() | other.keys() if one.get(k) != other.get(k)} == {"mode", "out_dir"}
+
+
+def test_an_out_dir_naming_a_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("not a directory\n")
+    assert main(["steady", "--n", "16", "--out-dir", str(path)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config"
+    assert str(path) in record["message"]
+    assert path.read_text() == "not a directory\n"
+
+
+def test_a_reused_out_dir_holds_exactly_its_run_s_bundle(tmp_path):
+    # A later run removes the norms and snapshots an earlier one left in
+    # its directory, and no other file.
+    out = tmp_path / "run"
+    argv = ["simulate", "--n", "16", "--t-end", "4", "--snapshot-times", "1,2"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["steady", "--n", "16", "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo.json", "notes.txt", "report.json"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+    fig = tmp_path / "fig1"
+    assert main(["figure", "fig1", "--n", "16", "--out-dir", str(fig)]) == 0
+    assert main(["figure", "fig1", "--n", "16", "--t-end", "5", "--out-dir", str(fig)]) == 0
+    assert sorted(p.name for p in fig.iterdir()) == [
+        "config.echo.json", "norms.csv", "report.json", "snapshot_0.0.csv", "snapshot_5.0.csv",
+    ]
+
+
 def test_unknown_figure_exits_two(capsys):
     code = main(["figure", "fig99"])
     assert code == 2

@@ -72,6 +72,23 @@ def test_override_harvest_form_replaces_the_file_s(tmp_path):
         parse_config(single, {"mu": 0.25, "mu1": 0.25})
 
 
+def test_a_mapping_base_layer_follows_a_file_s_rules(tmp_path):
+    # A mapping given as the base layer (a figure preset) parses as the
+    # same keys in a file do, under every override: the harvest form
+    # replaced, tolerances merged key by key, unknown keys refused.
+    base = dict(WEAK, mu=0.3, n=32, t_end=5.0, tolerances={"settle": 0.01}, _defaulted=["dt"])
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps(base))
+    for overrides in ({}, {"mu1": 0.1, "mu2": 0.2}, {"tolerances": {"steady": 1e-9}}, {"dt": 0.05}):
+        cfg = parse_config(base, overrides)
+        assert cfg.echo_json() == parse_config(path, overrides).echo_json()
+    assert (cfg.dt, cfg.tolerances.settle) == (0.05, 0.01)
+    with pytest.raises(ConfigError, match="unknown config key 'zebra'"):
+        parse_config(dict(base, zebra=1))
+    with pytest.raises(ConfigError, match="not both"):
+        parse_config(dict(base, mu1=0.3, mu2=0.3))
+
+
 def test_carried_defaults_are_derived_again(tmp_path):
     # An echo's _defaulted keys are derived anew from the overrides: dt
     # from r, u0, v0 and tolerances.extinct from K and mu, n from dim.

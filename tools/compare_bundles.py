@@ -19,7 +19,9 @@ difference is printed as well: strings, flags, nulls, integers (counts
 and sizes compare exactly), keys, columns and lengths.
 
 The matrix: ``figure`` on every preset and fig17 at ``--t-end 5000``
-(the symmetrized step solve, in 1-D and 2-D); ``simulate`` in raw form
+(the symmetrized step solve, in 1-D and 2-D), and fig17 with ``--mu
+0.01`` to t 5, snapshots at 0 and 2.5 (a flag's harvest form replacing
+a preset's); ``simulate`` in raw form
 with mu1 != mu2, a drift-dominated ``simulate`` in 1-D (the banded
 step solve) and in 2-D (the modal-banded one), a 2-D ``simulate`` whose
 symmetrizer spread, 8.28, lies just inside the limit of 10 (the
@@ -51,7 +53,7 @@ family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
 identity residuals across them) and on the narrow sliver at alpha2
 7.314e-4, inside its window (an asymmetric pair, whose identity
-residuals are not exact zeros): 49 runs, a few minutes on a 2-core
+residuals are not exact zeros): 50 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -81,6 +83,10 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
     """Run name -> CLI arguments."""
     runs = {f"fig_{p}": ["figure", p] for p in presets}
     runs["fig17_5000"] = ["figure", "fig17", "--t-end", "5000"]
+    # The flag's equal fractions replace the preset's pair mu1/mu2.
+    runs["fig17_mu"] = [
+        "figure", "fig17", "--mu", "0.01", "--t-end", "5", "--snapshot-times", "0,2.5",
+    ]
     runs["sim_raw_unequal_mu"] = [
         "simulate", *WEAK[:-2], "--mu1", "0.01", "--mu2", "0.02", "--n", "64", "--t-end", "50",
     ]
