@@ -3,7 +3,9 @@
 One command with subcommands: simulate, steady, eigen, sweep, figure,
 verify.  Every config key has a flag (``--tol-<name>`` sets
 ``tolerances.<name>``); flags override config-file values key by key, so
-a ``--tol-<name>`` keeps the file's other tolerances.
+a ``--tol-<name>`` keeps the file's other tolerances.  Each subcommand
+parses its config, refuses an ``--out-dir`` no write could make, runs its
+pipeline, writes its bundle once and prints ``<summary> -> <dir>``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (including verification runs with failing checks), 4 anomaly gate.
@@ -20,10 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import Tolerances, parse_config
+from .config import RunConfig, Tolerances, parse_config
 from .errors import AnomalyError, ConfigError, RiverCompError, SolverError
 from .experiments import (
     eigen_report,
+    preset_config,
     run_figure,
     run_verification,
     simulate_report,
@@ -32,7 +35,8 @@ from .experiments import (
     sweep_alpha2,
     sweep_transitions,
 )
-from .output import write_bundle
+from .output import check_out_dir, write_bundle
+from .stepping import Trajectory
 
 __all__ = ["main"]
 
@@ -157,46 +161,22 @@ def _emit_error(kind: str, exc: Exception) -> None:
     print(json.dumps(record), file=sys.stderr)
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    overrides = _overrides_from(args)
-
-    if args.command == "figure":
-        if args.config is not None:
-            raise ConfigError(
-                "figure presets carry their own parameters; use flags, not --config, to override"
-            )
-        cfg, traj, outcome, report = run_figure(args.figure, overrides)
-        run_dir = write_bundle(cfg, report, traj=traj)
-        print(f"{args.figure}: outcome {outcome.verdict.value} -> {run_dir}")
-        return 0
-
-    overrides["mode"] = args.command
-    cfg = parse_config(args.config, overrides)
-
-    if args.command == "simulate":
+def _pipeline(command: str, cfg: RunConfig) -> tuple[dict, Trajectory | None, str]:
+    """The command's report, its trajectory when it steps, and its summary."""
+    if command == "figure":
+        _, traj, outcome, report = run_figure(cfg)
+        return report, traj, f"{cfg.figure}: outcome {outcome.verdict.value}"
+    if command == "simulate":
         traj, outcome = simulate_run(cfg)
-        run_dir = write_bundle(cfg, simulate_report(traj, outcome), traj=traj)
-        print(f"outcome {outcome.verdict.value} -> {run_dir}")
-        return 0
-
-    if args.command == "steady":
-        report = steady_report(cfg)
-        run_dir = write_bundle(cfg, report)
-        print(f"steady states solved -> {run_dir}")
-        return 0
-
-    if args.command == "eigen":
+        return simulate_report(traj, outcome), traj, f"outcome {outcome.verdict.value}"
+    if command == "steady":
+        return steady_report(cfg), None, "steady states solved"
+    if command == "eigen":
         report = eigen_report(cfg)
-        run_dir = write_bundle(cfg, report)
-        print(
-            "stability indices: u-state "
-            f"{report['u_state']['stability_index']!r} ({report['u_state']['verdict']}), "
-            f"v-state {report['v_state']['stability_index']!r} "
-            f"({report['v_state']['verdict']}) -> {run_dir}"
-        )
-        return 0
-
-    if args.command == "sweep":
+        states = report["u_state"], report["v_state"]
+        u, v = (f"{s['stability_index']!r} ({s['verdict']})" for s in states)
+        return report, None, f"stability indices: u-state {u}, v-state {v}"
+    if command == "sweep":
         result = sweep_alpha2(cfg)
         report = {
             "omega1": result.omega1,
@@ -210,27 +190,36 @@ def _dispatch(args: argparse.Namespace) -> int:
             "points": result.points,
             "edge_points": result.edge_points,
         }
-        run_dir = write_bundle(cfg, report)
-        if result.anomalies:
-            raise AnomalyError("; ".join(result.anomalies))
         window = "none" if result.window is None else f"[{result.window[0]!r}, {result.window[1]!r}]"
-        print(f"coexistence window {window} -> {run_dir}")
-        return 0
+        return report, None, f"coexistence window {window}"
+    return run_verification(cfg), None, "all checks pass"
 
+
+def _dispatch(args: argparse.Namespace) -> int:
+    overrides = _overrides_from(args)
+    if args.command == "figure":
+        if args.config is not None:
+            raise ConfigError(
+                "figure presets carry their own parameters; use flags, not --config, to override"
+            )
+        cfg = preset_config(args.figure, overrides)
+    else:
+        cfg = parse_config(args.config, {**overrides, "mode": args.command})
+    check_out_dir(cfg.out_dir)
+    report, traj, summary = _pipeline(args.command, cfg)
+    run_dir = write_bundle(cfg, report, traj=traj)
+    if args.command == "sweep" and report["anomalies"]:
+        raise AnomalyError("; ".join(report["anomalies"]))
     if args.command == "verify":
-        report = run_verification(cfg)
-        run_dir = write_bundle(cfg, report)
-        failed = [name for name, c in report["checks"].items() if not c["pass"]]
         for name, c in report["checks"].items():
             status = "skip" if c.get("skipped") else ("pass" if c["pass"] else "FAIL")
             print(f"{status:>4}  {name}")
+        failed = [name for name, c in report["checks"].items() if not c["pass"]]
         if failed:
             _emit_error("verification", SolverError(f"failed checks: {', '.join(failed)}"))
             return 3
-        print(f"all checks pass -> {run_dir}")
-        return 0
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    print(f"{summary} -> {run_dir}")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -349,17 +349,17 @@ def simulate_report(traj: Trajectory, outcome: Outcome) -> dict:
 
 
 def run_figure(
-    figure: str, overrides: dict | None = None
+    cfg: RunConfig | str, overrides: dict | None = None
 ) -> tuple[RunConfig, Trajectory, Outcome, dict]:
-    cfg = preset_config(figure, overrides)
+    """The figure pipeline on a ``preset_config``, or on a preset id and its overrides."""
+    if isinstance(cfg, str):
+        cfg = preset_config(cfg, overrides)
     traj, outcome = simulate_run(cfg)
-    preset = PRESETS[figure]
+    expected = PRESETS[cfg.figure].expected
     report = simulate_report(traj, outcome)
-    report["figure"] = figure
-    report["expected"] = preset.expected.value if preset.expected is not None else None
-    report["matches_expected"] = (
-        None if preset.expected is None else outcome.verdict == preset.expected
-    )
+    report["figure"] = cfg.figure
+    report["expected"] = expected.value if expected is not None else None
+    report["matches_expected"] = None if expected is None else outcome.verdict == expected
     return cfg, traj, outcome, report
 
 

@@ -2,8 +2,9 @@
 
 Every run directory gets `config.echo.json`, `report.json`, and (for
 time-stepping runs) `norms.csv` plus one `snapshot_<t>.csv` per recorded
-time, and no earlier run's norms or snapshots; an unwritable directory
-is a configuration error.  Numbers are written with the shortest decimal
+time, and no earlier run's norms or snapshots.  A directory no write could
+make is refused before compute (``check_out_dir``), and a failed write is
+a configuration error too.  Numbers are written with the shortest decimal
 representation that round-trips exactly, files end with a newline, and
 nothing here depends on wall-clock time or iteration order of unordered
 containers, so identical configs yield byte-identical bundles.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 from typing import Any
@@ -25,6 +27,7 @@ from .grid import Grid
 from .stepping import Trajectory
 
 __all__ = [
+    "check_out_dir",
     "format_float",
     "jsonable",
     "write_norms_csv",
@@ -40,11 +43,9 @@ def format_float(x: float) -> str:
 
 def jsonable(value: Any) -> Any:
     """Recursively convert report values into plain JSON-friendly types."""
-    if isinstance(value, (bool, int, str)) or value is None:
+    if isinstance(value, (bool, int, float, str)) or value is None:
         return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (np.bool_,)):
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
         return int(value)
@@ -87,6 +88,14 @@ def write_norms_csv(path: Path, traj: Trajectory) -> None:
 def write_snapshot_csv(path: Path, grid: Grid, u: np.ndarray, v: np.ndarray) -> None:
     coordinates = grid.coordinate_arrays()[: grid.dim]
     _write_csv(path, ",".join(["x", "y"][: grid.dim] + ["u", "v"]), (*coordinates, u, v))
+
+
+def check_out_dir(out_dir: str | Path) -> None:
+    """Refuse ``out_dir`` if it, or else its nearest existing ancestor, is no directory."""
+    path = Path(out_dir)
+    existing = next((p for p in (path, *path.parents) if os.path.exists(p)), None)
+    if existing is not None and not os.path.isdir(existing):
+        raise ConfigError(f"cannot write the output directory {str(path)!r}: {existing} is a file")
 
 
 def write_bundle(

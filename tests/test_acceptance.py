@@ -209,7 +209,7 @@ def figure_runs(tmp_path_factory):
     t0 = time.time()
     for key, overrides in _FIGURE_RUNS:
         figure = key.split("_")[0]
-        cfg, traj, outcome, report = run_figure(figure, overrides)
+        cfg, traj, outcome, report = run_figure(preset_config(figure, overrides))
         run_dir = write_bundle(cfg, report, traj=traj, out_dir=base / key)
         runs[key] = SimpleNamespace(
             figure=figure,
@@ -316,7 +316,7 @@ def test_criterion_7_repeated_runs_are_byte_identical(figure_runs, tmp_path):
     for key, overrides in _FIGURE_RUNS:
         first = figure_runs[key].dir
         figure = figure_runs[key].figure
-        cfg, traj, outcome, report = run_figure(figure, overrides)
+        cfg, traj, outcome, report = run_figure(preset_config(figure, overrides))
         second = write_bundle(cfg, report, traj=traj, out_dir=tmp_path / key)
         names_a = sorted(p.name for p in first.iterdir())
         names_b = sorted(p.name for p in second.iterdir())

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,56 @@ def test_an_out_dir_naming_a_file_exits_two(tmp_path, capsys):
     assert record["error"] == "config"
     assert str(path) in record["message"]
     assert path.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [(["figure", "fig1"], "taken"), (["steady", "--n", "16"], "taken/sub")],
+    ids=["figure_file", "steady_under_file"],
+)
+def test_an_unusable_out_dir_exits_two_before_any_compute(tmp_path, capsys, monkeypatch, argv, out):
+    def refuse(*args):
+        raise AssertionError("the pipeline started")
+
+    monkeypatch.setattr(cli, "run_figure", refuse)
+    monkeypatch.setattr(cli, "steady_report", refuse)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main([*argv, "--out-dir", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "config" and str(tmp_path / out) in record["message"]
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize(
+    "argv, summary",
+    [
+        (["figure", "fig1", "--n", "16", "--t-end", "5"], r"fig1: outcome \w+"),
+        (["simulate", "--n", "16", "--t-end", "1"], r"outcome \w+"),
+        (["steady", "--n", "16"], r"steady states solved"),
+        (
+            ["eigen", *WEAK_FLAGS, "--n", "16"],
+            r"stability indices: u-state \S+ \(\w+\), v-state \S+ \(\w+\)",
+        ),
+        (
+            ["sweep", "--d1", "0.002", "--d2", "0.001", "--alpha1", "0.001", "--mu", "0.3",
+             "--n", "16", "--points", "8"],
+            r"coexistence window (none|\[\S+, \S+\])",
+        ),
+        (["verify", *WEAK_FLAGS, "--n", "32"], r"all checks pass"),
+    ],
+    ids=["figure", "simulate", "steady", "eigen", "sweep", "verify"],
+)
+def test_every_subcommand_ends_stdout_with_its_summary_and_directory(tmp_path, capsys, argv, summary):
+    out = tmp_path / "run"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(f"{summary} -> {re.escape(str(out))}", last), last
+    assert (out / "report.json").is_file()
 
 
 def test_a_reused_out_dir_holds_exactly_its_run_s_bundle(tmp_path):

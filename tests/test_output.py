@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from rivercomp.config import parse_config
-from rivercomp.errors import SolverError
+from rivercomp.errors import ConfigError, SolverError
 from rivercomp.grid import Grid
 from rivercomp.output import (
+    check_out_dir,
     format_float,
     jsonable,
     write_bundle,
@@ -156,3 +157,13 @@ def test_a_report_holding_a_non_finite_number_writes_nothing(tmp_path, bad):
     with pytest.raises(SolverError, match="not strict JSON"):
         write_bundle(cfg, {"outcome": "Undecided", "nested": {"values": [1.0, bad]}}, traj=traj, out_dir=out)
     assert not out.exists()
+
+
+def test_check_out_dir_refuses_a_file_on_the_path_and_creates_nothing(tmp_path):
+    check_out_dir(tmp_path)
+    check_out_dir(tmp_path / "new" / "deeper")
+    (tmp_path / "taken").write_text("kept\n")
+    for out in ("taken", "taken/sub", "taken/sub/deeper"):
+        with pytest.raises(ConfigError, match="is a file"):
+            check_out_dir(tmp_path / out)
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -31,8 +31,9 @@ overshoots so that the clamp fires (66 clamp events in its report),
 the same start and dt on a drift-dominated family (the banded step
 solve, in place, with 57 clamp events),
 a ``simulate`` on the weak family with the two species' movement
-rates swapped (n 64 to t 2000, which ends ``UWins``) and one from
-u0 = v0 = 0 (n 16 to t 1, which ends ``BothExtinct``);
+rates swapped (n 64 to t 2000, which ends ``UWins``), one from
+u0 = v0 = 0 (n 16 to t 1, which ends ``BothExtinct``) and one given
+``--K -x+2``, a flag value that begins with a dash (n 16 to t 1);
 ``steady`` and ``eigen`` in 1-D and 2-D, ``steady`` at a steady
 tolerance of 1e-14 (whose lone states fall back from Newton to the
 march), ``steady`` runs that find a pair in 1-D (n 64 and n 1024, the
@@ -53,7 +54,7 @@ family in 2-D (which skips the four 1-D checks) and on the symmetric
 family at n 64 (which finds a pair on both grids and compares the
 identity residuals across them) and on the narrow sliver at alpha2
 7.314e-4, inside its window (an asymmetric pair, whose identity
-residuals are not exact zeros): 50 runs, a few minutes on a 2-core
+residuals are not exact zeros): 51 runs, a few minutes on a 2-core
 machine.
 """
 
@@ -118,6 +119,8 @@ def _matrix(presets: list[str]) -> dict[str, list[str]]:
         "--mu", "0.009", "--n", "64", "--t-end", "2000",
     ]
     runs["sim_zero_start"] = ["simulate", "--u0", "0", "--v0", "0", "--n", "16", "--t-end", "1"]
+    # A value that begins with a dash, glued to its flag before argparse sees it.
+    runs["sim_dash_K"] = ["simulate", "--K", "-x+2", "--n", "16", "--t-end", "1"]
     for mode in ("steady", "eigen"):
         runs[f"{mode}_1d"] = [mode, *WEAK, "--n", "128"]
         runs[f"{mode}_2d"] = [mode, *WEAK, *PLANE]
