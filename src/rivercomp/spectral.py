@@ -15,7 +15,10 @@ positivity, and the bracket tightens as the iterate converges.  The shift
 is re-anchored (and the matrix re-factorized) whenever the bracket has
 tightened well below the current margin, which turns the usually slow
 power-type convergence into a few sharp steps even when the spectral gap
-is tiny compared to the matrix norm.
+is tiny compared to the matrix norm.  The iteration is one loop, which
+factors at its top whenever it holds no factor: at the first shift,
+after a back-off and after a re-anchor.  On convergence it takes one
+polish solve at the last shift, none at the rounding floor.
 
 The iteration starts from x = 1 unless the caller passes a strictly
 positive start vector ``x0``.  Because the bracket holds for every
@@ -125,7 +128,10 @@ def principal_eigenpair(
     ``tol`` is relative: the iteration stops when the eigen-residual in
     sup-norm drops below tol times the matrix sup-norm (floored near
     machine precision).  Raises SolverError after ``_MAX_EIGEN_SOLVES``
-    solves.
+    solves.  A solve that loses positivity backs off (the margin grows
+    tenfold) and a tightened bracket re-anchors; each refactors, as the
+    first shift does.  A converged residual above the rounding floor gets
+    one polish solve, kept if it is positive and lowers the residual.
 
     ``x0`` is the start vector, x = 1 when omitted.  It must have one
     finite, strictly positive entry per cell (ConfigError otherwise):
@@ -164,69 +170,59 @@ def principal_eigenpair(
     res_target = max(tol, _ROUNDING_FLOOR) * scale
     margin_floor = 1e-8 * scale
 
+    def rayleigh(y):
+        # y scaled to unit sup-norm, its product, Rayleigh quotient and residual.
+        x = y / y[y.argmax()]
+        mx = matvec(x)
+        lam = float(x @ mx) / float(x @ x)
+        r = np.abs(mx - lam * x)
+        return x, mx, lam, float(r[r.argmax()])
+
     q = matvec(x) / x
     lo, hi = q[q.argmin()], q[q.argmax()]
     margin = max(hi - lo, margin_floor)
-    shift = hi + margin
-    solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
-    factorizations = 1
-
-    iterations = 0
+    solver = None
+    factorizations = iterations = 0
     while iterations < _MAX_EIGEN_SOLVES:
+        if solver is None:  # the first shift, a back-off or a re-anchor
+            shift = hi + margin
+            solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
+            factorizations += 1
         y = solver.solve(x)
         iterations += 1
         if y[y.argmin()] <= 0.0:
             # Numerically possible only when the shift sits almost on top
             # of the eigenvalue; back off and refactor.
             margin *= 10.0
-            shift = hi + margin
-            solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
-            factorizations += 1
+            solver = None
             continue
-        x = y / y[y.argmax()]
-        mx = matvec(x)
-        lam = float(x @ mx) / float(x @ x)
-        r = np.abs(mx - lam * x)
-        residual = float(r[r.argmax()])
+        x, mx, lam, residual = rayleigh(y)
         if residual <= res_target:
-            # Polish toward the rounding floor while progress is cheap: the
-            # shift is anchored by now, so each extra solve shrinks the
-            # residual sharply unless the spectral gap is genuinely tiny.
-            floor = _ROUNDING_FLOOR * scale
-            for _ in range(25):
-                if residual <= floor:
-                    break
-                y = solver.solve(x)
-                iterations += 1
-                if y[y.argmin()] <= 0.0:
-                    break
-                cand = y / y[y.argmax()]
-                mc = matvec(cand)
-                lam_c = float(cand @ mc) / float(cand @ cand)
-                r = np.abs(mc - lam_c * cand)
-                res_c = float(r[r.argmax()])
-                if res_c < residual:
-                    x, lam, residual = cand, lam_c, res_c
-                if res_c >= 0.5 * residual:
-                    break
-            return EigenReport(
-                growth_rate=lam,
-                phi=x,
-                iterations=iterations,
-                residual=residual,
-                factorizations=factorizations,
-            )
+            break
         q = mx / x  # the Collatz quotients bracket the dominant eigenvalue
         lo, hi = q[q.argmin()], q[q.argmax()]
         spread = max(hi - lo, margin_floor)
         if shift - hi > 8.0 * spread:
             margin = spread
-            shift = hi + margin
-            solver = factor_shifted(op, shift=shift, scale=-1.0, potential=p)
-            factorizations += 1
-    raise SolverError(
-        f"eigen iteration did not reach residual {res_target:.3e} in {_MAX_EIGEN_SOLVES} solves "
-        f"(last residual {residual:.3e})"
+            solver = None
+    else:
+        raise SolverError(
+            f"eigen iteration did not reach residual {res_target:.3e} in {_MAX_EIGEN_SOLVES} solves "
+            f"(last residual {residual:.3e})"
+        )
+    if residual > _ROUNDING_FLOOR * scale:
+        y = solver.solve(x)
+        iterations += 1
+        if y[y.argmin()] > 0.0:
+            cand, _, lam_c, res_c = rayleigh(y)
+            if res_c < residual:
+                x, lam, residual = cand, lam_c, res_c
+    return EigenReport(
+        growth_rate=lam,
+        phi=x,
+        iterations=iterations,
+        residual=residual,
+        factorizations=factorizations,
     )
 
 

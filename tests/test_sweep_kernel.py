@@ -312,12 +312,75 @@ def test_eigen_oracle_draws_reach_every_branch():
     assert_same_report(warm, frozen_principal_eigenpair(op, potential, x0=cold.phi))
 
 
-def test_2d_eigen_solve_is_the_frozen_solve_bitwise():
+def eigen_problem_2d():
     cfg = parse_config(overrides=dict(dim=2, n=12, d1=0.08, d2=0.07, alpha1=0.05, alpha2=0.04, mu=0.1))
     grid, eff = cfg.grid(), cfg.effective(cfg.grid())
-    op = transport_for(grid, 0.07, 0.04)
-    potential = invasion_potential(np.full(grid.size, 0.5), eff)
+    return transport_for(grid, 0.07, 0.04), invasion_potential(np.full(grid.size, 0.5), eff)
+
+
+def test_2d_eigen_solve_is_the_frozen_solve_bitwise():
+    op, potential = eigen_problem_2d()
     assert_same_report(principal_eigenpair(op, potential), frozen_principal_eigenpair(op, potential))
+
+
+def counted_solves(monkeypatch):
+    """Keep a copy of every solve result of spectral's factors, in order."""
+    solves = []
+
+    class Counted:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, rhs):
+            y = self.factor.solve(rhs)
+            solves.append(y.copy())
+            return y
+
+    monkeypatch.setattr(spectral, "factor_shifted", lambda *a, **kw: Counted(factor_shifted(*a, **kw)))
+    return solves
+
+
+def polish_outcome(op, potential, tol, solves):
+    """What follows the first iterate that meets the residual target.
+
+    "none" when no solve does, "accepted" when one solve does and its
+    candidate is the result, "rejected" when one does and it is not.
+    The result must be the frozen solve's, bitwise.
+    """
+    solves.clear()
+    got = principal_eigenpair(op, potential, tol=tol)
+    assert_same_report(got, frozen_principal_eigenpair(op, potential, tol=tol))
+    matrix = (op.matrix + sparse.diags(potential)).tocsr()
+    target = max(tol, spectral._ROUNDING_FLOOR) * float(np.abs(matrix).sum(axis=1).max())
+
+    def meets_target(y):
+        x = y / y.max()
+        mx = matrix @ x
+        lam = float(x @ mx) / float(x @ x)
+        return y.min() > 0.0 and float(np.abs(mx - lam * x).max()) <= target
+
+    first = next(i for i, y in enumerate(solves) if meets_target(y))
+    polish = solves[first + 1:]
+    assert len(polish) <= 1
+    if not polish:
+        return "none"
+    return "accepted" if np.array_equal(got.phi, polish[0] / polish[0].max()) else "rejected"
+
+
+def test_eigen_polish_takes_at_most_one_solve(monkeypatch):
+    # The polish after convergence is one solve or none; the draws reach
+    # both the residual already at the rounding floor and a kept polish.
+    solves = counted_solves(monkeypatch)
+    outcomes = []
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        grid = Grid(1, 0.0, 1.0, int(rng.integers(3, 301)))
+        d = 10.0 ** rng.uniform(-2.0, 0.5)
+        op = transport_for(grid, d, min(rng.uniform(0.0, 40.0), 1.9 / grid.h) * d)
+        potential = rng.uniform(-1.0, 1.0, grid.size)
+        outcomes.append(polish_outcome(op, potential, [1e-12, 1e-8, 1e-4][seed % 3], solves))
+    outcomes.append(polish_outcome(*eigen_problem_2d(), spectral.TOL_EIGEN, solves))
+    assert {"none", "accepted"} <= set(outcomes)
 
 
 # ---------------------------------------------------------------------

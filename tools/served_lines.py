@@ -9,8 +9,13 @@ working directory, with its stdout and stderr discarded, under
 consecutive statements inside functions that no run reached is printed
 with the function that holds it:
 
-    spectral.py: 2 statements unreached
-      188-192  principal_eigenpair
+    spectral.py: 8 statements unreached
+      147        principal_eigenpair
+      161        principal_eigenpair
+      165        principal_eigenpair
+      196-198    principal_eigenpair
+      209-212    principal_eigenpair
+      305        eigen_difference_residual
 
 A statement is reached when any line of its own ran: its whole extent for
 a simple statement, its header for a compound one.  Lines the compiler
