@@ -13,7 +13,7 @@ the second species' drift rate across the interval where the competition
 outcome is known to flip, classifying every point from the two invasion
 eigenvalues, and brackets the coexistence window with one bisection
 refinement per edge.  Each point starts its lone-state Newton and its two
-eigen solves from the secant prediction of the last two points'
+eigen solves from the quadratic extrapolation of the last three points'
 solutions.  A coexistence Newton solve runs only at points
 whose two indices share a sign beyond the marginal band: by the
 competitive trichotomy (Hsu, Smith & Waltman 1996) these are the only
@@ -494,17 +494,24 @@ def point_outcome(
     return Verdict.UNDECIDED, False
 
 
-def _secant(last: np.ndarray | None, before: np.ndarray | None) -> np.ndarray | None:
-    """Start for the next sweep point from the last two points' solutions.
+def _extrapolate(
+    last: np.ndarray | None = None,
+    before: np.ndarray | None = None,
+    earlier: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Start for the next sweep point from the last three points' solutions,
+    newest first.
 
-    On the uniform drift grid the linear extrapolation 2*last - before is
-    exact to first order.  Where it is not finite and strictly positive
-    (inverse iteration refuses such a start, Newton wants a positive one)
-    or there is no ``before``, the start is ``last``.
+    On the uniform drift grid the Lagrange extrapolation through three
+    points, 3*(last - before) + earlier, is exact for quadratics; through
+    two it is the secant 2*last - before.  Where the prediction is not
+    finite and strictly positive (inverse iteration refuses such a start,
+    Newton wants a positive one) or there is no ``before``, the start is
+    ``last``.
     """
-    if last is None or before is None:
+    if before is None:
         return last
-    guess = 2.0 * last - before
+    guess = 2.0 * last - before if earlier is None else 3.0 * (last - before) + earlier
     # min > 0 refuses NaN and every entry <= 0; a finite max then refuses inf.
     # Both are selected by index, g[g.argmin()]: the element the reduction
     # returns, NaN and ±inf included, at about a third of its cost; a zero
@@ -516,17 +523,18 @@ def _secant(last: np.ndarray | None, before: np.ndarray | None) -> np.ndarray | 
 
 def _predicted_starts(warm: dict) -> tuple:
     """The v_hat Newton start and the kappa and tau eigen starts of the next
-    point, each extrapolated from the (last, before) pair ``warm`` keeps."""
-    return tuple(_secant(*warm.get(key, (None, None))) for key in ("v_hat", "kappa", "tau"))
+    point, each extrapolated from the (last, before, earlier) solutions
+    ``warm`` keeps."""
+    return tuple(_extrapolate(*warm.get(key, ())) for key in ("v_hat", "kappa", "tau"))
 
 
 def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
     """Classify one drift rate against the problem's first-species lone state.
 
-    ``warm`` carries the last two points' second-species lone states and
-    kappa and tau Perron vectors, and the last point's pair; this point
-    starts from their secant prediction (``_predicted_starts``) and the
-    pair, and leaves its own solutions in their place.
+    ``warm`` carries the last three points' second-species lone states and
+    kappa and tau Perron vectors, newest first, and the last point's pair;
+    this point starts from their extrapolation (``_predicted_starts``) and
+    the pair, puts its own solutions first and drops the oldest.
     """
     cfg, eff, op1 = problem.cfg, problem.eff, problem.op1
     op2 = transport_for(problem.grid, cfg.params.d2, alpha2)
@@ -547,7 +555,7 @@ def _evaluate_point(problem: Problem, alpha2: float, warm: dict) -> SweepPoint:
     tau = tau_report.stability_index
     solutions = {"v_hat": v_state.u, "kappa": kappa_report.phi, "tau": tau_report.phi}
     for key, solution in solutions.items():
-        warm[key] = (solution, warm.get(key, (None,))[0])
+        warm[key] = (solution, *warm.get(key, ())[:2])
 
     # The pair search runs only where its answer can change the verdict:
     # both indices beyond the marginal band with the same sign.  Elsewhere
@@ -589,11 +597,12 @@ def sweep_alpha2(cfg: RunConfig) -> SweepResult:
     profile of species 1 is solved once (it does not involve alpha2).
     Points run in order, each warm-starting from the points before: the
     second species' lone state (Newton) and the kappa and tau eigen solves
-    start from the linear extrapolation of the last two points' profile and
-    Perron vectors (``_secant``; predictor-corrector continuation, Allgower
-    & Georg 1990), and the pair search from the previous pair.  The first
-    point and the edge probes start cold; the second starts from the first
-    point's solutions.
+    start from the quadratic extrapolation of the last three points'
+    profile and Perron vectors (``_extrapolate``; second-order
+    predictor-corrector continuation, Allgower & Georg 1990), and the pair
+    search from the previous pair.  The first point and the edge probes
+    start cold; the second starts from the first point's solutions, the
+    third from the secant of the first two.
     """
     p = cfg.params
     if not (p.d1 > p.d2 > 0.0):

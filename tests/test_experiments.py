@@ -446,7 +446,7 @@ def ungated_evaluate_point(problem, alpha2, warm):
         op2, resident_u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen,
         x0=kappa_start,
     ).report
-    warm["kappa"] = (kappa_report.phi, warm.get("kappa", (None,))[0])
+    warm["kappa"] = (kappa_report.phi, *warm.get("kappa", ())[:2])
     kappa = kappa_report.stability_index
     if v_start is not None:
         try:
@@ -455,12 +455,12 @@ def ungated_evaluate_point(problem, alpha2, warm):
             v_state = solve_single_steady(op2, eff, tol=tol)
     else:
         v_state = solve_single_steady(op2, eff, tol=tol)
-    warm["v_hat"] = (v_state.u, warm.get("v_hat", (None,))[0])
+    warm["v_hat"] = (v_state.u, *warm.get("v_hat", ())[:2])
     tau_report = semitrivial_stability(
         op1, v_state.u, eff, tol_marginal=cfg.tolerances.marginal, eigen_tol=cfg.tolerances.eigen,
         x0=tau_start,
     ).report
-    warm["tau"] = (tau_report.phi, warm.get("tau", (None,))[0])
+    warm["tau"] = (tau_report.phi, *warm.get("tau", ())[:2])
     tau = tau_report.stability_index
 
     note = ""
@@ -698,7 +698,11 @@ def test_criterion_6_sweep_eigen_work(monkeypatch):
     # With every eigen solve started cold this sweep takes 644 iterations
     # and 330 shift factorizations; started from the previous point's
     # solutions, 243 and 170, and 64 warm Newton updates for the 32
-    # second-species lone states.
+    # second-species lone states; from the secant of the last two points,
+    # 150 and 108, and 33 updates.  From the three-point prediction it
+    # takes 90 and 78: past the first few points each warm kappa takes one
+    # solve on one factorization, and each warm tau one solve, which lands
+    # at the rounding floor and needs no polish.
     factored = []
 
     def spy(*args, **kwargs):
@@ -727,23 +731,36 @@ def test_criterion_6_sweep_eigen_work(monkeypatch):
     result = sweep_alpha2(cfg)
     assert result.verdict_pattern() == ["VWins"] * 33
     assert len(reports) == 66
-    assert sum(r.iterations for r in reports) <= 150
-    assert len(factored) <= 108
+    assert sum(r.iterations for r in reports) <= 90
+    assert len(factored) <= 78
     assert len(factored) == sum(r.factorizations for r in reports)
     assert len(newton_updates) == 32
     assert sum(newton_updates) <= 33
 
 
 # ---------------------------------------------------------------------
-# starts predicted from the last two points
+# starts predicted from the last three points
 # ---------------------------------------------------------------------
 
 
 def test_secant_extrapolates_a_positive_prediction():
+    # Two points give the secant, one gives the last solution.
     last, before = np.array([2.0, 3.0]), np.array([1.0, 4.0])
-    np.testing.assert_array_equal(experiments._secant(last, before), [3.0, 2.0])
-    assert experiments._secant(last, None) is last
-    assert experiments._secant(None, None) is None
+    np.testing.assert_array_equal(experiments._extrapolate(last, before), [3.0, 2.0])
+    assert experiments._extrapolate(last) is last
+    assert experiments._extrapolate() is None
+
+
+def test_three_points_extrapolate_a_quadratic_exactly():
+    # Integer-valued quadratics on the uniform grid, j = 0, 1, 2 -> 3.
+    # Every value is an integer below 2**53, so the prediction is exact.
+    def quadratic(j):
+        return np.array([1.0 + j * j, 7.0 - 3.0 * j + 2.0 * j * j, 50.0 - j * j])
+
+    earlier, before, last = quadratic(0), quadratic(1), quadratic(2)
+    np.testing.assert_array_equal(experiments._extrapolate(last, before, earlier), quadratic(3))
+    # The secant through the last two misses the curvature.
+    assert not np.array_equal(experiments._extrapolate(last, before), quadratic(3))
 
 
 @pytest.mark.parametrize("before", [[1.0, 6.0], [1.0, 3.0], [1.0, np.inf], [1.0, np.nan]])
@@ -751,7 +768,22 @@ def test_secant_falls_back_to_the_last_solution(before):
     # A zero, negative or non-finite entry would be refused as an eigen
     # start and is no positive Newton start, so the last solution is used.
     last = np.array([2.0, 1.5])
-    assert experiments._secant(last, np.array(before)) is last
+    assert experiments._extrapolate(last, np.array(before)) is last
+
+
+@pytest.mark.parametrize(
+    "earlier",
+    [[1.0, 0.0], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan]],
+    ids=["zero", "negative", "inf", "nan"],
+)
+def test_three_point_prediction_falls_back_to_the_last_solution(earlier):
+    # 3*(last - before) is [3, 0], so ``earlier`` alone decides the sign
+    # and finiteness of the prediction's second entry.
+    last, before = np.array([2.0, 1.5]), np.array([1.0, 1.5])
+    assert experiments._extrapolate(last, before, np.array(earlier)) is last
+    np.testing.assert_array_equal(
+        experiments._extrapolate(last, before, np.array([1.0, 0.5])), [4.0, 0.5]
+    )
 
 
 @pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
@@ -761,7 +793,7 @@ def test_predicted_sweep_agrees_with_the_unpredicted_one(monkeypatch, family):
     predicted = sweep_alpha2(cfg)
     predicted_solves = solves[:]
     solves.clear()
-    monkeypatch.setattr(experiments, "_secant", lambda last, before: last)
+    monkeypatch.setattr(experiments, "_extrapolate", lambda last=None, *older: last)
     plain = sweep_alpha2(cfg)
 
     assert predicted.window == plain.window

@@ -7,10 +7,12 @@ the copies kept here: ``principal_eigenpair`` with the band product it
 used, and ``solve_single_steady`` with its march, damped Newton loop and
 positivity floor, as they were before the trim.  The copies are
 compared field by field with ``==``, on random problems and on whole
-sweeps.  The tests at the end check that no solve writes into its start
+sweeps, where both runs start each point from the current predictor.
+The tests at the end check that no solve writes into its start
 or hands out an array another caller holds.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -231,13 +233,6 @@ def frozen_solve_single_steady(op, eff, tol=1e-10, method="hybrid", u0=None):
     return SteadyState(u=u, residual=residual, method=method, iterations=iterations)
 
 
-def frozen_secant(last, before):
-    if last is None or before is None:
-        return last
-    guess = 2.0 * last - before
-    return guess if np.all(np.isfinite(guess)) and guess.min() > 0.0 else last
-
-
 def assert_same_report(got, want):
     assert got.growth_rate == want.growth_rate
     assert np.array_equal(got.phi, want.phi)
@@ -448,9 +443,10 @@ def test_lone_state_from_a_converged_start_is_the_frozen_solve(method):
 
 
 def install_frozen_kernel(patch):
+    # The start predictor is not part of the kernel: both sweeps run the
+    # current one, so every solve of the two sweeps starts from the same x0.
     patch.setattr(spectral, "principal_eigenpair", frozen_principal_eigenpair)
     patch.setattr(experiments, "solve_single_steady", frozen_solve_single_steady)
-    patch.setattr(experiments, "_secant", frozen_secant)
     # The pair search shares the damped Newton loop and the floor.
     patch.setattr(steady, "_damped_newton", frozen_damped_newton)
     patch.setattr(steady, "positivity_floor", frozen_positivity_floor)
@@ -519,18 +515,21 @@ def test_lone_states_share_no_memory_with_their_start():
 
 
 def test_sweep_keeps_each_solution_intact_as_the_secant_before():
+    # Each point's solution stays in the history, newest first, for the
+    # next three points' predictions: the same object, unchanged, sharing
+    # no memory with the other kept solutions.
     cfg = parse_config(overrides=dict(_SWEEP, mu=0.3, n=64, points=8))
     problem = experiments.Problem(cfg)
     warm: dict = {}
-    kept: dict = {}
+    kept: dict = {key: [] for key in ("v_hat", "kappa", "tau")}
     for k, alpha2 in enumerate(np.linspace(0.00055, 0.00095, 6)):
         experiments._evaluate_point(problem, float(alpha2), warm)
-        for key in ("v_hat", "kappa", "tau"):
-            last, before = warm[key]
-            if k > 0:
-                # The array the last point left is now the secant's
-                # ``before``: the same object, unchanged by this point.
-                assert before is kept[key][0]
-                assert np.array_equal(before, kept[key][1])
-                assert not np.shares_memory(last, before)
-            kept[key] = (last, last.copy())
+        for key, history in kept.items():
+            solutions = warm[key]
+            assert len(solutions) == min(k + 1, 3)
+            history.insert(0, (solutions[0], solutions[0].copy()))
+            for solution, (array, values) in zip(solutions, history):
+                assert solution is array
+                assert np.array_equal(solution, values)
+            for a, b in itertools.combinations(solutions, 2):
+                assert not np.shares_memory(a, b)
